@@ -55,7 +55,7 @@ from .lattice import (
     verify_counting_bounds,
     write_zeros_csv,
 )
-from .lognum import LogComplex, Tolerance, cis, compensated_sum, lc_add, lc_mul
+from .lognum import LogComplex, Tolerance, cis, compensated_sum, lc_add
 from .product import (
     GrowthProfile,
     ProductEvaluator,
@@ -99,7 +99,6 @@ __all__ = [
     "exp2_profile",
     "integrate",
     "lc_add",
-    "lc_mul",
     "relative_measure",
     "sin2_profile",
     "spiral_arc",

@@ -220,10 +220,17 @@ def cmd_lattice(cfg: RunConfig, args) -> int:
     return EXIT_OK
 
 
+def _log_f_at(cfg: RunConfig, z: complex):
+    """f(z) in log form; a z outside the product's domain is a usage error."""
+    try:
+        return ProductEvaluator(ZeroLattice(k_max=cfg.k_max)).eval_log_f(z)
+    except ValueError as exc:
+        raise UsageError("z = %s: %s" % (z, exc)) from None
+
+
 def cmd_eval(cfg: RunConfig, args) -> int:
     z = parse_complex(args.z)
-    ev = ProductEvaluator(ZeroLattice(k_max=cfg.k_max))
-    lf = ev.eval_log_f(z)
+    lf = _log_f_at(cfg, z)
     w = lf.to_complex()
     _emit(cfg, ("z_re", "z_im", "f_re", "f_im", "log_abs_f", "arg_f"),
           ((z.real, z.imag, w.real, w.imag, lf.log_mag, lf.arg),))
@@ -266,7 +273,7 @@ def cmd_contour(cfg: RunConfig, args) -> int:
         return _inversion_record(cfg, parse_complex(args.z))
     z = parse_complex(args.z)
     spec = QuadratureSpec(target_rel_tol=1e-13)
-    fv = ProductEvaluator(ZeroLattice(k_max=cfg.k_max)).eval_log_f(z).to_complex()
+    fv = _log_f_at(cfg, z).to_complex()
     uv = u_eval(z, spec)
     Fv = F_eval(z, spec)
     _emit(cfg,
@@ -278,8 +285,7 @@ def cmd_contour(cfg: RunConfig, args) -> int:
 
 
 def _inversion_record(cfg: RunConfig, z: complex) -> int:
-    ev = ProductEvaluator(ZeroLattice(k_max=cfg.k_max))
-    direct = ev.eval_log_f(z).to_complex()
+    direct = _log_f_at(cfg, z).to_complex()
     contour = borel_inversion(z, radius=cfg.contour_radius, spec=_quad_spec(cfg))
     abs_err = abs(direct - contour)
     rel = abs_err / abs(direct) if abs(direct) > 0.0 else math.inf

@@ -83,32 +83,14 @@ class LogComplex:
     def is_zero(self) -> bool:
         return self.log_mag == -math.inf
 
-    def conj(self) -> "LogComplex":
-        if self.is_zero:
-            return self
-        return LogComplex(self.log_mag, wrap_angle(-self.arg))
-
     def neg(self) -> "LogComplex":
         if self.is_zero:
             return self
-        # branch on the sign instead of wrapping so that neg(conj(x)) equals
-        # conj(neg(x)) to the last bit (rounding commutes with negation)
+        # branch on the sign instead of wrapping so that negation commutes
+        # with conjugation to the last bit (rounding commutes with negation)
         if self.arg > 0.0:
             return LogComplex(self.log_mag, self.arg - math.pi)
         return LogComplex(self.log_mag, self.arg + math.pi)
-
-    def scale_pow(self, n: int) -> "LogComplex":
-        """Integer power.  Exact in the exponent when n is a power of two."""
-        if self.is_zero:
-            return self
-        return LogComplex.from_polar(self.log_mag * n, self.arg * n)
-
-
-def lc_mul(a: LogComplex, b: LogComplex) -> LogComplex:
-    """Multiply: log magnitudes add, arguments add and renormalize."""
-    if a.is_zero or b.is_zero:
-        return LogComplex.zero()
-    return LogComplex(a.log_mag + b.log_mag, wrap_angle(a.arg + b.arg))
 
 
 def lc_add(a: LogComplex, b: LogComplex) -> LogComplex:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .lattice import ZeroLattice
-from .lognum import TAU, LogComplex, cis, lc_add, lc_mul, wrap_angle
+from .lognum import TAU, LogComplex, cis, wrap_angle
 
 
 @dataclass(frozen=True)
@@ -43,12 +43,6 @@ class GrowthProfile:
             raise ValueError("radii must be positive and strictly increasing")
 
 
-def _ceil_log2(m: float) -> int:
-    """Exact ceil(log2 m) for m >= 1, immune to log rounding."""
-    frac, e = math.frexp(m)
-    return e - 1 if frac == 0.5 else e
-
-
 def dyadic_radii(k_lo: int, k_hi: int, per_window: int = 256) -> np.ndarray:
     """Geometric grid over [2^k_lo, 2^k_hi] hitting every dyadic radius exactly.
 
@@ -62,6 +56,45 @@ def dyadic_radii(k_lo: int, k_hi: int, per_window: int = 256) -> np.ndarray:
         raise ValueError("per_window must be a power of two")
     exps = np.linspace(k_lo, k_hi, (k_hi - k_lo) * per_window + 1)
     return np.exp2(exps)
+
+
+#: points per block of the array core: bounds the (circles x points)
+#: temporaries to a few hundred kB whatever the batch size
+_BLOCK = 128
+
+#: largest cutoff K with 2^K * tau finite in binary64
+_MAX_CUTOFF = 1021
+
+#: circle indices k and their exact powers n = 2^k, up to _MAX_CUTOFF
+_KS = np.arange(1, _MAX_CUTOFF + 1)[:, None]
+_POW2 = np.ldexp(1.0, _KS)
+
+
+def _log_f_block(radii: np.ndarray, phi: np.ndarray, cutoffs: np.ndarray):
+    """log|f| and arg f for one block of points; see ProductEvaluator._log_f."""
+    k_max = int(cutoffs.max())
+    n = _POW2[:k_max]
+    # w^n = e^{x+iy} for w = z/n: dividing |z| by n is exact, so the huge
+    # power loses no accuracy to the base; circles past the cutoff get
+    # x = -inf, which makes their factor exactly 1
+    x = np.where(_KS[:k_max] <= cutoffs, np.log(radii / n) * n, -math.inf)
+    # y modulo fl(tau), exactly: fmod, then a Sterbenz subtraction
+    y = np.fmod(phi * n, TAU)
+    y -= TAU * np.rint(y / TAU)
+    # 1 - e^{x+iy} (divided by e^x when x > 0) from expm1(-|x|) and
+    # 2 sin^2(y/2), which do not cancel near zeros
+    em1 = np.expm1(-np.abs(x))
+    scale = np.exp(np.minimum(x, 0.0))
+    s = np.sin(0.5 * y)
+    re = 2.0 * scale * s * s - np.copysign(em1, x)
+    im = -scale * np.sin(y)
+    # accumulate, unlike sum, adds in the order k = 1, 2, ... whatever the
+    # array shape, which keeps every value independent of its batch
+    mag = np.add.accumulate(np.maximum(x, 0.0) + np.log(np.hypot(re, im)), axis=0)
+    # arguments are summed in half turns, so a real f keeps an exact sign
+    turns = np.add.accumulate(np.arctan2(im, re) / math.pi, axis=0)[-1]
+    t = (turns - 2.0 * np.rint(0.5 * turns)) * math.pi
+    return mag[-1], np.where(t == -math.pi, math.pi, t)
 
 
 @dataclass(frozen=True)
@@ -81,12 +114,18 @@ class ProductEvaluator:
         Every omitted factor k > K satisfies |(z/2^k)^{2^k}| <= 4^{-2^k}, so
         the truncated tail is negligible relative to machine precision.
         """
-        return _ceil_log2(max(abs(z), 1.0)) + 2 + self.tail_margin
+        return int(self._cutoffs(abs(complex(z))))
+
+    def _cutoffs(self, radii):
+        """cutoff() of every radius, exact in binary64."""
+        frac, exps = np.frexp(np.maximum(radii, 1.0))
+        return exps - (frac == 0.5) + (2 + self.tail_margin)
 
     def _is_lattice_zero(self, z: complex) -> bool:
         """Bit-exact membership test against the (possibly rotated) lattice."""
         r = abs(z)
-        if not 2.0 <= r < math.inf:
+        # a zero of circle 1 may have |z| one ulp below 2
+        if not 1.0 < r < math.inf:
             return False
         _, e = math.frexp(r)
         for k in (e - 1, e):
@@ -104,28 +143,48 @@ class ProductEvaluator:
                     return True
         return False
 
-    def eval_log_f(self, z: complex) -> LogComplex:
-        """Closed-form f(z) in log form; exact -inf at lattice zeros.
+    def _log_f(self, zs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """log|f| and arg f at every point of a 1-d complex array.
 
-        The cutoff depends only on |z|, never on lattice.k_max: the closed
-        form stands in for the full infinite product.
+        Blocks of _BLOCK points are evaluated as (circles x points) arrays;
+        circles past a point's own cutoff contribute exactly 0 and circles
+        are summed in the order k = 1, 2, ..., so no value depends on its
+        batch.
         """
-        z = complex(z)
-        if z == 0:
-            return LogComplex.one()
-        if self._is_lattice_zero(z):
-            return LogComplex.zero()
-        if self.lattice.rotation != 0.0:
-            z = z * cis(-self.lattice.rotation)
-        out = LogComplex.one()
-        for k in range(1, self.cutoff(z) + 1):
-            # dividing the components by 2^k is exact, so the huge power
-            # 2^k * log|w| loses no accuracy to the base
-            w = complex(math.ldexp(z.real, -k), math.ldexp(z.imag, -k))
-            n = 1 << k
-            power = LogComplex(n * math.log(abs(w)), wrap_angle(n * cmath.phase(w)))
-            out = lc_mul(out, lc_add(LogComplex.one(), power.neg()))
-        return out
+        zs = np.asarray(zs, dtype=complex)
+        radii = np.abs(zs)
+        r_max = float(radii.max(initial=0.0))
+        if not math.isfinite(r_max):
+            raise ValueError("f is evaluated only at finite z")
+        if r_max > math.ldexp(1.0, _MAX_CUTOFF - 2 - self.tail_margin):
+            raise ValueError("|z| = %r is too large: the cutoff circle 2^%d "
+                             "exceeds binary64" % (r_max, self.cutoff(r_max)))
+        cutoffs = self._cutoffs(radii)
+        phi = np.arctan2(zs.imag, zs.real) - self.lattice.rotation
+        log_mag, arg = np.empty(zs.size), np.empty(zs.size)
+        with np.errstate(divide="ignore"):
+            for lo in range(0, zs.size, _BLOCK):
+                rows = slice(lo, lo + _BLOCK)
+                log_mag[rows], arg[rows] = _log_f_block(
+                    radii[rows], phi[rows], cutoffs[rows])
+        # only points within a few ulps of a dyadic radius can be lattice
+        # zeros, so the scalar membership test runs on those alone
+        near = np.abs(np.frexp(radii)[0] - 0.75) >= 0.25 - 2.0**-49
+        for i in np.flatnonzero(near):
+            if self._is_lattice_zero(complex(zs[i])):
+                log_mag[i] = -math.inf
+        arg[log_mag == -math.inf] = 0.0
+        return log_mag, arg
+
+    def eval_log_f(self, z: complex) -> LogComplex:
+        """f(z) in log form: a length-1 call of the array core.
+
+        Exact -inf at lattice zeros, bit for bit the value of the same point
+        in profile_on or max_modulus; the cutoff depends only on |z|.
+        ValueError for a non-finite z or a cutoff circle beyond binary64.
+        """
+        log_mag, arg = self._log_f(np.array([complex(z)]))
+        return LogComplex(float(log_mag[0]), float(arg[0]))
 
     def eval_log_f_direct(self, z: complex, k_cut: int) -> LogComplex:
         """Genus-0 per-zero product over circles 1..k_cut (cross-check oracle).
@@ -164,32 +223,33 @@ class ProductEvaluator:
     def profile_on(
         self, theta: float, radii: np.ndarray, *, function_id: str = "f"
     ) -> GrowthProfile:
-        """Profile on a caller-supplied radius grid (e.g. dyadic_radii)."""
-        direction = cis(theta)
-        values = np.array(
-            [self.eval_log_f(r * direction).log_mag / r for r in radii]
-        )
-        return GrowthProfile(function_id, theta, np.asarray(radii, float), values)
+        """Profile on a caller-supplied radius grid (e.g. dyadic_radii).
+
+        One array pass over the points r e^{i theta}; each sample equals
+        eval_log_f(r * cis(theta)).log_mag / r bit for bit, and exact lattice
+        zeros on the ray give -inf.
+        """
+        radii = np.asarray(radii, float)
+        log_mag, _ = self._log_f(radii * cis(theta))
+        return GrowthProfile(function_id, theta, radii, log_mag / radii)
 
     def max_modulus(self, r: float, n_theta: int) -> float:
         """log M_f(r)/r estimated over n_theta equally spaced angles.
 
-        A lower bound of the true maximum.  The fixed 0.5 rad offset keeps
-        every sample angle off the lattice directions 2*pi*j/2^k (equality
-        would force 1/(4*pi) to be rational), and angle sets nest whenever
-        n_theta divides the finer count, making the estimate nondecreasing
-        under such refinement.
+        A lower bound of the true maximum, from one array pass over the
+        angles; each sample equals the eval_log_f value at that point bit for
+        bit.  The fixed 0.5 rad offset keeps every sample angle off the
+        lattice directions 2*pi*j/2^k (equality would force 1/(4*pi) to be
+        rational), and angle sets nest whenever n_theta divides the finer
+        count, making the estimate nondecreasing under such refinement.
         """
         if r <= 0.0:
             raise ValueError("r must be positive")
         if n_theta < 8:
             raise ValueError("need n_theta >= 8")
-        best = -math.inf
-        for m in range(n_theta):
-            v = self.eval_log_f(r * cis(0.5 + TAU * m / n_theta)).log_mag
-            if v > best:
-                best = v
-        return best / r
+        directions = np.array([cis(0.5 + TAU * m / n_theta) for m in range(n_theta)])
+        log_mag, _ = self._log_f(r * directions)
+        return float(log_mag.max()) / r
 
 
 def write_profile_csv(profiles, path) -> None:

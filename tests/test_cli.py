@@ -202,6 +202,17 @@ class TestExitCodes:
             == EXIT_USAGE
         capsys.readouterr()
 
+    def test_z_outside_product_domain(self):
+        # non-finite z and z beyond the cutoff's binary64 range are usage
+        # errors of every command that evaluates f, never a silent nan
+        for argv in (("eval", "--z", "nan"), ("eval", "--z", "1e308"),
+                     ("contour", "identity", "--z", "nan"),
+                     ("borel", "invert", "--z", "1e308")):
+            code, out, err = run(*argv)
+            assert code == EXIT_USAGE, argv
+            assert out == "" and "Traceback" not in err
+            assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
     def test_reproduce_needs_windows(self, capsys):
         assert main(["--k-max", "1", "reproduce"]) == EXIT_USAGE
         assert "k_max" in capsys.readouterr().err

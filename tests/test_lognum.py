@@ -12,7 +12,6 @@ from expgrowth.lognum import (
     Tolerance,
     compensated_sum,
     lc_add,
-    lc_mul,
     wrap_angle,
 )
 
@@ -55,46 +54,6 @@ class TestLogComplexBasics:
         assert wrap_angle(-math.pi) == math.pi
         assert wrap_angle(3 * math.pi) == math.pi
         assert wrap_angle(0.0) == 0.0
-
-
-class TestMul:
-    def test_moduli_multiply_args_add(self):
-        out = lc_mul(LogComplex(math.log(2), 0.0), LogComplex(math.log(3), math.pi))
-        assert out.log_mag == pytest.approx(math.log(6), abs=1e-15)
-        assert out.arg == math.pi
-
-    def test_zero_absorbs(self):
-        out = lc_mul(LogComplex.zero(), LogComplex(5.0, 1.0))
-        assert out.is_zero
-
-    def test_i_times_i(self):
-        i = LogComplex(0.0, math.pi / 2)
-        out = lc_mul(i, i)
-        assert out.log_mag == 0.0
-        assert out.arg == math.pi
-
-    def test_commutative_bitwise(self):
-        rng = np.random.default_rng(9)
-        for _ in range(300):
-            a = LogComplex.from_polar(rng.uniform(-600, 600), rng.uniform(-9, 9))
-            b = LogComplex.from_polar(rng.uniform(-600, 600), rng.uniform(-9, 9))
-            assert lc_mul(a, b) == lc_mul(b, a)
-
-    def test_associative_within_8_ulp(self):
-        rng = np.random.default_rng(10)
-        for _ in range(300):
-            a, b, c = (
-                LogComplex.from_polar(rng.uniform(-300, 300), rng.uniform(-3, 3))
-                for _ in range(3)
-            )
-            left = lc_mul(lc_mul(a, b), c)
-            right = lc_mul(a, lc_mul(b, c))
-            # the sums of log magnitudes can cancel to near zero, so measure
-            # the ulp against the operand scale rather than the result
-            scale = max(1.0, abs(a.log_mag), abs(b.log_mag), abs(c.log_mag))
-            assert abs(left.log_mag - right.log_mag) <= 8 * math.ulp(scale)
-            d = abs(wrap_angle(left.arg - right.arg))
-            assert d <= 8 * math.ulp(math.pi)
 
 
 class TestAdd:

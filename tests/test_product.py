@@ -1,12 +1,13 @@
 """Tests for closed-form and per-zero canonical product evaluation."""
 import math
+import time
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from expgrowth.lattice import LatticeExhaustedError, ZeroLattice
-from expgrowth.lognum import LogComplex, wrap_angle
+from expgrowth.lognum import TAU, LogComplex, cis, wrap_angle
 from expgrowth.product import (
     GrowthProfile,
     ProductEvaluator,
@@ -18,6 +19,9 @@ from expgrowth.product import (
 F_AT_1 = 0.7470702679711394
 LOG_ABS_F_AT_10 = 8.418240508759482
 F_AT_3_PLUS_2J = complex(-1.7652048279062889, -4.280421958725723)
+
+LIMSUP = 4.0 / math.e
+WINDOW_MIN = 2.0 * math.log(2.0)
 
 
 @pytest.fixture(scope="module")
@@ -86,6 +90,80 @@ class TestZeroSet:
         assert rot.eval_log_f(rot.lattice.zero(3, 2)).log_mag == -math.inf
         # the unrotated zero is no longer a zero
         assert math.isfinite(rot.eval_log_f(8.0 + 0.0j).log_mag)
+
+
+def mp_log_abs_f(z: complex, k_cut: int) -> float:
+    """50-digit log|f(z)| over circles 1..k_cut, at the exact binary64 z."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(50):
+        w = mpmath.mpc(z.real, z.imag)
+        total = mpmath.fsum(
+            mpmath.log(abs(1 - (w / 2**k) ** (2**k))) for k in range(1, k_cut + 1))
+        return float(total)
+
+
+class TestAccuracy:
+    @pytest.mark.parametrize("z", [
+        2 + 1e-6j, 4j + 1e-10j, 2 + 1e-12, -16 + 1e-11, 1024 * (1 + 1e-14),
+        3 + 2j, -7.9 + 0.3j,
+    ])
+    def test_log_abs_matches_mpmath_near_zeros(self, ev, z):
+        # 1 - w^n cancels near lattice zeros unless it is formed from
+        # expm1(x) and sin^2(y/2)
+        want = mp_log_abs_f(complex(z), ev.cutoff(z) + 4)
+        assert abs(ev.eval_log_f(z).log_mag - want) <= 1e-12
+
+
+class TestDomain:
+    @pytest.mark.parametrize("z", [
+        complex(math.nan, 0.0), complex(1.0, math.nan), complex(math.inf, 0.0),
+        complex(0.0, -math.inf), 1e308, 1e308 + 1e308j,
+    ])
+    def test_rejects_nonfinite_and_huge(self, ev, z):
+        with pytest.raises(ValueError):
+            ev.eval_log_f(z)
+
+    def test_rejects_in_batches(self, ev):
+        with pytest.raises(ValueError):
+            ev.max_modulus(1e308, 8)
+        with pytest.raises(ValueError):
+            ev.profile_on(0.0, np.array([1.0, math.nan]))
+
+    def test_large_finite_modulus_accepted(self, ev):
+        assert math.isfinite(ev.eval_log_f(1e300).log_mag)
+
+
+class TestBatchInvariance:
+    @pytest.mark.parametrize("size", [1, 127, 128, 129, 1537])
+    def test_profile_matches_scalar_bitwise(self, size):
+        for lattice in (ZeroLattice(k_max=14), ZeroLattice(k_max=8, rotation=0.3)):
+            ev = ProductEvaluator(lattice)
+            # radii spread over many cutoffs, so blocks mix circle counts
+            radii = np.geomspace(0.7, 3.0e6, size) if size > 1 else np.array([77.7])
+            theta = 2.1
+            prof = ev.profile_on(theta, radii)
+            direction = cis(theta)
+            for r, v in zip(radii, prof.values):
+                assert ev.eval_log_f(r * direction).log_mag / r == v
+
+    @pytest.mark.parametrize("n", [8, 127, 128, 129, 1537])
+    def test_max_modulus_matches_scalar_bitwise(self, ev, n):
+        for r in (3.7, 1000.3, 2.0**20 * 1.3):
+            samples = [ev.eval_log_f(r * cis(0.5 + TAU * m / n)).log_mag
+                       for m in range(n)]
+            assert ev.max_modulus(r, n) == max(samples) / r
+
+    @pytest.mark.parametrize("rotation", [0.0, 0.3])
+    def test_dyadic_radii_on_lattice_ray_are_zeros(self, rotation):
+        # every dyadic radius of the theta = rotation ray is a lattice zero,
+        # including circles past k_max = 8
+        ev = ProductEvaluator(ZeroLattice(k_max=8, rotation=rotation))
+        radii = dyadic_radii(1, 24, 4)
+        values = ev.profile_on(rotation, radii).values
+        dyadic = np.arange(radii.size) % 4 == 0
+        assert np.all(values[dyadic] == -math.inf)
+        assert np.all(np.isfinite(values[~dyadic]))
+        assert ev.eval_log_f(radii[-1] * cis(rotation)).is_zero
 
 
 class TestDirectOracle:
@@ -193,6 +271,20 @@ class TestMaxModulus:
     def test_type_upper_bound(self, ev):
         for r in np.geomspace(16.0, 2.0**14, 25):
             assert ev.max_modulus(float(r), 16) <= 2.01
+
+    def test_window_extremes_converge(self, ev):
+        # the paper's claim out to r = 2^31: the window minima of
+        # log M(r)/r rise towards 2 ln 2, the maxima approach 4/e
+        t0 = time.monotonic()
+        radii = dyadic_radii(8, 31, 64)
+        vals = np.array([ev.max_modulus(float(r), 64) for r in radii])
+        ks = np.frexp(radii)[1] - 1
+        minima = [vals[ks == k].min() for k in range(8, 31)]
+        maxima = [vals[ks == k].max() for k in range(8, 31)]
+        assert all(a <= b for a, b in zip(minima, minima[1:]))
+        assert all(abs(m - WINDOW_MIN) <= 1e-4 for m in minima[12:])
+        assert all(abs(m - LIMSUP) <= 1e-4 for m in maxima[12:])
+        assert time.monotonic() - t0 <= 5.0
 
     def test_validation(self, ev):
         with pytest.raises(ValueError):
