@@ -36,12 +36,10 @@ from .contours import (
 )
 from .diagnostics import (
     InsufficientSamplesError,
-    IntervalSet,
     RegularityVerdict,
     WindowStats,
     classify,
     exp2_profile,
-    relative_measure,
     sin2_profile,
     type_estimate,
     window_stats,
@@ -55,7 +53,7 @@ from .lattice import (
     verify_counting_bounds,
     write_zeros_csv,
 )
-from .lognum import LogComplex, Tolerance, cis, compensated_sum, lc_add
+from .lognum import LogComplex, cis, lc_add
 from .product import (
     GrowthProfile,
     ProductEvaluator,
@@ -77,7 +75,6 @@ __all__ = [
     "GrowthProfile",
     "InsufficientSamplesError",
     "IntegralResult",
-    "IntervalSet",
     "LatticeExhaustedError",
     "LineSegment",
     "LogComplex",
@@ -86,7 +83,6 @@ __all__ = [
     "QuadratureSpec",
     "RegularityVerdict",
     "SpiralArc",
-    "Tolerance",
     "WindowStats",
     "ZeroLattice",
     "borel_inversion",
@@ -94,12 +90,10 @@ __all__ = [
     "classify",
     "closed_loop",
     "closing_segment",
-    "compensated_sum",
     "dyadic_radii",
     "exp2_profile",
     "integrate",
     "lc_add",
-    "relative_measure",
     "sin2_profile",
     "spiral_arc",
     "splitting_profile",

@@ -12,10 +12,19 @@ envelope controlling truncation.
 """
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, field
 
 from .lognum import LN2, Accumulator, cis, wrap_angle
+
+#: g is evaluated only at |s| >= MIN_MODULUS, clear of the singular radius 2;
+#: contour paths must keep to the same region
+MIN_MODULUS = 2.5
+
+#: summation stops once the envelope of every remaining term falls below
+#: this fraction of the partial sum
+_TERM_FLOOR = 1e-18
 
 #: hard ceiling for the adaptive summation loop; the envelope stops the
 #: series near m = 90 even at the slowest admissible modulus
@@ -26,7 +35,8 @@ _UNIT = (1.0 + 0.0j, 1.0j, -1.0 + 0.0j, -1.0j)
 
 
 class BorelDomainError(ValueError):
-    """Evaluation requested inside the refused disc around the singularities."""
+    """Evaluation requested at a non-finite s or inside the refused disc
+    |s| < MIN_MODULUS around the singularities."""
 
 
 @dataclass(frozen=True)
@@ -85,15 +95,15 @@ def term_envelope(m: int, log_abs_s: float) -> float:
 
 @dataclass(frozen=True)
 class BorelEvaluator:
-    """Evaluates g(s) = sum c_m / s^{m+1} outside the critical disc.
+    """Evaluates g(s) = sum c_m / s^{m+1} at finite |s| >= MIN_MODULUS.
 
-    Repeated evaluations at bit-identical points (the common case under
-    node-doubling quadrature) are served from a per-instance cache.
+    The series is summed until term_envelope bounds every remaining term by
+    _TERM_FLOOR times the partial sum.  Repeated evaluations at bit-identical
+    points (the common case under node-doubling quadrature) are served from a
+    per-instance cache.
     """
 
     stream: CoefficientStream = CoefficientStream()
-    min_modulus: float = 2.5
-    term_floor: float = 1e-18
     #: first series index summed; min_index=2 gives the tail g(s) - 1/s
     #: (c_1 = 0), kept as its own evaluator so quadrature of the smooth
     #: remainder never forms the cancellation-prone difference explicitly
@@ -101,20 +111,18 @@ class BorelEvaluator:
     _cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if not self.min_modulus > 2.0:
-            raise ValueError("min_modulus must exceed 2, the singular radius")
-        if not 0.0 < self.term_floor < 1.0:
-            raise ValueError("term_floor must lie in (0, 1)")
         if self.min_index < 0:
             raise ValueError("min_index must be >= 0")
 
     def __call__(self, s: complex) -> complex:
         s = complex(s)
+        if not cmath.isfinite(s):
+            raise BorelDomainError(f"s = {s!r} is not finite")
         # slack of a few ulps: parametrized points on the boundary circle
         # itself can round fractionally inward, and those must be served
-        if abs(s) < self.min_modulus * (1.0 - 4e-16):
+        if abs(s) < MIN_MODULUS * (1.0 - 4e-16):
             raise BorelDomainError(
-                f"|s|={abs(s):.6g} inside refused disc of radius {self.min_modulus}"
+                f"|s|={abs(s):.6g} inside refused disc of radius {MIN_MODULUS}"
             )
         hit = self._cache.get(s)
         if hit is not None:
@@ -150,7 +158,7 @@ class BorelEvaluator:
                 # never stop on a zero term: the envelope bounds every term
                 # still to come, zero or not
                 env = term_envelope(m, log_abs_s)
-                if env <= math.log(self.term_floor * max(abs(acc.total), 1e-30)):
+                if env <= math.log(_TERM_FLOOR * max(abs(acc.total), 1e-30)):
                     return acc.total
         raise ArithmeticError(f"series did not settle within {_MAX_TERMS} terms")
 

@@ -20,11 +20,16 @@ from pathlib import Path
 
 import numpy as np
 
-from .borel import BorelEvaluator, CoefficientStream, write_coeffs_csv
+from .borel import (
+    BorelDomainError,
+    BorelEvaluator,
+    CoefficientStream,
+    write_coeffs_csv,
+)
 from .contours import (
+    _INVERSION_RADII,
     CancellationCapError,
     F_eval,
-    NonConvergenceError,
     QuadratureSpec,
     borel_inversion,
     u_decay_bound,
@@ -78,8 +83,12 @@ class RunConfig:
 
 def parse_config_file(path) -> dict:
     """Flat key = value lines; # starts a comment, quotes are optional."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise UsageError("%s: not UTF-8 text (%s)" % (path, exc)) from None
     out = {}
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), 1):
+    for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -99,11 +108,11 @@ def _coerce(name: str, value, default):
         if value in ("false", "0", "no"):
             return False
         raise UsageError("config key %s wants true/false, got %r" % (name, value))
-    if isinstance(default, int):
-        return int(value)
-    if isinstance(default, float):
-        return float(value)
-    return str(value)
+    try:
+        return type(default)(value)
+    except ValueError:
+        raise UsageError("config key %s wants %s, got %r"
+                         % (name, type(default).__name__, value)) from None
 
 
 def resolve_config(args) -> RunConfig:
@@ -137,8 +146,9 @@ def _validate(cfg: RunConfig) -> None:
     n = cfg.samples_per_window
     if n < 1 or n & (n - 1):
         raise UsageError("samples_per_window must be a power of two")
-    if not 2.5 <= cfg.contour_radius <= 8.0:
-        raise UsageError("contour_radius must lie in [2.5, 8]")
+    lo, hi = _INVERSION_RADII
+    if not lo <= cfg.contour_radius <= hi:
+        raise UsageError("contour_radius must lie in [%g, %g]" % (lo, hi))
     if cfg.format not in ("csv", "json"):
         raise UsageError("format must be csv or json")
 
@@ -158,10 +168,18 @@ def _out_dir(cfg: RunConfig) -> Path:
 
 
 def _emit(cfg: RunConfig, header, rows) -> None:
-    """One record per line on stdout, as CSV (with header) or JSON lines."""
+    """One record per line on stdout, as CSV (with header) or JSON lines.
+
+    JSON has no inf or nan, so non-finite floats are written as the strings
+    fmt gives them in CSV.
+    """
     if cfg.format == "json":
         for row in rows:
-            print(json.dumps(dict(zip(header, row))))
+            print(json.dumps({
+                key: fmt(v) if isinstance(v, float) and not math.isfinite(v)
+                else v
+                for key, v in zip(header, row)
+            }))
     else:
         print(",".join(header))
         for row in rows:
@@ -182,17 +200,26 @@ def _profile_grid(cfg: RunConfig) -> np.ndarray:
     return radii[(radii >= cfg.r_min) & (radii <= cfg.r_max)]
 
 
-def _upper_band_flag(r: float) -> bool:
-    # [1.5*2^(k-1), 2^k) is exactly mantissa >= 0.75
-    return math.frexp(r)[0] >= 0.75
+def _write_counting(lattice: ZeroLattice, out: Path, emit_svg: bool):
+    """counting.csv (and counting.svg) on 64 radii per dyadic window.
 
-
-def _counting_rows(lattice: ZeroLattice):
+    Returns the rows (r, n(r), n(r)/r, upper-band flag).
+    """
     radii = dyadic_radii(0, max(1, lattice.k_max), 64)
     rows = []
     for r in radii:
         n = lattice.counting(r)
-        rows.append((float(r), n, n / r, _upper_band_flag(r)))
+        # the upper band [1.5*2^(k-1), 2^k) is exactly mantissa >= 0.75
+        rows.append((float(r), n, n / r, math.frexp(r)[0] >= 0.75))
+    write_rows(
+        out / "counting.csv",
+        ("r", "n", "n_over_r", "upper_band"),
+        [(fmt(r), str(n), fmt(ratio), "1" if flag else "0")
+         for r, n, ratio, flag in rows],
+    )
+    if emit_svg:
+        radii, _, ratios, flags = zip(*rows)
+        svg.write_counting_svg(radii, ratios, flags, out / "counting.svg")
     return rows
 
 
@@ -200,20 +227,7 @@ def cmd_lattice(cfg: RunConfig, args) -> int:
     out = _out_dir(cfg)
     lattice = ZeroLattice(k_max=cfg.k_max)
     write_zeros_csv(lattice, out / "zeros.csv")
-    rows = _counting_rows(lattice)
-    write_rows(
-        out / "counting.csv",
-        ("r", "n", "n_over_r", "upper_band"),
-        [(fmt(r), str(n), fmt(ratio), "1" if flag else "0")
-         for r, n, ratio, flag in rows],
-    )
-    if cfg.emit_svg:
-        svg.write_counting_svg(
-            [r for r, *_ in rows],
-            [ratio for _, _, ratio, _ in rows],
-            [flag for *_, flag in rows],
-            out / "counting.svg",
-        )
+    rows = _write_counting(lattice, out, cfg.emit_svg)
     print("wrote %s (%d zeros) and %s (%d radii)"
           % (out / "zeros.csv", lattice.counting(2.0 ** lattice.k_max),
              out / "counting.csv", len(rows)))
@@ -359,7 +373,7 @@ def cmd_reproduce(cfg: RunConfig, args) -> int:
         "sup n(2^k)/2^k = %s at k = %d"
         % (float(report.sup_normalized), report.sup_at_k),
     ))
-    rows = _counting_rows(lattice)
+    rows = _write_counting(lattice, out, emit_svg=True)
     band_worst = max((ratio for _, _, ratio, flag in rows if flag), default=0.0)
     checks.append((
         "upper-band density <= 4/3",
@@ -505,16 +519,6 @@ def cmd_reproduce(cfg: RunConfig, args) -> int:
 
     # remaining artifacts
     write_zeros_csv(lattice, out / "zeros.csv")
-    write_rows(
-        out / "counting.csv",
-        ("r", "n", "n_over_r", "upper_band"),
-        [(fmt(r), str(n), fmt(ratio), "1" if flag else "0")
-         for r, n, ratio, flag in rows],
-    )
-    svg.write_counting_svg(
-        [r for r, *_ in rows], [ratio for _, _, ratio, _ in rows],
-        [flag for *_, flag in rows], out / "counting.svg",
-    )
     svg.write_profile_svg(prof_f, stats_by_profile[0][1], out / "profile.svg")
     svg.write_decay_svg(xs, u_abs, bounds, out / "decay.svg")
 
@@ -624,10 +628,10 @@ def main(argv=None) -> int:
     try:
         cfg = resolve_config(args)
         return _COMMANDS[args.command](cfg, args)
-    except (UsageError, InsufficientSamplesError) as exc:
+    except (UsageError, InsufficientSamplesError, BorelDomainError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_USAGE
-    except (NonConvergenceError, CancellationCapError) as exc:
+    except (ArithmeticError, CancellationCapError) as exc:
         print("numeric failure: %s" % exc, file=sys.stderr)
         return EXIT_NUMERIC
     except OSError as exc:

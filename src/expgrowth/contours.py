@@ -27,15 +27,15 @@ from functools import lru_cache
 
 import numpy as np
 
-from .borel import BorelEvaluator
+from .borel import MIN_MODULUS, BorelEvaluator
 from .lognum import Accumulator, LogComplex, cis, lc_add, wrap_angle
 from .product import GrowthProfile
 
 TAU = math.tau
 _EPS = math.ulp(1.0)
 
-#: paths must stay at or outside this modulus, the evaluation domain of g
-MIN_PATH_MODULUS = 2.5
+#: circle radii accepted by borel_inversion and the CLI's --radius
+_INVERSION_RADII = (MIN_MODULUS, 8.0)
 
 #: absolute tolerance for endpoint matching in chained contours
 _JOIN_TOL = 1e-12
@@ -63,37 +63,31 @@ class CancellationCapError(ValueError):
 
 
 def _require_outside(lo: float, what: str) -> None:
-    if lo < MIN_PATH_MODULUS - 1e-12:
+    # paths must stay at or outside the evaluation domain of g
+    if lo < MIN_MODULUS - 1e-12:
         raise ValueError(
             f"{what} dips to modulus {lo:.6g}, inside the domain floor "
-            f"{MIN_PATH_MODULUS}"
+            f"{MIN_MODULUS}"
         )
 
 
 @dataclass(frozen=True)
 class CirclePath:
-    """Origin-centered unless told otherwise; turns sets winding and sign."""
+    """Origin-centered circle, traversed once counterclockwise."""
 
-    center: complex = 0.0 + 0.0j
-    radius: float = 4.0
-    turns: int = 1
+    radius: float
 
     def __post_init__(self) -> None:
-        if self.radius <= 0.0:
-            raise ValueError("radius must be positive")
-        if self.turns == 0:
-            raise ValueError("turns must be nonzero")
-        _require_outside(self.modulus_range()[0], "circle")
+        _require_outside(self.radius, "circle")
 
     def modulus_range(self) -> tuple:
-        c = abs(self.center)
-        return (abs(c - self.radius), c + self.radius)
+        return (self.radius, self.radius)
 
     def point(self, t: float) -> complex:
-        return self.center + self.radius * cis(TAU * self.turns * t)
+        return self.radius * cis(TAU * t)
 
     def dpoint(self, t: float) -> complex:
-        return self.radius * TAU * self.turns * 1j * cis(TAU * self.turns * t)
+        return self.radius * TAU * 1j * cis(TAU * t)
 
 
 @dataclass(frozen=True)
@@ -186,15 +180,12 @@ class Contour:
         return round(total / TAU)
 
 
-_RULES = ("trapezoid_periodic", "gauss_panels")
-
-
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Refinement policy.  rule picks the scheme for full circles only;
-    open arcs and segments always use Gauss panels."""
+    """Refinement policy: level L of a full circle takes initial_panels *
+    points_per_panel * 2^L trapezoid nodes, of an open arc or segment
+    initial_panels * 2^L Gauss panels of points_per_panel nodes."""
 
-    rule: str = "trapezoid_periodic"
     points_per_panel: int = 16
     initial_panels: int = 8
     target_rel_tol: float = 1e-10
@@ -202,8 +193,6 @@ class QuadratureSpec:
     cancellation_cap: float = 40.0
 
     def __post_init__(self) -> None:
-        if self.rule not in _RULES:
-            raise ValueError(f"rule must be one of {_RULES}")
         if self.points_per_panel < 2:
             raise ValueError("points_per_panel must be >= 2")
         if self.initial_panels < 1:
@@ -271,7 +260,7 @@ def _exp_zs(z: complex, s: complex) -> complex:
 
 
 def _segment_sum(h, seg, spec: QuadratureSpec, level: int, acc: Accumulator):
-    if isinstance(seg, CirclePath) and spec.rule == "trapezoid_periodic":
+    if isinstance(seg, CirclePath):
         n = spec.initial_panels * spec.points_per_panel * (1 << level)
         inv_n = 1.0 / n
         for j in range(n):
@@ -330,8 +319,6 @@ def integrate(g_eval, path, z: complex, spec: QuadratureSpec = None) -> Integral
 # the fixed geometry: an arc from -4 once around the origin to -3, closed by
 # a segment on the negative real axis
 
-_SHARED_G = BorelEvaluator()
-
 #: g(s) - 1/s summed directly (c_1 = 0); the named integrals quadrature this
 #: smooth tail and add the 1/s channel in closed form, cutting the oscillatory
 #: mass (hence the roundoff floor) by the ratio |g| / |g - 1/s| ~ 25 on the
@@ -371,15 +358,15 @@ _DENOM = 1j * TAU
 _LOG_RATIO = math.log(4.0) - math.log(3.0)
 
 
-@lru_cache(maxsize=None)
 def _entire_exp_integral(w: complex) -> complex:
     """E(w) = sum_{k>=1} w^k / (k k!) = int_0^1 (e^{wt} - 1)/t dt, entire.
 
     This is the antiderivative backbone of the 1/s channel: along any path
     avoiding 0, int e^{zs}/s ds = [continuous log s] + E(z b) - E(z a).
-    Cached so the arc and segment channels at the same z reuse bit-identical
-    endpoint values; their (mass-limited) errors then cancel exactly when
-    the two pieces are summed in the splitting identity.
+    The arc and segment channels at the same z take bit-identical endpoint
+    values from this deterministic function; their (mass-limited) errors
+    then cancel exactly when the two pieces are summed in the splitting
+    identity.
     """
     if w == 0.0:
         return 0.0 + 0.0j
@@ -429,9 +416,10 @@ def borel_inversion(z: complex, radius: float = 4.0,
     The 1/s part contributes its residue, exactly 1, for every z; the
     quadrature handles the tail g - 1/s.
     """
-    if not 2.5 <= radius <= 8.0:
-        raise ValueError("radius must lie in [2.5, 8]")
-    return 1.0 + integrate(_SHARED_TAIL, CirclePath(0.0j, radius), z, spec).value
+    lo, hi = _INVERSION_RADII
+    if not lo <= radius <= hi:
+        raise ValueError(f"radius must lie in [{lo}, {hi}]")
+    return 1.0 + integrate(_SHARED_TAIL, CirclePath(radius), z, spec).value
 
 
 def u_eval(z: complex, spec: QuadratureSpec = None) -> complex:

@@ -9,8 +9,8 @@ each dyadic window [2^k, 2^(k+1)) is summarized by trimmed quantiles, and a
 verdict is issued only from the joint behavior of the trailing windows.
 
 Exact zeros on the ray produce -inf samples.  They form the exceptional set
-of the profile and are excluded before any quantile is taken; the measure
-bookkeeping for such sets lives in IntervalSet / relative_measure.
+of the profile and are excluded before any quantile is taken, but they still
+count toward a window's sample total.
 """
 from __future__ import annotations
 
@@ -35,53 +35,6 @@ TRAILING_WINDOWS = 4
 
 class InsufficientSamplesError(ValueError):
     """Raised when a profile is too sparse for window statistics."""
-
-
-@dataclass(frozen=True)
-class IntervalSet:
-    """Disjoint, ordered union of intervals inside [0, inf).
-
-    intervals is a tuple of (lo, hi) pairs with lo < hi, sorted, and
-    non-overlapping; hi = inf is allowed in the last interval.  Endpoints may
-    touch (they carry no measure).
-    """
-
-    intervals: tuple
-
-    def __post_init__(self) -> None:
-        cleaned = tuple((float(lo), float(hi)) for lo, hi in self.intervals)
-        object.__setattr__(self, "intervals", cleaned)
-        prev_hi = 0.0
-        for lo, hi in cleaned:
-            if math.isnan(lo) or math.isnan(hi) or math.isinf(lo):
-                raise ValueError("interval endpoints must be finite (hi may be inf)")
-            if lo < 0.0:
-                raise ValueError("intervals must lie in [0, inf)")
-            if hi <= lo:
-                raise ValueError("need lo < hi in every interval")
-            if lo < prev_hi:
-                raise ValueError("intervals must be sorted and disjoint")
-            prev_hi = hi
-
-    @staticmethod
-    def empty() -> "IntervalSet":
-        return IntervalSet(())
-
-
-def relative_measure(intervals: IntervalSet, r: float) -> float:
-    """Lebesgue measure of the set below r, divided by r.
-
-    Exact for unions of intervals: each clipped length is a single
-    subtraction and the pieces are accumulated with fsum.
-    """
-    if not 0.0 < r < math.inf:
-        raise ValueError("r must be positive and finite")
-    pieces = []
-    for lo, hi in intervals.intervals:
-        if lo >= r:
-            break
-        pieces.append(min(hi, r) - lo)
-    return math.fsum(pieces) / r
 
 
 @dataclass(frozen=True)

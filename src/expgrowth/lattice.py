@@ -90,11 +90,6 @@ class ZeroLattice:
         k = self._check_range(r)
         return (1 << (k + 1)) - 2 if k >= 1 else 0
 
-    def normalized_count(self, r: float) -> float:
-        if r <= 0:
-            raise ValueError("r must be positive")
-        return self.counting(r) / r
-
     def _circle_recip(self, k: int) -> complex:
         """Exact-order full-precision sum of 1/a over circle k."""
         cached = self._recip.get(k)

@@ -56,27 +56,21 @@ class LogComplex:
         return LogComplex(-math.inf, 0.0)
 
     @staticmethod
-    def one() -> "LogComplex":
-        return LogComplex(0.0, 0.0)
-
-    @staticmethod
     def from_complex(w: complex) -> "LogComplex":
         w = complex(w)
         if w == 0:
             return LogComplex(-math.inf, 0.0)
         return LogComplex(math.log(abs(w)), math.atan2(w.imag, w.real))
 
-    @staticmethod
-    def from_polar(log_mag: float, arg: float) -> "LogComplex":
-        if log_mag == -math.inf:
-            return LogComplex(-math.inf, 0.0)
-        return LogComplex(log_mag, wrap_angle(arg))
-
     def to_complex(self) -> complex:
         if self.log_mag == -math.inf:
             return 0j
         if self.log_mag > _EXP_MAX:
-            return math.inf * cis(self.arg)
+            # saturate each component on its own: inf * cis(arg) would turn
+            # a zero component into inf * 0 = nan
+            c = cis(self.arg)
+            return complex(math.copysign(math.inf, c.real) if c.real else 0.0,
+                           math.copysign(math.inf, c.imag) if c.imag else 0.0)
         return math.exp(self.log_mag) * cis(self.arg)
 
     @property
@@ -110,36 +104,13 @@ def lc_add(a: LogComplex, b: LogComplex) -> LogComplex:
     return LogComplex(m + math.log(abs(w)), math.atan2(w.imag, w.real))
 
 
-def compensated_sum(terms) -> complex:
-    """Sum complex terms left to right with Neumaier compensation.
-
-    The fixed order makes the result independent of how callers chunk the
-    sequence.  The Neumaier variant keeps the small term in cases such as
-    [1e16, 1, -1e16] where plain Kahan loses it.
-    """
-    sr = cr = 0.0
-    si = ci = 0.0
-    for t in terms:
-        t = complex(t)
-        x = t.real
-        s = sr + x
-        if abs(sr) >= abs(x):
-            cr += (sr - s) + x
-        else:
-            cr += (x - s) + sr
-        sr = s
-        y = t.imag
-        s = si + y
-        if abs(si) >= abs(y):
-            ci += (si - s) + y
-        else:
-            ci += (y - s) + si
-        si = s
-    return complex(sr + cr, si + ci)
-
-
 class Accumulator:
-    """Running Neumaier-compensated complex sum for quadrature loops."""
+    """Running Neumaier-compensated complex sum for quadrature loops.
+
+    Terms are added left to right, so the total does not depend on how the
+    caller chunks the sequence; the Neumaier variant keeps the small term in
+    cases such as [1e16, 1, -1e16] where plain Kahan loses it.
+    """
 
     __slots__ = ("_sr", "_cr", "_si", "_ci", "abs_mass")
 
@@ -168,18 +139,3 @@ class Accumulator:
     @property
     def total(self) -> complex:
         return complex(self._sr + self._cr, self._si + self._ci)
-
-
-@dataclass(frozen=True)
-class Tolerance:
-    """Mixed absolute/relative comparison: |a-b| <= abs + rel*max(|a|,|b|)."""
-
-    abs_tol: float = 0.0
-    rel_tol: float = 0.0
-
-    def __post_init__(self) -> None:
-        if self.abs_tol < 0 or self.rel_tol < 0:
-            raise ValueError("tolerances must be nonnegative")
-
-    def close(self, a, b) -> bool:
-        return abs(a - b) <= self.abs_tol + self.rel_tol * max(abs(a), abs(b))

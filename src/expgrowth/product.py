@@ -65,6 +65,9 @@ _BLOCK = 128
 #: largest cutoff K with 2^K * tau finite in binary64
 _MAX_CUTOFF = 1021
 
+#: circles kept beyond the two that bring |z|/2^K under 1/4; see cutoff()
+_TAIL_MARGIN = 6
+
 #: circle indices k and their exact powers n = 2^k, up to _MAX_CUTOFF
 _KS = np.arange(1, _MAX_CUTOFF + 1)[:, None]
 _POW2 = np.ldexp(1.0, _KS)
@@ -102,16 +105,11 @@ class ProductEvaluator:
     """Evaluates f(z) = prod_k (1 - (z/2^k)^{2^k}) for a given lattice."""
 
     lattice: ZeroLattice
-    tail_margin: int = 6
-
-    def __post_init__(self) -> None:
-        if self.tail_margin < 0:
-            raise ValueError("tail_margin must be >= 0")
 
     def cutoff(self, z: complex) -> int:
-        """Number of closed-form factors; guarantees 2^K >= 4*max(|z|, 1).
+        """Number of closed-form factors; guarantees 2^K >= 256*max(|z|, 1).
 
-        Every omitted factor k > K satisfies |(z/2^k)^{2^k}| <= 4^{-2^k}, so
+        Every omitted factor k > K satisfies |(z/2^k)^{2^k}| <= 2^{-8*2^k}, so
         the truncated tail is negligible relative to machine precision.
         """
         return int(self._cutoffs(abs(complex(z))))
@@ -119,7 +117,7 @@ class ProductEvaluator:
     def _cutoffs(self, radii):
         """cutoff() of every radius, exact in binary64."""
         frac, exps = np.frexp(np.maximum(radii, 1.0))
-        return exps - (frac == 0.5) + (2 + self.tail_margin)
+        return exps - (frac == 0.5) + (2 + _TAIL_MARGIN)
 
     def _is_lattice_zero(self, z: complex) -> bool:
         """Bit-exact membership test against the (possibly rotated) lattice."""
@@ -156,7 +154,7 @@ class ProductEvaluator:
         r_max = float(radii.max(initial=0.0))
         if not math.isfinite(r_max):
             raise ValueError("f is evaluated only at finite z")
-        if r_max > math.ldexp(1.0, _MAX_CUTOFF - 2 - self.tail_margin):
+        if r_max > math.ldexp(1.0, _MAX_CUTOFF - 2 - _TAIL_MARGIN):
             raise ValueError("|z| = %r is too large: the cutoff circle 2^%d "
                              "exceeds binary64" % (r_max, self.cutoff(r_max)))
         cutoffs = self._cutoffs(radii)
@@ -202,23 +200,6 @@ class ProductEvaluator:
             mag_parts.append(math.fsum(np.log(np.abs(w))))
             arg_parts.append(math.fsum(np.angle(w)))
         return LogComplex(math.fsum(mag_parts), wrap_angle(math.fsum(arg_parts)))
-
-    def growth_profile(
-        self,
-        theta: float,
-        r_min: float,
-        r_max: float,
-        samples: int,
-        *,
-        function_id: str = "f",
-    ) -> GrowthProfile:
-        """log|f(r e^{i theta})|/r on a geometric radius grid."""
-        if not 0.0 < r_min < r_max:
-            raise ValueError("need 0 < r_min < r_max")
-        if samples < 2:
-            raise ValueError("need samples >= 2")
-        radii = np.geomspace(r_min, r_max, samples)
-        return self.profile_on(theta, radii, function_id=function_id)
 
     def profile_on(
         self, theta: float, radii: np.ndarray, *, function_id: str = "f"

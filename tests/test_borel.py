@@ -146,6 +146,9 @@ class TestEvaluator:
             g(2.4)
         with pytest.raises(BorelDomainError):
             g(1j)
+        for s in (math.nan, math.inf, complex(3.0, math.nan)):
+            with pytest.raises(BorelDomainError):
+                g(s)
         assert math.isfinite(g(2.5).real)  # boundary itself is allowed
 
     def test_repeated_calls_cached(self):
@@ -157,9 +160,7 @@ class TestEvaluator:
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            BorelEvaluator(min_modulus=2.0)
-        with pytest.raises(ValueError):
-            BorelEvaluator(term_floor=0.0)
+            BorelEvaluator(min_index=-1)
 
 
 class TestCsvExport:

@@ -1,11 +1,16 @@
 """Tests for the command-line front end: schemas, exit codes, determinism."""
+import io
 import json
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from expgrowth.cli import (
+    EXIT_NUMERIC,
     EXIT_OK,
     EXIT_USAGE,
     RunConfig,
@@ -22,6 +27,24 @@ def run(*args, cwd=None):
         capture_output=True, text=True, cwd=cwd,
     )
     return proc.returncode, proc.stdout, proc.stderr
+
+
+def run_main(argv):
+    """Call main in-process; a SystemExit counts as its exit code."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def strict_json(line):
+    """json.loads that refuses the non-JSON constants NaN and Infinity."""
+    def reject(name):
+        raise ValueError("not JSON: %s" % name)
+    return json.loads(line, parse_constant=reject)
 
 
 class TestParsing:
@@ -69,6 +92,14 @@ class TestEval:
         assert main(["--format", "json", "eval", "--z", "1+0i"]) == EXIT_OK
         record = json.loads(capsys.readouterr().out)
         assert record["f_re"] == pytest.approx(0.7470702679711394, rel=1e-12)
+
+    def test_json_non_finite_as_csv_strings(self, capsys):
+        # f(2) = 0 exactly, so log|f| = -inf; f(1e300) overflows to inf
+        assert main(["--format", "json", "eval", "--z", "2"]) == EXIT_OK
+        assert strict_json(capsys.readouterr().out)["log_abs_f"] == "-inf"
+        assert main(["--format", "json", "eval", "--z", "1e300"]) == EXIT_OK
+        record = strict_json(capsys.readouterr().out)
+        assert record["f_re"] == "inf" and record["f_im"] == 0.0
 
     def test_borel_value(self, capsys):
         assert main(["borel", "eval", "--s", "4"]) == EXIT_OK
@@ -213,6 +244,26 @@ class TestExitCodes:
             assert out == "" and "Traceback" not in err
             assert len(err.splitlines()) == 1 and err.startswith("error: ")
 
+    @pytest.mark.parametrize("argv, want", [
+        (("borel", "eval", "--s", "1"), EXIT_USAGE),
+        (("borel", "eval", "--s", "nan"), EXIT_USAGE),
+        (("borel", "invert", "--z", "200"), EXIT_NUMERIC),
+        (("contour", "invert", "--z", "200"), EXIT_NUMERIC),
+        (("eval", "--z", "1e300"), EXIT_OK),
+    ])
+    def test_contract_probes(self, argv, want):
+        code, out, err = run(*argv)
+        assert code == want
+        assert "Traceback" not in err and "nan" not in out
+
+    @pytest.mark.parametrize("text", [b"k-max = abc\n", b"k-max = \xff\n"])
+    def test_bad_config_value(self, tmp_path, text):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_bytes(text)
+        code, _, err = run("--config", str(cfg), "eval", "--z", "2")
+        assert code == EXIT_USAGE
+        assert "Traceback" not in err and err.startswith("error: ")
+
     def test_reproduce_needs_windows(self, capsys):
         assert main(["--k-max", "1", "reproduce"]) == EXIT_USAGE
         assert "k_max" in capsys.readouterr().err
@@ -238,3 +289,40 @@ class TestReproduce:
         report = (first / "report.md").read_text()
         assert "Overall: PASS" in report
         assert "irregular" in report
+
+
+#: float reprs (nan, inf, the binary64 extremes, subnormals), complex
+#: strings and short junk text
+_FLOAT_TEXT = st.floats().map(repr)
+_FUZZ_TEXT = st.one_of(
+    _FLOAT_TEXT,
+    st.sampled_from(["nan", "-inf", "1e308", "-1e308", "5e-324", "2.5",
+                     "1e300", "200", "1+2i", "-0.5i", "(3-4j)", "inf"]),
+    st.builds("{}+{}j".format, _FLOAT_TEXT, _FLOAT_TEXT),
+    st.text(max_size=8),
+)
+
+
+@pytest.fixture(scope="module")
+def fuzz_config(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "run.cfg"
+
+
+@settings(max_examples=200, deadline=None)
+@given(form=st.sampled_from(["eval", "json", "borel", "config"]), x=_FUZZ_TEXT)
+def test_cli_contract_fuzz(fuzz_config, form, x):
+    """No input lets an exception escape main or an exit code leave 0..3."""
+    if form == "config":
+        fuzz_config.write_text("k-max = %s\n" % x, encoding="utf-8")
+        argv = ["--config", str(fuzz_config), "eval", "--z", "2"]
+    elif form == "borel":
+        argv = ["borel", "eval", "--s=" + x]
+    else:
+        argv = ["eval", "--z=" + x]
+        if form == "json":
+            argv = ["--format", "json"] + argv
+    code, out, _ = run_main(argv)
+    assert code in (0, 1, 2, 3)
+    if form == "json":
+        for line in out.splitlines():
+            strict_json(line)

@@ -1,4 +1,4 @@
-"""Tests for window statistics, measure bookkeeping, and growth verdicts."""
+"""Tests for window statistics and growth verdicts."""
 import json
 import math
 
@@ -7,11 +7,9 @@ import pytest
 
 from expgrowth.diagnostics import (
     InsufficientSamplesError,
-    IntervalSet,
     RegularityVerdict,
     classify,
     exp2_profile,
-    relative_measure,
     sin2_profile,
     type_estimate,
     window_stats,
@@ -40,73 +38,6 @@ def f_profile(ev):
 def constant_profile(value=2.0, k_lo=4, k_hi=8, per_window=64):
     radii = dyadic_radii(k_lo, k_hi, per_window)
     return GrowthProfile("const", 0.0, radii, np.full(radii.size, value))
-
-
-class TestIntervalSet:
-    def test_empty_and_full(self):
-        assert IntervalSet.empty().intervals == ()
-        IntervalSet(((0.0, math.inf),))
-
-    def test_touching_endpoints_allowed(self):
-        IntervalSet(((1.0, 2.0), (2.0, 3.0)))
-
-    def test_rejects_overlap(self):
-        with pytest.raises(ValueError):
-            IntervalSet(((1.0, 3.0), (2.0, 4.0)))
-
-    def test_rejects_unsorted(self):
-        with pytest.raises(ValueError):
-            IntervalSet(((4.0, 5.0), (1.0, 2.0)))
-
-    def test_rejects_degenerate(self):
-        with pytest.raises(ValueError):
-            IntervalSet(((2.0, 2.0),))
-        with pytest.raises(ValueError):
-            IntervalSet(((3.0, 1.0),))
-
-    def test_rejects_negative_and_nan(self):
-        with pytest.raises(ValueError):
-            IntervalSet(((-1.0, 2.0),))
-        with pytest.raises(ValueError):
-            IntervalSet(((math.nan, 2.0),))
-
-
-class TestRelativeMeasure:
-    def test_full_ray(self):
-        full = IntervalSet(((0.0, math.inf),))
-        assert relative_measure(full, 7.0) == 1.0
-        assert relative_measure(full, 1e300) == 1.0
-
-    def test_dyadic_unit_intervals(self):
-        # unit intervals opening each dyadic radius: 19 lie fully below 2^20
-        units = IntervalSet(tuple((2.0**k, 2.0**k + 1.0) for k in range(1, 21)))
-        assert relative_measure(units, 2.0**20) == 19.0 / 2.0**20
-
-    def test_empty(self):
-        assert relative_measure(IntervalSet.empty(), 5.0) == 0.0
-
-    def test_clipping(self):
-        e = IntervalSet(((1.0, 3.0),))
-        assert relative_measure(e, 2.0) == 0.5
-        assert relative_measure(e, 8.0) == 0.25
-        assert relative_measure(e, 1.0) == 0.0
-
-    def test_monotone_in_set(self):
-        rng = np.random.default_rng(5)
-        for _ in range(20):
-            cuts = np.sort(rng.uniform(0.0, 100.0, size=12))
-            pairs = [(cuts[i], cuts[i + 1]) for i in range(0, 12, 2)]
-            keep = rng.random(6) < 0.5
-            sub = IntervalSet(tuple(p for p, k in zip(pairs, keep) if k))
-            sup = IntervalSet(tuple(pairs))
-            for r in (10.0, 50.0, 120.0):
-                assert relative_measure(sub, r) <= relative_measure(sup, r)
-
-    def test_rejects_bad_radius(self):
-        full = IntervalSet(((0.0, math.inf),))
-        for r in (0.0, -1.0, math.inf):
-            with pytest.raises(ValueError):
-                relative_measure(full, r)
 
 
 class TestWindowStats:

@@ -109,22 +109,22 @@ class TestCounting:
         assert all(a <= b for a, b in zip(counts, counts[1:]))
 
     def test_normalized_dyadic(self, lattice):
-        assert lattice.normalized_count(16.0) == 1.875
+        assert lattice.counting(16.0) / 16.0 == 1.875
         for k in range(1, 15):
             want = Fraction((1 << (k + 1)) - 2, 1 << k)
-            assert lattice.normalized_count(2.0**k) == float(want)
+            assert lattice.counting(2.0**k) / 2.0**k == float(want)
 
     def test_normalized_generic(self, lattice):
-        assert lattice.normalized_count(3.5) == pytest.approx(2 / 3.5)
-        assert lattice.normalized_count(0.5) == 0.0
+        assert lattice.counting(3.5) / 3.5 == pytest.approx(2 / 3.5)
+        assert lattice.counting(0.5) / 0.5 == 0.0
         with pytest.raises(ValueError):
-            lattice.normalized_count(0.0)
+            lattice.counting(-1.0)
 
     def test_decreasing_within_band(self, lattice):
         rng = np.random.default_rng(4)
         for k in (2, 7, 12):
             rs = np.sort(rng.uniform(2.0**k, 2.0 ** (k + 1), size=50))
-            vals = [lattice.normalized_count(r) for r in rs]
+            vals = [lattice.counting(r) / r for r in rs]
             assert all(a > b for a, b in zip(vals, vals[1:]))
 
     def test_upper_band_bound(self, lattice):
