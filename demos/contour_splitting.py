@@ -2,8 +2,9 @@
 Recovering f from its Borel sum, and splitting off the decaying part
 ====================================================================
 
-A contour integral of e^(z s) g(s) / s around a circle of radius between 2.5
-and 8 reproduces f(z) exactly, independent of the radius chosen.  Splitting
+The contour integral (1/(2 pi i)) * int g(s) e^(z s) ds around a circle of
+radius between 2.5 and 8 reproduces f(z) exactly, independent of the radius
+chosen.  Splitting
 the same contour into a spiral arc and a closing segment writes f = F + u
 where u(x) decays like e^(-3x) on the positive axis.  Both facts are checked
 numerically here; the quadrature refines itself until the requested relative

@@ -137,10 +137,13 @@ def _validate(cfg: RunConfig) -> None:
         raise UsageError("k_max must be >= 1")
     if not 0.0 < cfg.q < 0.5:
         raise UsageError("q must lie in (0, 0.5)")
-    if cfg.gap_tol <= 0.0 or cfg.drift_tol <= 0.0 or cfg.tol <= 0.0:
+    # written so that a nan fails every check
+    if not (cfg.gap_tol > 0.0 and cfg.drift_tol > 0.0 and cfg.tol > 0.0):
         raise UsageError("tolerances must be positive")
-    if cfg.tol < 1e-13:
+    if not cfg.tol >= 1e-13:
         raise UsageError("tol below 1e-13 is not achievable in double precision")
+    if not math.isfinite(cfg.theta):
+        raise UsageError("theta must be finite")
     if not 0.0 < cfg.r_min < cfg.r_max:
         raise UsageError("need 0 < r_min < r_max")
     n = cfg.samples_per_window
@@ -283,8 +286,6 @@ def cmd_borel(cfg: RunConfig, args) -> int:
 
 
 def cmd_contour(cfg: RunConfig, args) -> int:
-    if args.action == "invert":
-        return _inversion_record(cfg, parse_complex(args.z))
     z = parse_complex(args.z)
     spec = QuadratureSpec(target_rel_tol=1e-13)
     fv = _log_f_at(cfg, z).to_complex()
@@ -593,13 +594,10 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--z", required=True)
     b.add_argument("--radius", dest="contour_radius", type=float)
 
-    p = sub.add_parser("contour", help="splitting identity and inversion")
+    p = sub.add_parser("contour", help="splitting identity")
     csub = p.add_subparsers(dest="action", required=True, parser_class=_Parser)
     c = csub.add_parser("identity", help="check F(z) + u(z) = f(z)")
     c.add_argument("--z", required=True)
-    c = csub.add_parser("invert", help="recover f(z) from the circle integral")
-    c.add_argument("--z", required=True)
-    c.add_argument("--radius", dest="contour_radius", type=float)
 
     p = sub.add_parser("diagnose", help="window statistics and verdict")
     p.add_argument("--function", choices=("f", "exp2z", "sin2z"), default="f")

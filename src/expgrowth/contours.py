@@ -2,9 +2,11 @@
 
 Every integral here is (1/(2*pi*i)) * int g(s) e^{zs} ds over some path kept
 outside modulus 2.5, where the transform g is analytic.  Full circles use the
-periodic trapezoid rule (spectrally accurate, and node-doubling reuses every
-existing node bit-for-bit, so the evaluator's cache absorbs the cost); open
-arcs and segments use composite Gauss-Legendre panels with panel doubling.
+periodic trapezoid rule (spectrally accurate); open arcs and segments use
+composite Gauss-Legendre panels.  Each refinement level doubles the nodes or
+panels and evaluates g and e^{zs} on the whole node array of every segment
+at once; its terms are summed by math.fsum, exactly rounded, so a level's
+value does not depend on the order of its nodes.
 
 The named integrals (borel_inversion, u_eval, F_eval) split g into 1/s plus
 a smooth tail: the 1/s channel integrates in closed form (residue on closed
@@ -28,7 +30,7 @@ from functools import lru_cache
 import numpy as np
 
 from .borel import MIN_MODULUS, BorelEvaluator
-from .lognum import Accumulator, LogComplex, cis, lc_add, wrap_angle
+from .lognum import LogComplex, cis, lc_add
 from .product import GrowthProfile
 
 TAU = math.tau
@@ -62,6 +64,16 @@ class CancellationCapError(ValueError):
     """Arc-transform evaluation refused beyond the configured |z| cap."""
 
 
+def _cis(a):
+    """lognum.cis on an array of angles: exact at 0, +-pi/2 and +-pi."""
+    a = np.asarray(a, dtype=float)
+    c = np.where(np.abs(a) == 0.5 * math.pi, 0.0, np.cos(a))
+    s = np.where(np.abs(a) == math.pi, 0.0, np.sin(a))
+    out = np.empty(a.shape, dtype=complex)
+    out.real, out.imag = c, s
+    return out
+
+
 def _require_outside(lo: float, what: str) -> None:
     # paths must stay at or outside the evaluation domain of g
     if lo < MIN_MODULUS - 1e-12:
@@ -73,7 +85,11 @@ def _require_outside(lo: float, what: str) -> None:
 
 @dataclass(frozen=True)
 class CirclePath:
-    """Origin-centered circle, traversed once counterclockwise."""
+    """Origin-centered circle, traversed once counterclockwise.
+
+    Like every segment, it maps a parameter t in [0, 1], a float or an
+    array, to the path point and its derivative.
+    """
 
     radius: float
 
@@ -83,11 +99,11 @@ class CirclePath:
     def modulus_range(self) -> tuple:
         return (self.radius, self.radius)
 
-    def point(self, t: float) -> complex:
-        return self.radius * cis(TAU * t)
+    def point(self, t):
+        return self.radius * _cis(TAU * t)
 
-    def dpoint(self, t: float) -> complex:
-        return self.radius * TAU * 1j * cis(TAU * t)
+    def dpoint(self, t):
+        return self.radius * TAU * 1j * _cis(TAU * t)
 
 
 @dataclass(frozen=True)
@@ -107,19 +123,19 @@ class SpiralArc:
     def modulus_range(self) -> tuple:
         return (min(self.r_start, self.r_end), max(self.r_start, self.r_end))
 
-    def _radius(self, t: float) -> float:
+    def _radius(self, t):
         return self.r_start + (self.r_end - self.r_start) * t
 
-    def _angle(self, t: float) -> float:
+    def _angle(self, t):
         return self.angle_start + (self.angle_end - self.angle_start) * t
 
-    def point(self, t: float) -> complex:
-        return self._radius(t) * cis(self._angle(t))
+    def point(self, t):
+        return self._radius(t) * _cis(self._angle(t))
 
-    def dpoint(self, t: float) -> complex:
+    def dpoint(self, t):
         dr = self.r_end - self.r_start
         dphi = self.angle_end - self.angle_start
-        return complex(dr, self._radius(t) * dphi) * cis(self._angle(t))
+        return (dr + 1j * (self._radius(t) * dphi)) * _cis(self._angle(t))
 
 
 @dataclass(frozen=True)
@@ -138,11 +154,11 @@ class LineSegment:
         t = min(1.0, max(0.0, t))
         return (abs(self.a + d * t), max(abs(self.a), abs(self.b)))
 
-    def point(self, t: float) -> complex:
+    def point(self, t):
         return self.a + (self.b - self.a) * t
 
-    def dpoint(self, t: float) -> complex:
-        return self.b - self.a
+    def dpoint(self, t):
+        return np.full(np.shape(t), self.b - self.a)
 
 
 @dataclass(frozen=True)
@@ -169,15 +185,11 @@ class Contour:
                 raise ValueError(f"closed contour winds {w} times, need +1")
 
     def winding_number(self, samples_per_segment: int = 512) -> int:
-        total = 0.0
-        prev = None
-        for seg in self.segments:
-            for i in range(samples_per_segment + 1):
-                p = seg.point(i / samples_per_segment)
-                if prev is not None:
-                    total += wrap_angle(cmath.phase(p) - cmath.phase(prev))
-                prev = p
-        return round(total / TAU)
+        t = np.arange(samples_per_segment + 1) / samples_per_segment
+        phase = np.angle(np.concatenate([seg.point(t) for seg in self.segments]))
+        steps = np.diff(phase)
+        steps -= TAU * np.round(steps / TAU)  # into [-pi, pi]
+        return int(round(steps.sum() / TAU))
 
 
 @dataclass(frozen=True)
@@ -197,11 +209,11 @@ class QuadratureSpec:
             raise ValueError("points_per_panel must be >= 2")
         if self.initial_panels < 1:
             raise ValueError("initial_panels must be >= 1")
-        if self.target_rel_tol < 1e-13:
+        if not self.target_rel_tol >= 1e-13:  # nan fails too
             raise ValueError("target_rel_tol below achievable floor 1e-13")
         if self.max_refinements < 1:
             raise ValueError("max_refinements must be >= 1")
-        if self.cancellation_cap <= 0.0:
+        if not self.cancellation_cap > 0.0:
             raise ValueError("cancellation_cap must be positive")
 
 
@@ -214,14 +226,16 @@ class IntegralResult:
 
 @lru_cache(maxsize=None)
 def _gauss_rule(points: int) -> tuple:
+    """Gauss-Legendre abscissae and weights on [-1, 1], read-only."""
     x, w = np.polynomial.legendre.leggauss(points)
-    return (tuple(float(v) for v in x), tuple(float(v) for v in w))
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
 
 
 _SPLIT = 134217729.0  # 2^27 + 1, Dekker splitting constant
 
 
-def _two_product(a: float, b: float) -> tuple:
+def _two_product(a, b) -> tuple:
     """a*b as an exact head/tail pair (no fma available on 3.10)."""
     p = a * b
     ah = a * _SPLIT
@@ -234,8 +248,8 @@ def _two_product(a: float, b: float) -> tuple:
     return p, e
 
 
-def _exp_zs(z: complex, s: complex) -> complex:
-    """e^{z s} with the exponent carried in doubled precision.
+def _exp_zs(z: complex, s: np.ndarray) -> np.ndarray:
+    """e^{z s} on an array of s, with the exponent in doubled precision.
 
     Rounding z*s to binary64 alone costs a relative error of |z*s|*eps in
     the exponential; with |z*s| up to ~160 on these contours that noise,
@@ -250,68 +264,68 @@ def _exp_zs(z: complex, s: complex) -> complex:
     yq, ye2 = _two_product(z.imag, s.real)
     y = yp + yq
     ye = ((yp - y) + yq) + (ye1 + ye2)
-    mag = math.exp(x)
-    if mag == 0.0:
-        return 0.0 + 0.0j
-    mag *= 1.0 + xe
-    c = math.cos(y)
-    sn = math.sin(y)
-    return complex(mag * (c - ye * sn), mag * (sn + ye * c))
+    mag = np.exp(x) * (1.0 + xe)
+    c = np.cos(y)
+    sn = np.sin(y)
+    out = np.empty(s.shape, dtype=complex)
+    out.real, out.imag = mag * (c - ye * sn), mag * (sn + ye * c)
+    return out
 
 
-def _segment_sum(h, seg, spec: QuadratureSpec, level: int, acc: Accumulator):
+def _level_nodes(seg, spec: QuadratureSpec, level: int) -> tuple:
+    """Parameters t in [0, 1] and weights of one refinement level on seg."""
     if isinstance(seg, CirclePath):
         n = spec.initial_panels * spec.points_per_panel * (1 << level)
-        inv_n = 1.0 / n
-        for j in range(n):
-            t = j / n  # exact dyadic once n is a power-of-two multiple
-            acc.add(h(seg.point(t)) * seg.dpoint(t) * inv_n)
-        return
+        return np.arange(n) / n, 1.0 / n  # exact dyadic t for power-of-two n
     panels = spec.initial_panels * (1 << level)
-    xs, ws = _gauss_rule(spec.points_per_panel)
+    x, w = _gauss_rule(spec.points_per_panel)
     width = 1.0 / panels
     half = 0.5 * width
-    for p in range(panels):
-        mid = (p + 0.5) * width
-        for x, w in zip(xs, ws):
-            t = mid + half * x
-            acc.add(h(seg.point(t)) * seg.dpoint(t) * (w * half))
+    mid = (np.arange(panels) + 0.5) * width
+    return (mid[:, None] + half * x).ravel(), np.tile(w * half, panels)
 
 
-def _refinement_value(h, segments, spec: QuadratureSpec, level: int) -> tuple:
-    acc = Accumulator()
+def _refinement_value(g_eval, segments, z: complex, spec: QuadratureSpec,
+                      level: int) -> tuple:
+    """The rule at one level: (value, absolute mass sum |term| / tau)."""
+    terms = []
     for seg in segments:
-        _segment_sum(h, seg, spec, level, acc)
-    return acc.total / (1j * TAU), acc.abs_mass / TAU
+        t, weights = _level_nodes(seg, spec, level)
+        s = seg.point(t)
+        exp_zs = _exp_zs(z, s)  # first, so an overflow stops before g runs
+        terms.append(g_eval(s) * exp_zs * seg.dpoint(t) * weights)
+    terms = np.concatenate(terms)
+    total = complex(math.fsum(terms.real.tolist()),
+                    math.fsum(terms.imag.tolist()))
+    return total / (1j * TAU), float(np.abs(terms).sum()) / TAU
 
 
 def integrate(g_eval, path, z: complex, spec: QuadratureSpec = None) -> IntegralResult:
     """(1/(2*pi*i)) * int_path g(s) e^{zs} ds with adaptive refinement.
 
-    path may be a Contour or a single segment.  The convergence check floors
-    the achievable error at eps * mass: below that, successive refinements
+    g_eval maps an array of nodes s to the array of g(s).  path may be a
+    Contour or a single segment.  The convergence check floors the
+    achievable error at eps * mass: below that, successive refinements
     differ only by roundoff of the (possibly huge) oscillatory mass and
-    further doubling is pointless.
+    further doubling is pointless.  An overflowing integrand raises
+    FloatingPointError (an ArithmeticError) at once.
     """
     if spec is None:
         spec = QuadratureSpec()
     segments = path.segments if isinstance(path, Contour) else (path,)
     z = complex(z)
-
-    def h(s):
-        return g_eval(s) * _exp_zs(z, s)
-
     prev = older = None
     err = math.inf
-    for level in range(spec.max_refinements + 1):
-        value, mass = _refinement_value(h, segments, spec, level)
-        if prev is not None:
-            err = abs(value - prev)
-            floor = 4.0 * _EPS * mass
-            if err <= max(spec.target_rel_tol * abs(value), floor):
-                return IntegralResult(value, err, level)
-        older = prev
-        prev = value
+    with np.errstate(over="raise", invalid="raise"):
+        for level in range(spec.max_refinements + 1):
+            value, mass = _refinement_value(g_eval, segments, z, spec, level)
+            if prev is not None:
+                err = abs(value - prev)
+                floor = 4.0 * _EPS * mass
+                if err <= max(spec.target_rel_tol * abs(value), floor):
+                    return IntegralResult(value, err, level)
+            older = prev
+            prev = value
     raise NonConvergenceError(prev, older, err)
 
 
@@ -419,7 +433,7 @@ def borel_inversion(z: complex, radius: float = 4.0,
     lo, hi = _INVERSION_RADII
     if not lo <= radius <= hi:
         raise ValueError(f"radius must lie in [{lo}, {hi}]")
-    return 1.0 + integrate(_SHARED_TAIL, CirclePath(radius), z, spec).value
+    return 1.0 + integrate(_SHARED_TAIL.at, CirclePath(radius), z, spec).value
 
 
 def u_eval(z: complex, spec: QuadratureSpec = None) -> complex:
@@ -431,7 +445,7 @@ def u_eval(z: complex, spec: QuadratureSpec = None) -> complex:
     z = complex(z)
     e3, e4 = _endpoint_channels(z)
     channel = (complex(_LOG_RATIO, 0.0) + (e4 - e3)) / _DENOM
-    return integrate(_SHARED_TAIL, closing_segment(), z, spec).value + channel
+    return integrate(_SHARED_TAIL.at, closing_segment(), z, spec).value + channel
 
 
 def F_eval(z: complex, spec: QuadratureSpec = None) -> complex:
@@ -453,7 +467,7 @@ def F_eval(z: complex, spec: QuadratureSpec = None) -> complex:
     e3, e4 = _endpoint_channels(z)
     # continuous log along the arc gains 2 pi i (one counterclockwise turn)
     channel = (complex(-_LOG_RATIO, TAU) + (e3 - e4)) / _DENOM
-    return integrate(_SHARED_TAIL, spiral_arc(), z, spec).value + channel
+    return integrate(_SHARED_TAIL.at, spiral_arc(), z, spec).value + channel
 
 
 def splitting_profile(ev, theta: float, radii, spec: QuadratureSpec = None,

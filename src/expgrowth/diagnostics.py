@@ -152,7 +152,7 @@ def classify(
     2 * gap_tol; the reported gap is the smallest of those widths.  Anything
     in between is inconclusive rather than guessed.
     """
-    if gap_tol <= 0.0 or drift_tol <= 0.0:
+    if not (gap_tol > 0.0 and drift_tol > 0.0):  # nan fails too
         raise ValueError("tolerances must be positive")
     if trailing < 2:
         raise ValueError("need trailing >= 2")

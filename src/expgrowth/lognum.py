@@ -102,40 +102,3 @@ def lc_add(a: LogComplex, b: LogComplex) -> LogComplex:
     if w == 0:
         return LogComplex.zero()
     return LogComplex(m + math.log(abs(w)), math.atan2(w.imag, w.real))
-
-
-class Accumulator:
-    """Running Neumaier-compensated complex sum for quadrature loops.
-
-    Terms are added left to right, so the total does not depend on how the
-    caller chunks the sequence; the Neumaier variant keeps the small term in
-    cases such as [1e16, 1, -1e16] where plain Kahan loses it.
-    """
-
-    __slots__ = ("_sr", "_cr", "_si", "_ci", "abs_mass")
-
-    def __init__(self) -> None:
-        self._sr = self._cr = 0.0
-        self._si = self._ci = 0.0
-        self.abs_mass = 0.0  # sum of |term|, used for roundoff floors
-
-    def add(self, t: complex) -> None:
-        x = t.real
-        s = self._sr + x
-        if abs(self._sr) >= abs(x):
-            self._cr += (self._sr - s) + x
-        else:
-            self._cr += (x - s) + self._sr
-        self._sr = s
-        y = t.imag
-        s = self._si + y
-        if abs(self._si) >= abs(y):
-            self._ci += (self._si - s) + y
-        else:
-            self._ci += (y - s) + self._si
-        self._si = s
-        self.abs_mass += abs(t)
-
-    @property
-    def total(self) -> complex:
-        return complex(self._sr + self._cr, self._si + self._ci)

@@ -151,12 +151,19 @@ class TestEvaluator:
                 g(s)
         assert math.isfinite(g(2.5).real)  # boundary itself is allowed
 
-    def test_repeated_calls_cached(self):
-        ev = BorelEvaluator()
-        a = ev(5.0 + 1.0j)
-        b = ev(5.0 + 1.0j)
-        assert a == b
-        assert len(ev._cache) == 1
+    def test_batch_matches_scalar_bitwise(self, g):
+        # a node's term count depends only on its own |s| and partial sum,
+        # so a batch gives every node the bits of a single call
+        rng = np.random.default_rng(16)
+        special = [2.5, -2.5, 2.5j, -2.5j, 4.0, -7.0j,
+                   2.5 * complex(math.cos(0.7), math.sin(0.7))]
+        for ev in (g, BorelEvaluator(min_index=2)):
+            for n in (1, 7, 128, 1000):
+                s = rng.uniform(2.5, 30.0, n) * np.exp(
+                    1j * rng.uniform(-math.pi, math.pi, n))
+                s[:len(special)] = special[:n]
+                want = np.array([ev(complex(node)) for node in s])
+                assert ev.at(s).tobytes() == want.tobytes()
 
     def test_validation(self):
         with pytest.raises(ValueError):

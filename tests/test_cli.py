@@ -248,15 +248,22 @@ class TestExitCodes:
         (("borel", "eval", "--s", "1"), EXIT_USAGE),
         (("borel", "eval", "--s", "nan"), EXIT_USAGE),
         (("borel", "invert", "--z", "200"), EXIT_NUMERIC),
-        (("contour", "invert", "--z", "200"), EXIT_NUMERIC),
+        (("borel", "invert", "--z", "1e5"), EXIT_NUMERIC),
         (("eval", "--z", "1e300"), EXIT_OK),
+        (("profile", "--theta", "nan"), EXIT_USAGE),
+        (("diagnose", "--theta", "inf"), EXIT_USAGE),
+        # refused before any quadrature runs
+        (("--tol", "nan", "borel", "invert", "--z", "1"), EXIT_USAGE),
     ])
     def test_contract_probes(self, argv, want):
         code, out, err = run(*argv)
         assert code == want
         assert "Traceback" not in err and "nan" not in out
+        # one error line; a numpy warning would add its own
+        assert len(err.splitlines()) == (want != EXIT_OK)
 
-    @pytest.mark.parametrize("text", [b"k-max = abc\n", b"k-max = \xff\n"])
+    @pytest.mark.parametrize("text", [b"k-max = abc\n", b"k-max = \xff\n",
+                                      b"gap-tol = nan\n"])
     def test_bad_config_value(self, tmp_path, text):
         cfg = tmp_path / "run.cfg"
         cfg.write_bytes(text)
@@ -308,15 +315,22 @@ def fuzz_config(tmp_path_factory):
     return tmp_path_factory.mktemp("fuzz") / "run.cfg"
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @settings(max_examples=200, deadline=None)
-@given(form=st.sampled_from(["eval", "json", "borel", "config"]), x=_FUZZ_TEXT)
+@given(form=st.sampled_from(["eval", "json", "borel", "invert", "config"]),
+       x=_FUZZ_TEXT)
 def test_cli_contract_fuzz(fuzz_config, form, x):
-    """No input lets an exception escape main or an exit code leave 0..3."""
+    """No input lets an exception escape main or an exit code leave 0..3.
+
+    A numpy overflow must surface as exit code 2, never as a warning.
+    """
     if form == "config":
         fuzz_config.write_text("k-max = %s\n" % x, encoding="utf-8")
         argv = ["--config", str(fuzz_config), "eval", "--z", "2"]
     elif form == "borel":
         argv = ["borel", "eval", "--s=" + x]
+    elif form == "invert":
+        argv = ["borel", "invert", "--z=" + x]
     else:
         argv = ["eval", "--z=" + x]
         if form == "json":

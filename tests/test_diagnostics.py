@@ -147,6 +147,9 @@ class TestClassify:
             classify(f_profile, gap_tol=0.0)
         with pytest.raises(ValueError):
             classify(f_profile, drift_tol=-1.0)
+        for tol in ({"gap_tol": math.nan}, {"drift_tol": math.nan}):
+            with pytest.raises(ValueError):
+                classify(f_profile, **tol)
         with pytest.raises(ValueError):
             classify(f_profile, trailing=1)
 

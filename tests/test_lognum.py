@@ -1,13 +1,11 @@
 import cmath
 import math
 import struct
-from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from expgrowth.lognum import (
-    Accumulator,
     LogComplex,
     lc_add,
     wrap_angle,
@@ -25,13 +23,6 @@ def ulp_diff(a: float, b: float) -> int:
 
 def polar(log_mag: float, arg: float) -> LogComplex:
     return LogComplex(log_mag, wrap_angle(arg))
-
-
-def acc_sum(terms) -> complex:
-    acc = Accumulator()
-    for t in terms:
-        acc.add(complex(t))
-    return acc.total
 
 
 class TestLogComplexBasics:
@@ -112,35 +103,3 @@ class TestAdd:
                 LogComplex.from_complex(x), LogComplex.from_complex(y)
             ).to_complex()
             assert abs(got - (x + y)) <= 1e-13 * (abs(x) + abs(y))
-
-
-class TestCompensatedSum:
-    """Neumaier compensation of the quadrature Accumulator."""
-
-    def test_rescues_small_term(self):
-        assert acc_sum([1e16, 1.0, -1e16]) == 1 + 0j
-
-    def test_empty(self):
-        assert Accumulator().total == 0j
-
-    def test_million_tenths(self):
-        # oracle: Fraction(1, 10) * 10**6 == 100000 exactly
-        got = acc_sum([0.1] * 10**6)
-        assert abs(got - 100000.0) <= 1e-6
-
-    def test_matches_fraction_oracle_on_random_data(self):
-        rng = np.random.default_rng(13)
-        xs = list(rng.uniform(-1e8, 1e8, size=400))
-        exact = sum(Fraction(x) for x in xs)
-        assert abs(acc_sum(xs).real - float(exact)) <= 1e-6
-        assert acc_sum(xs).imag == 0.0
-
-    def test_chunk_independent(self):
-        # reading the total between chunks leaves the running sum untouched
-        rng = np.random.default_rng(14)
-        xs = [complex(a, b) for a, b in rng.uniform(-1e6, 1e6, size=(200, 2))]
-        acc = Accumulator()
-        for lo in range(0, len(xs), 50):
-            for x in xs[lo:lo + 50]:
-                acc.add(x)
-            assert acc.total == acc_sum(xs[:lo + 50])
