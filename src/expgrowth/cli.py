@@ -144,8 +144,8 @@ def _validate(cfg: RunConfig) -> None:
         raise UsageError("tol below 1e-13 is not achievable in double precision")
     if not math.isfinite(cfg.theta):
         raise UsageError("theta must be finite")
-    if not 0.0 < cfg.r_min < cfg.r_max:
-        raise UsageError("need 0 < r_min < r_max")
+    if not 0.0 < cfg.r_min < cfg.r_max < math.inf:
+        raise UsageError("need 0 < r_min < r_max < inf")
     n = cfg.samples_per_window
     if n < 1 or n & (n - 1):
         raise UsageError("samples_per_window must be a power of two")
@@ -226,9 +226,23 @@ def _write_counting(lattice: ZeroLattice, out: Path, emit_svg: bool):
     return rows
 
 
+#: largest k_max whose zeros lattice and reproduce write out (2^21 - 2 of
+#: them); each further circle doubles the memory and the size of zeros.csv
+_K_MAX_WRITTEN = 20
+
+
+def _written_lattice(cfg: RunConfig) -> ZeroLattice:
+    """The lattice for commands that materialize every zero, within the cap."""
+    if cfg.k_max > _K_MAX_WRITTEN:
+        raise UsageError("k_max = %d would write %d zeros; the limit is "
+                         "k_max <= %d" % (cfg.k_max, (2 << cfg.k_max) - 2,
+                                          _K_MAX_WRITTEN))
+    return ZeroLattice(k_max=cfg.k_max)
+
+
 def cmd_lattice(cfg: RunConfig, args) -> int:
+    lattice = _written_lattice(cfg)
     out = _out_dir(cfg)
-    lattice = ZeroLattice(k_max=cfg.k_max)
     write_zeros_csv(lattice, out / "zeros.csv")
     rows = _write_counting(lattice, out, cfg.emit_svg)
     print("wrote %s (%d zeros) and %s (%d radii)"
@@ -272,6 +286,8 @@ def cmd_profile(cfg: RunConfig, args) -> int:
 
 def cmd_borel(cfg: RunConfig, args) -> int:
     if args.action == "coeffs":
+        if args.max_index < 0:
+            raise UsageError("max_index must be >= 0")
         out = _out_dir(cfg)
         write_coeffs_csv(CoefficientStream(), args.max_index, out / "coeffs.csv")
         print("wrote %s (m <= %d)" % (out / "coeffs.csv", args.max_index))
@@ -357,8 +373,8 @@ def cmd_reproduce(cfg: RunConfig, args) -> int:
             "k_max = %d leaves too few dyadic windows for a verdict "
             "(need k_max >= 8)" % cfg.k_max
         )
+    lattice = _written_lattice(cfg)
     out = _out_dir(cfg)
-    lattice = ZeroLattice(k_max=cfg.k_max)
     ev = ProductEvaluator(lattice)
     checks = []
 
@@ -422,13 +438,13 @@ def cmd_reproduce(cfg: RunConfig, args) -> int:
     write_coeffs_csv(stream, 256, out / "coeffs.csv")
 
     # 5. circle inversion against the closed form
-    rng = np.random.default_rng(55)
+    zs = _sample_disc(np.random.default_rng(55), 12, 4.0)
+    contours = borel_inversion(np.array(zs), radius=cfg.contour_radius,
+                               spec=_quad_spec(cfg)).tolist()
     inv_records = []
     inv_worst = 0.0
-    for z in _sample_disc(rng, 12, 4.0):
+    for z, contour in zip(zs, contours):
         direct = ev.eval_log_f(z).to_complex()
-        contour = borel_inversion(z, radius=cfg.contour_radius,
-                                  spec=_quad_spec(cfg))
         inv_records.append((z, direct, contour))
         inv_worst = max(inv_worst, abs(direct - contour) / abs(direct))
     write_borel_check_csv(inv_records, out / "borel_check.csv")
@@ -439,14 +455,14 @@ def cmd_reproduce(cfg: RunConfig, args) -> int:
     ))
 
     # 6. splitting identity F + u = f
-    rng = np.random.default_rng(77)
+    zs = _sample_disc(np.random.default_rng(77), 10, 6.0)
     spec_id = QuadratureSpec(target_rel_tol=1e-13)
+    us = u_eval(np.array(zs), spec_id).tolist()
+    Fs = F_eval(np.array(zs), spec_id).tolist()
     id_records = []
     id_worst = 0.0
-    for z in _sample_disc(rng, 10, 6.0):
+    for z, uv, Fv in zip(zs, us, Fs):
         fv = ev.eval_log_f(z).to_complex()
-        uv = u_eval(z, spec_id)
-        Fv = F_eval(z, spec_id)
         id_records.append((z, fv, uv, Fv))
         id_worst = max(id_worst, abs(Fv + uv - fv) / (1.0 + abs(fv)))
     write_identity_csv(id_records, out / "identity.csv")
@@ -458,7 +474,7 @@ def cmd_reproduce(cfg: RunConfig, args) -> int:
 
     # 7. decay of the bounded piece on the positive axis
     xs = [0.25 * i for i in range(41)]
-    u_abs = [abs(u_eval(complex(x, 0.0))) for x in xs]
+    u_abs = [abs(u) for u in u_eval(np.array(xs, dtype=complex)).tolist()]
     bounds = [u_decay_bound(x) for x in xs]
     decay_ok = all(ua <= b * (1.0 + 1e-6) for ua, b in zip(u_abs, bounds))
     origin_ok = abs(u_abs[0] - 0.0438) <= 1e-3

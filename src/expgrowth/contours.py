@@ -6,7 +6,10 @@ periodic trapezoid rule (spectrally accurate); open arcs and segments use
 composite Gauss-Legendre panels.  Each refinement level doubles the nodes or
 panels and evaluates g and e^{zs} on the whole node array of every segment
 at once; its terms are summed by math.fsum, exactly rounded, so a level's
-value does not depend on the order of its nodes.
+value does not depend on the order of its nodes.  The nodes do not depend on
+z, so a batch of z shares one g pass per level: the named integrals take a
+scalar z or a 1-D array of z, and each entry of a batch keeps its own
+refinement and has the bits of the scalar call.
 
 The named integrals (borel_inversion, u_eval, F_eval) split g into 1/s plus
 a smooth tail: the 1/s channel integrates in closed form (residue on closed
@@ -285,19 +288,68 @@ def _level_nodes(seg, spec: QuadratureSpec, level: int) -> tuple:
     return (mid[:, None] + half * x).ravel(), np.tile(w * half, panels)
 
 
-def _refinement_value(g_eval, segments, z: complex, spec: QuadratureSpec,
-                      level: int) -> tuple:
-    """The rule at one level: (value, absolute mass sum |term| / tau)."""
-    terms = []
+def _refinement_values(g_eval, segments, zs, spec: QuadratureSpec,
+                       level: int) -> list:
+    """The rule at one level for every z of zs: a list of (value, absolute
+    mass sum |term| / tau), with g evaluated once per segment for them all."""
+    terms = [[] for _ in zs]
     for seg in segments:
         t, weights = _level_nodes(seg, spec, level)
         s = seg.point(t)
-        exp_zs = _exp_zs(z, s)  # first, so an overflow stops before g runs
-        terms.append(g_eval(s) * exp_zs * seg.dpoint(t) * weights)
-    terms = np.concatenate(terms)
-    total = complex(math.fsum(terms.real.tolist()),
-                    math.fsum(terms.imag.tolist()))
-    return total / (1j * TAU), float(np.abs(terms).sum()) / TAU
+        # every e^{zs} first, so an overflow stops before g runs
+        exps = [_exp_zs(z, s) for z in zs]
+        g = g_eval(s)
+        dpoint = seg.dpoint(t)
+        for out, exp_zs in zip(terms, exps):
+            out.append(g * exp_zs * dpoint * weights)
+    values = []
+    for parts in terms:
+        part = np.concatenate(parts)
+        total = complex(math.fsum(part.real.tolist()),
+                        math.fsum(part.imag.tolist()))
+        values.append((total / (1j * TAU), float(np.abs(part).sum()) / TAU))
+    return values
+
+
+def _integrate_batch(g_eval, path, zs, spec: QuadratureSpec = None) -> list:
+    """integrate at every z of zs, one IntegralResult each.
+
+    Each refinement level evaluates g once for every z still refining.  A z
+    keeps its own convergence test and leaves the batch once it passes, and
+    its terms are formed and summed exactly as for a batch of one, so its
+    result does not depend on the rest of the batch.
+    """
+    if spec is None:
+        spec = QuadratureSpec()
+    segments = path.segments if isinstance(path, Contour) else (path,)
+    zs = [complex(z) for z in zs]
+    results = [None] * len(zs)
+    prev = [None] * len(zs)
+    older = [None] * len(zs)
+    err = [math.inf] * len(zs)
+    active = list(range(len(zs)))
+    with np.errstate(over="raise", invalid="raise"):
+        for level in range(spec.max_refinements + 1):
+            if not active:
+                break
+            values = _refinement_values(
+                g_eval, segments, [zs[i] for i in active], spec, level)
+            refining = []
+            for i, (value, mass) in zip(active, values):
+                if prev[i] is not None:
+                    err[i] = abs(value - prev[i])
+                    floor = 4.0 * _EPS * mass
+                    if err[i] <= max(spec.target_rel_tol * abs(value), floor):
+                        results[i] = IntegralResult(value, err[i], level)
+                        continue
+                older[i] = prev[i]
+                prev[i] = value
+                refining.append(i)
+            active = refining
+    if active:
+        i = active[0]
+        raise NonConvergenceError(prev[i], older[i], err[i])
+    return results
 
 
 def integrate(g_eval, path, z: complex, spec: QuadratureSpec = None) -> IntegralResult:
@@ -310,23 +362,7 @@ def integrate(g_eval, path, z: complex, spec: QuadratureSpec = None) -> Integral
     further doubling is pointless.  An overflowing integrand raises
     FloatingPointError (an ArithmeticError) at once.
     """
-    if spec is None:
-        spec = QuadratureSpec()
-    segments = path.segments if isinstance(path, Contour) else (path,)
-    z = complex(z)
-    prev = older = None
-    err = math.inf
-    with np.errstate(over="raise", invalid="raise"):
-        for level in range(spec.max_refinements + 1):
-            value, mass = _refinement_value(g_eval, segments, z, spec, level)
-            if prev is not None:
-                err = abs(value - prev)
-                floor = 4.0 * _EPS * mass
-                if err <= max(spec.target_rel_tol * abs(value), floor):
-                    return IntegralResult(value, err, level)
-            older = prev
-            prev = value
-    raise NonConvergenceError(prev, older, err)
+    return _integrate_batch(g_eval, path, (z,), spec)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -423,51 +459,71 @@ def _endpoint_channels(z: complex) -> tuple:
     return (_entire_exp_integral(-3.0 * z), _entire_exp_integral(-4.0 * z))
 
 
-def borel_inversion(z: complex, radius: float = 4.0,
-                    spec: QuadratureSpec = None) -> complex:
+def _u_channel(z: complex) -> complex:
+    e3, e4 = _endpoint_channels(z)
+    return (complex(_LOG_RATIO, 0.0) + (e4 - e3)) / _DENOM
+
+
+def _F_channel(z: complex) -> complex:
+    e3, e4 = _endpoint_channels(z)
+    # continuous log along the arc gains 2 pi i (one counterclockwise turn)
+    return (complex(-_LOG_RATIO, TAU) + (e3 - e4)) / _DENOM
+
+
+def _tail_plus_channel(path, z, spec: QuadratureSpec, channel):
+    """Quadrature of the tail g - 1/s on path plus channel(z), the closed-form
+    1/s part.  A scalar z gives a complex; a 1-D array of z gives a complex
+    array, each entry bit for bit the scalar value, from one batch."""
+    if np.ndim(z) == 0:
+        z = complex(z)
+        c = channel(z)
+        return integrate(_SHARED_TAIL.at, path, z, spec).value + c
+    zs = [complex(w) for w in np.asarray(z).tolist()]
+    cs = [channel(w) for w in zs]
+    results = _integrate_batch(_SHARED_TAIL.at, path, zs, spec)
+    return np.array([r.value + c for r, c in zip(results, cs)], dtype=complex)
+
+
+def borel_inversion(z, radius: float = 4.0, spec: QuadratureSpec = None):
     """Recover f(z) by integrating g(s) e^{zs} over an origin-centered circle.
 
     The 1/s part contributes its residue, exactly 1, for every z; the
-    quadrature handles the tail g - 1/s.
+    quadrature handles the tail g - 1/s.  z is a scalar or a 1-D array.
     """
     lo, hi = _INVERSION_RADII
     if not lo <= radius <= hi:
         raise ValueError(f"radius must lie in [{lo}, {hi}]")
-    return 1.0 + integrate(_SHARED_TAIL.at, CirclePath(radius), z, spec).value
+    return _tail_plus_channel(CirclePath(radius), z, spec, lambda w: 1.0)
 
 
-def u_eval(z: complex, spec: QuadratureSpec = None) -> complex:
+def u_eval(z, spec: QuadratureSpec = None):
     """The bounded piece: the loop integral restricted to the axis segment.
 
     Since the path sits on [-4, -3], |u(z)| <= (1/(2 pi)) max|g| e^{-3 Re z},
-    so u decays in the right half-plane and is bounded for Re z >= 0.
+    so u decays in the right half-plane and is bounded for Re z >= 0.  z is
+    a scalar or a 1-D array.
     """
-    z = complex(z)
-    e3, e4 = _endpoint_channels(z)
-    channel = (complex(_LOG_RATIO, 0.0) + (e4 - e3)) / _DENOM
-    return integrate(_SHARED_TAIL.at, closing_segment(), z, spec).value + channel
+    return _tail_plus_channel(closing_segment(), z, spec, _u_channel)
 
 
-def F_eval(z: complex, spec: QuadratureSpec = None) -> complex:
+def F_eval(z, spec: QuadratureSpec = None):
     """The arc transform: the loop integral restricted to the spiral arc.
 
     Direct evaluation is refused beyond spec.cancellation_cap: the integrand
     reaches e^{4|z|} while the value stays near e^{1.5|z|}, and binary64 runs
     out of cancellation headroom.  Beyond the cap, use the identity
-    F = f - u (see splitting_profile).
+    F = f - u (see splitting_profile).  z is a scalar or a 1-D array; the
+    cap applies to every entry.
     """
     if spec is None:
         spec = QuadratureSpec()
-    z = complex(z)
-    if abs(z) > spec.cancellation_cap:
+    worst = float(np.max(np.abs(z), initial=0.0))
+    if worst > spec.cancellation_cap:
         raise CancellationCapError(
-            f"|z|={abs(z):.4g} beyond cancellation cap {spec.cancellation_cap}; "
+            f"|z|={worst:.4g} beyond cancellation cap {spec.cancellation_cap}; "
             "evaluate through the f - u identity instead"
         )
-    e3, e4 = _endpoint_channels(z)
-    # continuous log along the arc gains 2 pi i (one counterclockwise turn)
-    channel = (complex(-_LOG_RATIO, TAU) + (e3 - e4)) / _DENOM
-    return integrate(_SHARED_TAIL.at, spiral_arc(), z, spec).value + channel
+    return _tail_plus_channel(spiral_arc(), z, spec, _F_channel)
 
 
 def splitting_profile(ev, theta: float, radii, spec: QuadratureSpec = None,
@@ -478,12 +534,11 @@ def splitting_profile(ev, theta: float, radii, spec: QuadratureSpec = None,
     cancellation-limited direct arc quadrature.
     """
     direction = cis(theta)
+    zs = [r * direction for r in radii]
+    us = u_eval(np.array(zs, dtype=complex), spec).tolist()
     values = []
-    for r in radii:
-        z = r * direction
-        f_log = ev.eval_log_f(z)
-        u = u_eval(z, spec)
-        log_F = lc_add(f_log, LogComplex.from_complex(u).neg())
+    for r, z, u in zip(radii, zs, us):
+        log_F = lc_add(ev.eval_log_f(z), LogComplex.from_complex(u).neg())
         values.append(log_F.log_mag / r)
     return GrowthProfile(function_id, theta, np.asarray(radii, float),
                          np.asarray(values))

@@ -53,7 +53,15 @@ class ZeroLattice:
             raise LatticeExhaustedError(f"circle {k} outside 1..{self.k_max}")
         cached = self._circles.get(k)
         if cached is None:
-            cached = np.array([self.zero(k, j) for j in range(1 << k)])
+            n = 1 << k
+            phi = TAU * np.arange(n) / n + self.rotation
+            cached = np.empty(n, dtype=complex)
+            cached.real = float(n) * np.cos(phi)
+            cached.imag = float(n) * np.sin(phi)
+            if self.rotation == 0.0:
+                # the quarter turns, exact as zero() gives them
+                step = max(n // 4, 1)
+                cached[::step] = [self.zero(k, j) for j in range(0, n, step)]
             self._circles[k] = cached
         return cached
 
@@ -160,11 +168,14 @@ def verify_counting_bounds(lattice: ZeroLattice) -> CountingReport:
 
 
 def write_zeros_csv(lattice: ZeroLattice, path) -> None:
-    """Export the lattice as columns k, j, re, im (17 significant digits)."""
-    from .csvio import fmt, write_rows
-
-    rows = []
-    for k in range(1, lattice.k_max + 1):
-        for j, a in enumerate(lattice.circle(k)):
-            rows.append((str(k), str(j), fmt(a.real), fmt(a.imag)))
-    write_rows(path, ("k", "j", "re", "im"), rows)
+    """Export the lattice as columns k, j, re, im (17 significant digits),
+    written circle by circle."""
+    with open(path, "w", encoding="ascii") as out:
+        out.write("k,j,re,im\n")
+        for k in range(1, lattice.k_max + 1):
+            a = lattice.circle(k)
+            out.write("".join([
+                "%d,%d,%.17g,%.17g\n" % (k, j, x, y)
+                for j, (x, y) in enumerate(zip(a.real.tolist(),
+                                               a.imag.tolist()))
+            ]))

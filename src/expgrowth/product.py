@@ -235,10 +235,10 @@ class ProductEvaluator:
 
 def write_profile_csv(profiles, path) -> None:
     """Export profiles as columns function_id, theta, r, value."""
-    from .csvio import fmt, write_rows
-
-    rows = []
-    for p in profiles:
-        for r, v in zip(p.radii, p.values):
-            rows.append((p.function_id, fmt(p.theta), fmt(r), fmt(v)))
-    write_rows(path, ("function_id", "theta", "r", "value"), rows)
+    with open(path, "w", encoding="ascii") as out:
+        out.write("function_id,theta,r,value\n")
+        for p in profiles:
+            out.write("".join([
+                "%s,%.17g,%.17g,%.17g\n" % (p.function_id, p.theta, r, v)
+                for r, v in zip(p.radii.tolist(), p.values.tolist())
+            ]))

@@ -254,6 +254,12 @@ class TestExitCodes:
         (("diagnose", "--theta", "inf"), EXIT_USAGE),
         # refused before any quadrature runs
         (("--tol", "nan", "borel", "invert", "--z", "1"), EXIT_USAGE),
+        (("profile", "--r-max", "inf"), EXIT_USAGE),
+        (("profile", "--r-min", "nan"), EXIT_USAGE),
+        (("borel", "coeffs", "--max-index", "-5"), EXIT_USAGE),
+        # refused before any circle is materialized
+        (("--k-max", "21", "lattice"), EXIT_USAGE),
+        (("--k-max", "21", "reproduce"), EXIT_USAGE),
     ])
     def test_contract_probes(self, argv, want):
         code, out, err = run(*argv)

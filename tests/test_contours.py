@@ -15,7 +15,9 @@ from expgrowth.contours import (
     NonConvergenceError,
     QuadratureSpec,
     SpiralArc,
-    _refinement_value,
+    _SHARED_TAIL,
+    _integrate_batch,
+    _refinement_values,
     borel_inversion,
     closed_loop,
     closing_segment,
@@ -218,7 +220,7 @@ class TestRefinement:
         spec = QuadratureSpec(initial_panels=1, points_per_panel=8)
 
         def level(n):
-            return _refinement_value(g.at, (circ,), 1.5, spec, n)[0]
+            return _refinement_values(g.at, (circ,), [1.5], spec, n)[0][0]
 
         ref = level(6)
         errs = [abs(level(n) - ref) for n in range(4)]
@@ -240,6 +242,69 @@ class TestRefinement:
         assert err.value is not None and err.previous is not None
         assert err.value != err.previous
         assert math.isfinite(err.error)
+
+
+#: the five |z| = 8 points; on the circle and the arc they converge one to
+#: five levels later than the points of the unit disc
+EIGHT = (8.0, -8.0, 8j, -8j, 8.0 * complex(math.cos(math.pi / 4),
+                                         math.sin(math.pi / 4)))
+
+
+def _batch_points(count):
+    """count points: draws from the unit disc, then the |z| = 8 points."""
+    rng = np.random.default_rng(2024)
+    small = max(count - len(EIGHT), 2)
+    r = rng.uniform(0.0, 1.0, small)
+    phi = rng.uniform(-math.pi, math.pi, small)
+    return np.concatenate([r * np.exp(1j * phi), EIGHT])[-count:]
+
+
+class TestBatch:
+    @pytest.mark.parametrize("count", [1, 7, 41])
+    @pytest.mark.parametrize("name", ["borel_inversion", "u_eval", "F_eval"])
+    def test_matches_scalar_bitwise(self, name, count):
+        fn = {"borel_inversion": borel_inversion, "u_eval": u_eval,
+              "F_eval": F_eval}[name]
+        spec = QuadratureSpec(target_rel_tol=1e-13)
+        zs = _batch_points(count)
+        batch = fn(zs, spec=spec)
+        assert isinstance(batch, np.ndarray) and batch.dtype == complex
+        scalar = [fn(z, spec=spec) for z in zs.tolist()]
+        assert all(type(v) is complex for v in scalar)
+        assert batch.tobytes() == np.array(scalar).tobytes()
+
+    def test_mix_converges_at_different_levels(self):
+        # the batch tests above mean something only if the members of a
+        # batch leave it at different levels
+        spec = QuadratureSpec(target_rel_tol=1e-13)
+        for path in (CirclePath(4.0), spiral_arc()):
+            levels = {r.refinements for r in _integrate_batch(
+                _SHARED_TAIL.at, path, _batch_points(7), spec)}
+            assert len(levels) >= 2
+
+    def test_integrate_is_a_batch_of_one(self, g):
+        zs = [0.0, 1.5 + 0.5j, 8j]
+        batch = _integrate_batch(g.at, closed_loop(), zs)
+        for z, res in zip(zs, batch):
+            assert integrate(g.at, closed_loop(), z) == res
+
+    def test_empty_batch(self):
+        assert u_eval(np.array([], dtype=complex)).shape == (0,)
+
+    def test_overflow_stops_the_batch(self):
+        with pytest.raises(FloatingPointError):
+            borel_inversion(np.array([1.0, 200.0]))
+
+    def test_non_convergence_stops_the_batch(self):
+        spec = QuadratureSpec(initial_panels=1, points_per_panel=4,
+                              max_refinements=1, target_rel_tol=1e-13)
+        with pytest.raises(NonConvergenceError):
+            _integrate_batch(lambda s: 1.0 / s, CirclePath(4.0),
+                             [0.0, 30.0], spec)
+
+    def test_cap_applies_to_every_entry(self):
+        with pytest.raises(CancellationCapError):
+            F_eval(np.array([1.0, 50.0]))
 
 
 class TestSplittingProfile:

@@ -54,6 +54,13 @@ class TestEnumeration:
         for k in (1, 2, 5, 9):
             assert lattice.circle(k).size == 1 << k
 
+    @pytest.mark.parametrize("rotation", [0.0, 0.7, -1e-9])
+    def test_circle_is_zero_bitwise(self, rotation):
+        lat = ZeroLattice(k_max=14, rotation=rotation)
+        for k in range(1, 15):
+            ref = np.array([lat.zero(k, j) for j in range(1 << k)])
+            assert lat.circle(k).tobytes() == ref.tobytes(), k
+
     def test_order_k_then_angle(self, lattice):
         z = lattice.zeros_up_to(8.0)
         moduli = np.abs(z)
@@ -184,3 +191,16 @@ class TestCsvExport:
         assert lines[1] == "1,0,2,0"
         assert lines[3] == "2,0,4,0"
         assert lines[4] == "2,1,0,4"
+
+    def test_matches_per_value_formatting(self, tmp_path):
+        # the row-format writer against the per-value formatting it replaced
+        lat = ZeroLattice(k_max=10)
+        lines = ["k,j,re,im"]
+        for k in range(1, 11):
+            for j in range(1 << k):
+                a = lat.zero(k, j)
+                lines.append(",".join((str(k), str(j), f"{a.real:.17g}",
+                                       f"{a.imag:.17g}")))
+        path = tmp_path / "zeros.csv"
+        write_zeros_csv(lat, path)
+        assert path.read_bytes() == ("\n".join(lines) + "\n").encode("ascii")

@@ -6,6 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from expgrowth.csvio import fmt
 from expgrowth.lattice import LatticeExhaustedError, ZeroLattice
 from expgrowth.lognum import TAU, LogComplex, cis, wrap_angle
 from expgrowth.product import (
@@ -291,3 +292,17 @@ class TestCsvExport:
         assert len(lines) == 6
         assert lines[1].startswith("f,0,4,-inf")
         assert lines[-1] == "f,0,8,-inf"
+
+    def test_matches_per_value_formatting(self, ev, tmp_path):
+        # -inf samples (lattice zeros on the ray) and a rotated ray
+        profiles = [ev.profile_on(0.0, np.geomspace(4.0, 64.0, 37)),
+                    ev.profile_on(0.3, np.geomspace(3.0, 900.0, 51))]
+        lines = ["function_id,theta,r,value"]
+        for p in profiles:
+            for r, v in zip(p.radii, p.values):
+                lines.append(",".join((p.function_id, fmt(p.theta), fmt(r),
+                                       fmt(v))))
+        path = tmp_path / "profile.csv"
+        write_profile_csv(profiles, path)
+        assert "-inf" in path.read_text()
+        assert path.read_bytes() == ("\n".join(lines) + "\n").encode("ascii")
