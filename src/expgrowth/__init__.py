@@ -24,7 +24,6 @@ from .contours import (
     QuadratureSpec,
     SpiralArc,
     borel_inversion,
-    closed_loop,
     closing_segment,
     integrate,
     spiral_arc,
@@ -53,7 +52,7 @@ from .lattice import (
     verify_counting_bounds,
     write_zeros_csv,
 )
-from .lognum import LogComplex, cis, lc_add
+from .lognum import LogComplex
 from .product import (
     GrowthProfile,
     ProductEvaluator,
@@ -86,14 +85,11 @@ __all__ = [
     "WindowStats",
     "ZeroLattice",
     "borel_inversion",
-    "cis",
     "classify",
-    "closed_loop",
     "closing_segment",
     "dyadic_radii",
     "exp2_profile",
     "integrate",
-    "lc_add",
     "sin2_profile",
     "spiral_arc",
     "splitting_profile",

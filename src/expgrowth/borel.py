@@ -152,11 +152,17 @@ class BorelEvaluator:
         a, b = s.real, s.imag
         swap = np.abs(b) > np.abs(a)
         big, small = np.where(swap, b, a), np.where(swap, a, b)
+        # den would overflow for |s| near 2^1024: such s are divided by 4
+        # (exact) and u by 4 again after; every other s keeps its bits
+        quarter = 1.0
+        if mod.max(initial=0.0) >= 2.0**1022:
+            quarter = np.where(mod < 2.0**1022, 1.0, 0.25)
+            big, small = big * quarter, small * quarter
         ratio = small / big
         den = big + small * ratio
         # w = u^{m+1}, starting at u
-        wr = np.where(swap, ratio, 1.0) / den
-        wi = np.where(swap, -1.0, -ratio) / den
+        wr = np.where(swap, ratio, 1.0) / den * quarter
+        wi = np.where(swap, -1.0, -ratio) / den * quarter
         u2r = wr * wr - wi * wi
         u2i = 2.0 * wr * wi
         log_abs_s = np.log(mod)

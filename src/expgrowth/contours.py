@@ -19,6 +19,12 @@ through quadrature.  That keeps the roundoff floor of the splitting identity
 an order of magnitude under its tolerance even at |z| = 8, where the raw
 integrand reaches e^{32}.
 
+Past the cancellation cap of F_eval, F's growth comes from the splitting:
+splitting_profile forms log F = log(f - u) from one ProductEvaluator.log_f
+array and one batch of u with lognum.log_sub, so it holds where f itself
+leaves binary64.  Path points use the array lognum.cis, exact at the
+cardinal angles.
+
 Refinement stops when successive values agree to the requested relative
 tolerance or hit the roundoff floor set by the accumulated absolute mass;
 anything else raises, carrying the last two values for post-mortems.
@@ -33,7 +39,7 @@ from functools import lru_cache
 import numpy as np
 
 from .borel import MIN_MODULUS, BorelEvaluator
-from .lognum import LogComplex, cis, lc_add
+from .lognum import cis, log_sub
 from .product import GrowthProfile
 
 TAU = math.tau
@@ -67,16 +73,6 @@ class CancellationCapError(ValueError):
     """Arc-transform evaluation refused beyond the configured |z| cap."""
 
 
-def _cis(a):
-    """lognum.cis on an array of angles: exact at 0, +-pi/2 and +-pi."""
-    a = np.asarray(a, dtype=float)
-    c = np.where(np.abs(a) == 0.5 * math.pi, 0.0, np.cos(a))
-    s = np.where(np.abs(a) == math.pi, 0.0, np.sin(a))
-    out = np.empty(a.shape, dtype=complex)
-    out.real, out.imag = c, s
-    return out
-
-
 def _require_outside(lo: float, what: str) -> None:
     # paths must stay at or outside the evaluation domain of g
     if lo < MIN_MODULUS - 1e-12:
@@ -103,10 +99,10 @@ class CirclePath:
         return (self.radius, self.radius)
 
     def point(self, t):
-        return self.radius * _cis(TAU * t)
+        return self.radius * cis(TAU * t)
 
     def dpoint(self, t):
-        return self.radius * TAU * 1j * _cis(TAU * t)
+        return self.radius * TAU * 1j * cis(TAU * t)
 
 
 @dataclass(frozen=True)
@@ -133,12 +129,12 @@ class SpiralArc:
         return self.angle_start + (self.angle_end - self.angle_start) * t
 
     def point(self, t):
-        return self._radius(t) * _cis(self._angle(t))
+        return self._radius(t) * cis(self._angle(t))
 
     def dpoint(self, t):
         dr = self.r_end - self.r_start
         dphi = self.angle_end - self.angle_start
-        return (dr + 1j * (self._radius(t) * dphi)) * _cis(self._angle(t))
+        return (dr + 1j * (self._radius(t) * dphi)) * cis(self._angle(t))
 
 
 @dataclass(frozen=True)
@@ -386,10 +382,6 @@ def closing_segment() -> LineSegment:
     return LineSegment(-3.0 + 0.0j, -4.0 + 0.0j)
 
 
-def closed_loop() -> Contour:
-    return Contour((spiral_arc(), closing_segment()), closed=True)
-
-
 _EULER_GAMMA = float(np.euler_gamma)
 
 #: switch radius between the direct series and the asymptotic route
@@ -533,15 +525,12 @@ def splitting_profile(ev, theta: float, radii, spec: QuadratureSpec = None,
     Valid at any radius: both pieces are evaluated independently of the
     cancellation-limited direct arc quadrature.
     """
-    direction = cis(theta)
-    zs = [r * direction for r in radii]
-    us = u_eval(np.array(zs, dtype=complex), spec).tolist()
-    values = []
-    for r, z, u in zip(radii, zs, us):
-        log_F = lc_add(ev.eval_log_f(z), LogComplex.from_complex(u).neg())
-        values.append(log_F.log_mag / r)
-    return GrowthProfile(function_id, theta, np.asarray(radii, float),
-                         np.asarray(values))
+    radii = np.asarray(radii, float)
+    zs = radii * cis(theta)
+    with np.errstate(divide="ignore"):
+        log_u = np.log(u_eval(zs, spec))
+    log_F = log_sub(ev.log_f(zs), log_u)
+    return GrowthProfile(function_id, theta, radii, log_F.real / radii)
 
 
 def u_decay_bound(x: float) -> float:

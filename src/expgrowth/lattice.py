@@ -86,13 +86,6 @@ class ZeroLattice:
             )
         return k
 
-    def zeros_up_to(self, r: float) -> np.ndarray:
-        """All zeros with |a| <= r, ordered by (k, j)."""
-        k = self._check_range(r)
-        if k == 0:
-            return np.empty(0, dtype=complex)
-        return np.concatenate([self.circle(kk) for kk in range(1, k + 1)])
-
     def counting(self, r: float) -> int:
         """n(r): number of zeros with modulus <= r (ties included)."""
         k = self._check_range(r)

@@ -1,9 +1,11 @@
-"""Overflow-free complex arithmetic in the log domain.
+"""Overflow-free complex values in the log domain.
 
-Values are stored as (natural-log magnitude, argument).  This lets the rest
-of the library evaluate products and sums whose true magnitudes span roughly
-e^{-3000} .. e^{+3000} without ever leaving IEEE binary64.  An exact zero is
-encoded as log magnitude -inf with argument 0.
+log f is carried as one complex number log|f| + i arg f, with the argument
+in (-pi, pi].  This lets the rest of the library evaluate products and sums
+whose true magnitudes span roughly e^{-3000} .. e^{+3000} without ever
+leaving IEEE binary64.  An exact zero is encoded as log magnitude -inf with
+argument 0.  Every helper here works elementwise on arrays;
+ProductEvaluator.log_f produces such arrays and `exp` turns them into f.
 """
 from __future__ import annotations
 
@@ -11,37 +13,74 @@ import math
 import sys
 from dataclasses import dataclass
 
+import numpy as np
+
 LN2 = math.log(2.0)
 TAU = math.tau
 
-# exp() overflows above this; to_complex saturates to a directed infinity
+# exp() overflows above this; `exp` saturates to a directed infinity
 _EXP_MAX = math.log(sys.float_info.max)
 
 
-def wrap_angle(a: float) -> float:
-    """Reduce an angle to the half-open interval (-pi, pi]."""
-    r = math.remainder(a, TAU)
-    if r <= -math.pi:
-        r += TAU
-    return r
+def cis(a):
+    """exp(i*a) on an array of angles, exact at 0, +-pi/2 and +-pi.
 
-
-def cis(a: float) -> complex:
-    """exp(i*a) with exact values at the four cardinal angles.
-
-    cmath.rect(1, pi) leaks a ~1e-16 imaginary part; real-negative values
-    are too common here (every odd power of -1) to tolerate that.
+    cos(pi/2) and sin(pi) leak ~1e-16; real-negative values are too common
+    here (every odd power of -1) to tolerate that.
     """
-    if a == 0.0:
-        return 1.0 + 0.0j
-    if a == math.pi or a == -math.pi:
-        return -1.0 + 0.0j
-    half = 0.5 * math.pi
-    if a == half:
-        return 1.0j
-    if a == -half:
-        return -1.0j
-    return complex(math.cos(a), math.sin(a))
+    a = np.asarray(a, dtype=float)
+    size = np.abs(a)
+    out = np.empty(a.shape, dtype=complex)
+    out.real = np.where(size == 0.5 * math.pi, 0.0, np.cos(a))
+    out.imag = np.where(size == math.pi, 0.0, np.sin(a))
+    return out
+
+
+def exp(log_f):
+    """f from log f = log|f| + i arg f, elementwise.
+
+    Beyond binary64 each component saturates on its own to a signed inf, or
+    stays 0 where cis(arg) has an exact zero (inf * 0 would be nan).  The
+    magnitude is libm's exp (math.exp): numpy's vectorized exp differs from
+    it in the last bit on a few percent of arguments, and the f values the
+    CLI writes keep libm's bits.
+    """
+    log_f = np.asarray(log_f, dtype=complex)
+    mag = log_f.real.ravel()
+    c = cis(log_f.imag.ravel())
+    out = np.fromiter(map(math.exp, np.minimum(mag, _EXP_MAX).tolist()),
+                      float, mag.size) * c
+    big = mag > _EXP_MAX
+    if big.any():
+        parts = c[big].view(float)
+        out[big] = np.where(parts != 0.0, np.copysign(math.inf, parts),
+                            0.0).view(complex)
+    return out.reshape(log_f.shape)[()]
+
+
+def log_sub(log_a, log_b):
+    """log(a - b) from log a and log b, elementwise.
+
+    Both operands are rescaled by the larger log magnitude, so the real part
+    does not depend on the order of the operands, bit for bit.  Where b = 0
+    the result is log a bit for bit; exact cancellation gives the canonical
+    zero -inf + 0i.
+    """
+    log_a, log_b = np.broadcast_arrays(np.asarray(log_a, dtype=complex),
+                                       np.asarray(log_b, dtype=complex))
+    shape = log_a.shape
+    log_a, log_b = log_a.ravel(), log_b.ravel()
+    m = np.maximum(log_a.real, log_b.real)
+    m[m == -math.inf] = 0.0  # 0 - 0: any finite scale gives w = 0
+    w = exp(log_a - m) - exp(log_b - m)
+    arg = np.arctan2(w.imag, w.real)
+    arg[arg == -math.pi] = math.pi
+    arg[w == 0] = 0.0
+    out = np.empty(w.shape, dtype=complex)
+    with np.errstate(divide="ignore"):
+        out.real = m + np.log(np.abs(w))
+    out.imag = arg
+    return np.where(log_b.real == -math.inf, log_a, out).reshape(shape)[()]
 
 
 @dataclass(frozen=True)
@@ -51,54 +90,9 @@ class LogComplex:
     log_mag: float
     arg: float
 
-    @staticmethod
-    def zero() -> "LogComplex":
-        return LogComplex(-math.inf, 0.0)
-
-    @staticmethod
-    def from_complex(w: complex) -> "LogComplex":
-        w = complex(w)
-        if w == 0:
-            return LogComplex(-math.inf, 0.0)
-        return LogComplex(math.log(abs(w)), math.atan2(w.imag, w.real))
-
     def to_complex(self) -> complex:
-        if self.log_mag == -math.inf:
-            return 0j
-        if self.log_mag > _EXP_MAX:
-            # saturate each component on its own: inf * cis(arg) would turn
-            # a zero component into inf * 0 = nan
-            c = cis(self.arg)
-            return complex(math.copysign(math.inf, c.real) if c.real else 0.0,
-                           math.copysign(math.inf, c.imag) if c.imag else 0.0)
-        return math.exp(self.log_mag) * cis(self.arg)
+        return complex(exp(complex(self.log_mag, self.arg)))
 
     @property
     def is_zero(self) -> bool:
         return self.log_mag == -math.inf
-
-    def neg(self) -> "LogComplex":
-        if self.is_zero:
-            return self
-        # branch on the sign instead of wrapping so that negation commutes
-        # with conjugation to the last bit (rounding commutes with negation)
-        if self.arg > 0.0:
-            return LogComplex(self.log_mag, self.arg - math.pi)
-        return LogComplex(self.log_mag, self.arg + math.pi)
-
-
-def lc_add(a: LogComplex, b: LogComplex) -> LogComplex:
-    """Add by rescaling both operands by the larger log magnitude.
-
-    The rescaling rule is symmetric, so lc_add(a, b) == lc_add(b, a)
-    bit for bit.  Exact cancellation yields the canonical zero.
-    """
-    if a.is_zero:
-        return b
-    if b.is_zero:
-        return a
-    m = max(a.log_mag, b.log_mag)
-    w = math.exp(a.log_mag - m) * cis(a.arg) + math.exp(b.log_mag - m) * cis(b.arg)
-    if w == 0:
-        return LogComplex.zero()
-    return LogComplex(m + math.log(abs(w)), math.atan2(w.imag, w.real))

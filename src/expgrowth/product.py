@@ -5,7 +5,9 @@ The product collapses circle by circle: the 2^k-th roots of unity scaled by
 form needs only O(log|z|) factors.  A per-zero product over materialized
 lattice circles is kept as an independent cross-check oracle.  All factor
 arithmetic happens in the log domain because (z/2^k)^{2^k} overflows binary64
-already at moderate |z|.
+already at moderate |z|: ProductEvaluator.log_f returns log f = log|f| +
+i arg f as a complex array for a whole array of z, and every other
+closed-form evaluation here is a call of it.
 """
 from __future__ import annotations
 
@@ -16,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .lattice import ZeroLattice
-from .lognum import TAU, LogComplex, cis, wrap_angle
+from .lognum import TAU, LogComplex, cis
 
 
 @dataclass(frozen=True)
@@ -74,7 +76,7 @@ _POW2 = np.ldexp(1.0, _KS)
 
 
 def _log_f_block(radii: np.ndarray, phi: np.ndarray, cutoffs: np.ndarray):
-    """log|f| and arg f for one block of points; see ProductEvaluator._log_f."""
+    """log|f| and arg f for one block of points; see ProductEvaluator.log_f."""
     k_max = int(cutoffs.max())
     n = _POW2[:k_max]
     # w^n = e^{x+iy} for w = z/n: dividing |z| by n is exact, so the huge
@@ -141,13 +143,15 @@ class ProductEvaluator:
                     return True
         return False
 
-    def _log_f(self, zs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """log|f| and arg f at every point of a 1-d complex array.
+    def log_f(self, zs) -> np.ndarray:
+        """log f = log|f| + i arg f at every point of a 1-d complex array.
 
-        Blocks of _BLOCK points are evaluated as (circles x points) arrays;
-        circles past a point's own cutoff contribute exactly 0 and circles
-        are summed in the order k = 1, 2, ..., so no value depends on its
-        batch.
+        The real part is -inf at lattice zeros, where the imaginary part is
+        0; elsewhere the imaginary part lies in (-pi, pi].  Blocks of _BLOCK
+        points are evaluated as (circles x points) arrays; circles past a
+        point's own cutoff contribute exactly 0 and circles are summed in the
+        order k = 1, 2, ..., so no value depends on its batch.  ValueError
+        for a non-finite z or a cutoff circle beyond binary64.
         """
         zs = np.asarray(zs, dtype=complex)
         radii = np.abs(zs)
@@ -159,30 +163,29 @@ class ProductEvaluator:
                              "exceeds binary64" % (r_max, self.cutoff(r_max)))
         cutoffs = self._cutoffs(radii)
         phi = np.arctan2(zs.imag, zs.real) - self.lattice.rotation
-        log_mag, arg = np.empty(zs.size), np.empty(zs.size)
+        out = np.empty(zs.size, dtype=complex)
         with np.errstate(divide="ignore"):
             for lo in range(0, zs.size, _BLOCK):
                 rows = slice(lo, lo + _BLOCK)
-                log_mag[rows], arg[rows] = _log_f_block(
+                out.real[rows], out.imag[rows] = _log_f_block(
                     radii[rows], phi[rows], cutoffs[rows])
         # only points within a few ulps of a dyadic radius can be lattice
         # zeros, so the scalar membership test runs on those alone
         near = np.abs(np.frexp(radii)[0] - 0.75) >= 0.25 - 2.0**-49
         for i in np.flatnonzero(near):
             if self._is_lattice_zero(complex(zs[i])):
-                log_mag[i] = -math.inf
-        arg[log_mag == -math.inf] = 0.0
-        return log_mag, arg
+                out[i] = -math.inf
+        out.imag[out.real == -math.inf] = 0.0
+        return out
 
     def eval_log_f(self, z: complex) -> LogComplex:
-        """f(z) in log form: a length-1 call of the array core.
+        """f(z) in log form: a length-1 call of log_f.
 
         Exact -inf at lattice zeros, bit for bit the value of the same point
-        in profile_on or max_modulus; the cutoff depends only on |z|.
-        ValueError for a non-finite z or a cutoff circle beyond binary64.
+        in any batch; the cutoff depends only on |z|.
         """
-        log_mag, arg = self._log_f(np.array([complex(z)]))
-        return LogComplex(float(log_mag[0]), float(arg[0]))
+        lf = complex(self.log_f([complex(z)])[0])
+        return LogComplex(lf.real, lf.imag)
 
     def eval_log_f_direct(self, z: complex, k_cut: int) -> LogComplex:
         """Genus-0 per-zero product over circles 1..k_cut (cross-check oracle).
@@ -196,30 +199,30 @@ class ProductEvaluator:
         for k in range(1, k_cut + 1):
             w = 1.0 - z / self.lattice.circle(k)
             if np.any(w == 0):
-                return LogComplex.zero()
+                return LogComplex(-math.inf, 0.0)
             mag_parts.append(math.fsum(np.log(np.abs(w))))
             arg_parts.append(math.fsum(np.angle(w)))
-        return LogComplex(math.fsum(mag_parts), wrap_angle(math.fsum(arg_parts)))
+        # the argument reduced to (-pi, pi]
+        arg = math.remainder(math.fsum(arg_parts), TAU)
+        return LogComplex(math.fsum(mag_parts), arg + TAU if arg <= -math.pi else arg)
 
     def profile_on(
         self, theta: float, radii: np.ndarray, *, function_id: str = "f"
     ) -> GrowthProfile:
         """Profile on a caller-supplied radius grid (e.g. dyadic_radii).
 
-        One array pass over the points r e^{i theta}; each sample equals
-        eval_log_f(r * cis(theta)).log_mag / r bit for bit, and exact lattice
-        zeros on the ray give -inf.
+        One log_f call on the points r e^{i theta}; exact lattice zeros on
+        the ray give -inf.
         """
         radii = np.asarray(radii, float)
-        log_mag, _ = self._log_f(radii * cis(theta))
+        log_mag = self.log_f(radii * cis(theta)).real
         return GrowthProfile(function_id, theta, radii, log_mag / radii)
 
     def max_modulus(self, r: float, n_theta: int) -> float:
         """log M_f(r)/r estimated over n_theta equally spaced angles.
 
-        A lower bound of the true maximum, from one array pass over the
-        angles; each sample equals the eval_log_f value at that point bit for
-        bit.  The fixed 0.5 rad offset keeps every sample angle off the
+        A lower bound of the true maximum, from one log_f call on the
+        angles.  The fixed 0.5 rad offset keeps every sample angle off the
         lattice directions 2*pi*j/2^k (equality would force 1/(4*pi) to be
         rational), and angle sets nest whenever n_theta divides the finer
         count, making the estimate nondecreasing under such refinement.
@@ -228,9 +231,8 @@ class ProductEvaluator:
             raise ValueError("r must be positive")
         if n_theta < 8:
             raise ValueError("need n_theta >= 8")
-        directions = np.array([cis(0.5 + TAU * m / n_theta) for m in range(n_theta)])
-        log_mag, _ = self._log_f(r * directions)
-        return float(log_mag.max()) / r
+        directions = cis(0.5 + TAU * np.arange(n_theta) / n_theta)
+        return float(self.log_f(r * directions).real.max()) / r
 
 
 def write_profile_csv(profiles, path) -> None:

@@ -112,6 +112,12 @@ class TestEvaluator:
         s = 1e6 * complex(math.cos(1.0), math.sin(1.0))
         assert abs(g(s) - 1.0 / s) <= 1e-12 * abs(1.0 / s)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_top_of_binary64(self, g):
+        # 1/s by Smith's rule overflowed its denominator here and gave 0
+        s = complex(2.0**1023, 2.0**1023)
+        assert g(s) == complex(2.0**-1024, -(2.0**-1024))
+
     def test_reference_points(self, g):
         assert g(4.0).real == pytest.approx(G_AT_4, abs=1e-13)
         assert g(3.0).real == pytest.approx(G_AT_3, abs=1e-10)

@@ -6,7 +6,7 @@ import sys
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from expgrowth.cli import (
@@ -53,6 +53,10 @@ class TestParsing:
         assert parse_complex("1+2j") == 1 + 2j
         assert parse_complex("3") == 3 + 0j
         assert parse_complex("-0.5i") == -0.5j
+        assert parse_complex("(3-4i)") == 3 - 4j
+        # only a final i is the imaginary unit
+        assert parse_complex("inf") == complex(float("inf"), 0.0)
+        assert parse_complex("-infi") == complex(0.0, -float("inf"))
 
     def test_complex_rejects_garbage(self):
         with pytest.raises(ValueError):
@@ -260,6 +264,8 @@ class TestExitCodes:
         # refused before any circle is materialized
         (("--k-max", "21", "lattice"), EXIT_USAGE),
         (("--k-max", "21", "reproduce"), EXIT_USAGE),
+        (("eval", "--z", "inf"), EXIT_USAGE),
+        (("borel", "eval", "--s", "inf"), EXIT_USAGE),
     ])
     def test_contract_probes(self, argv, want):
         code, out, err = run(*argv)
@@ -267,6 +273,9 @@ class TestExitCodes:
         assert "Traceback" not in err and "nan" not in out
         # one error line; a numpy warning would add its own
         assert len(err.splitlines()) == (want != EXIT_OK)
+        if argv[-2:] in (("--z", "inf"), ("--s", "inf")):
+            # a non-finite z or s is named as such, not as unparsable
+            assert "finite" in err and "cannot parse" not in err
 
     @pytest.mark.parametrize("text", [b"k-max = abc\n", b"k-max = \xff\n",
                                       b"gap-tol = nan\n"])
@@ -325,6 +334,8 @@ def fuzz_config(tmp_path_factory):
 @settings(max_examples=200, deadline=None)
 @given(form=st.sampled_from(["eval", "json", "borel", "invert", "config"]),
        x=_FUZZ_TEXT)
+# 1/s overflowed inside g at |s| = 2^1023.5
+@example(form="borel", x="8.98846567431158e+307+8.98846567431158e+307j")
 def test_cli_contract_fuzz(fuzz_config, form, x):
     """No input lets an exception escape main or an exit code leave 0..3.
 

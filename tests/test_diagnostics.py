@@ -16,9 +16,8 @@ from expgrowth.diagnostics import (
     write_verdict_json,
     write_windows_csv,
 )
-from expgrowth.contours import u_eval
+from expgrowth.contours import splitting_profile
 from expgrowth.lattice import ZeroLattice
-from expgrowth.lognum import LogComplex, lc_add
 from expgrowth.product import GrowthProfile, ProductEvaluator, dyadic_radii
 
 LIMSUP = 1.4715177646857693  # 4/e, the true exponential type of the product
@@ -171,26 +170,19 @@ class TestClassify:
 
 class TestSplitConsistency:
     def test_split_profile_matches_product(self, ev):
-        # along the positive axis u is far below underflow for r >= 256, so
-        # the inverted side of the splitting, f - u, reproduces the product
-        # profile bit for bit; exact zeros of f are skipped in both (the
-        # comparison bound is relative to |f|)
+        # along the positive axis |u| <= 3e-16 for r >= 256, far below
+        # one ulp of |f|, so the inverted side of the splitting, f - u,
+        # reproduces the product profile bit for bit; exact zeros of f are
+        # skipped in both (there F = -u)
         radii = dyadic_radii(8, 11, 128)
-        keep, f_vals, split_vals = [], [], []
-        for r in radii:
-            lf = ev.eval_log_f(complex(r, 0.0))
-            if lf.log_mag == -math.inf:
-                continue
-            minus_u = LogComplex.from_complex(-u_eval(complex(r, 0.0)))
-            keep.append(r)
-            f_vals.append(lf.log_mag / r)
-            split_vals.append(lc_add(lf, minus_u).log_mag / r)
-        keep = np.array(keep)
-        prof_f = GrowthProfile("f", 0.0, keep, np.array(f_vals))
-        prof_split = GrowthProfile("F", 0.0, keep, np.array(split_vals))
-        assert np.array_equal(prof_f.values, prof_split.values)
-        vf = classify(prof_f, q=0.1)
-        vs = classify(prof_split, q=0.1)
+        prof_split = splitting_profile(ev, 0.0, radii)
+        prof_f = ev.profile_on(0.0, radii)
+        keep = np.isfinite(prof_f.values)
+        assert np.array_equal(prof_f.values[keep], prof_split.values[keep])
+        vf = classify(GrowthProfile("f", 0.0, radii[keep],
+                                    prof_f.values[keep]), q=0.1)
+        vs = classify(GrowthProfile("F", 0.0, radii[keep],
+                                    prof_split.values[keep]), q=0.1)
         assert vs.verdict == vf.verdict == "irregular"
         assert vs.limit_or_gap == vf.limit_or_gap
 

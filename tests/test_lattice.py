@@ -20,19 +20,23 @@ def lattice():
 
 class TestEnumeration:
     def test_below_first_circle_empty(self, lattice):
-        assert lattice.zeros_up_to(1.0).size == 0
+        assert lattice.counting(1.0) == 0
+        with pytest.raises(LatticeExhaustedError):
+            lattice.circle(0)
 
     def test_first_circle_pair(self, lattice):
-        z = lattice.zeros_up_to(2.0)
-        assert z.tolist() == [2.0 + 0.0j, -2.0 + 0.0j]
+        assert lattice.circle(1).tolist() == [2.0 + 0.0j, -2.0 + 0.0j]
 
     def test_two_circles(self, lattice):
-        z = lattice.zeros_up_to(4.0)
+        z = np.concatenate([lattice.circle(1), lattice.circle(2)])
         assert z.tolist() == [2, -2, 4, 4j, -4, -4j]
 
     def test_length_matches_counting(self, lattice):
+        # n(r) counts the zeros of every circle k with 2^k <= r
         for r in (1.0, 2.0, 3.0, 7.9, 8.0, 100.0):
-            assert lattice.zeros_up_to(r).size == lattice.counting(r)
+            zeros = np.concatenate([np.empty(0)] + [
+                lattice.circle(k) for k in range(1, 15) if 2.0**k <= r])
+            assert zeros.size == lattice.counting(r)
 
     def test_cardinal_zeros_exact(self, lattice):
         # every multiple of a quarter turn must come out bit-exact
@@ -62,7 +66,7 @@ class TestEnumeration:
             assert lat.circle(k).tobytes() == ref.tobytes(), k
 
     def test_order_k_then_angle(self, lattice):
-        z = lattice.zeros_up_to(8.0)
+        z = np.concatenate([lattice.circle(k) for k in (1, 2, 3)])
         moduli = np.abs(z)
         assert np.all(np.diff(moduli) > -1e-9)  # nondecreasing by circle
         ang = np.mod(np.angle(lattice.circle(3)), 2 * math.pi)
@@ -70,8 +74,6 @@ class TestEnumeration:
 
     def test_exhausted(self):
         small = ZeroLattice(k_max=3)
-        with pytest.raises(LatticeExhaustedError):
-            small.zeros_up_to(9.0)
         with pytest.raises(LatticeExhaustedError):
             small.counting(8.001)
         with pytest.raises(LatticeExhaustedError):

@@ -8,7 +8,7 @@ import pytest
 
 from expgrowth.csvio import fmt
 from expgrowth.lattice import LatticeExhaustedError, ZeroLattice
-from expgrowth.lognum import TAU, LogComplex, cis, wrap_angle
+from expgrowth.lognum import TAU, LogComplex, cis
 from expgrowth.product import (
     GrowthProfile,
     ProductEvaluator,
@@ -32,7 +32,7 @@ def ev():
 
 def log_rel_diff(a: LogComplex, b: LogComplex) -> float:
     """|a/b - 1| measured in the log domain (valid for small differences)."""
-    return abs(a.log_mag - b.log_mag) + abs(wrap_angle(a.arg - b.arg))
+    return abs(a.log_mag - b.log_mag) + abs(math.remainder(a.arg - b.arg, TAU))
 
 
 class TestClosedForm:
@@ -138,6 +138,21 @@ class TestBatchInvariance:
             direction = cis(theta)
             for r, v in zip(radii, prof.values):
                 assert ev.eval_log_f(r * direction).log_mag / r == v
+
+    @pytest.mark.parametrize("size", [1, 127, 128, 129, 1537])
+    def test_log_f_matches_scalar_bitwise(self, size):
+        rng = np.random.default_rng(size)
+        # moduli over many cutoffs, every direction, and some lattice zeros
+        zs = np.geomspace(0.7, 3.0e6, size) * np.exp(1j * rng.uniform(-4, 4, size))
+        for lattice in (ZeroLattice(k_max=14), ZeroLattice(k_max=8, rotation=0.3)):
+            ev = ProductEvaluator(lattice)
+            zs[::50] = lattice.zero(3, 5)
+            batch = ev.log_f(zs)
+            scalar = [ev.eval_log_f(z) for z in zs]
+            assert batch.real.tobytes() == np.array(
+                [lf.log_mag for lf in scalar]).tobytes()
+            assert batch.imag.tobytes() == np.array(
+                [lf.arg for lf in scalar]).tobytes()
 
     @pytest.mark.parametrize("n", [8, 127, 128, 129, 1537])
     def test_max_modulus_matches_scalar_bitwise(self, ev, n):
