@@ -30,8 +30,6 @@ from .contours import (
     splitting_profile,
     u_decay_bound,
     u_eval,
-    write_borel_check_csv,
-    write_identity_csv,
 )
 from .diagnostics import (
     InsufficientSamplesError,
@@ -99,9 +97,7 @@ __all__ = [
     "u_eval",
     "verify_counting_bounds",
     "window_stats",
-    "write_borel_check_csv",
     "write_coeffs_csv",
-    "write_identity_csv",
     "write_profile_csv",
     "write_verdict_json",
     "write_windows_csv",

@@ -1,9 +1,12 @@
 """Command-line front end: tables, verdicts, figures, and the reproduction run.
 
-Subcommands map one-to-one onto library operations; `reproduce` chains the
-whole construction (lattice laws, product cross-checks, coefficients, the
-circle inversion, the splitting identity, the decay bound, and the growth
-verdicts) and writes every artifact plus a pass/fail report.
+Subcommands map one-to-one onto library operations.  `reproduce` runs the
+table _CHECKS over one lattice: each check (lattice laws, product
+cross-check, coefficients, circle inversion, splitting identity, decay
+bound, growth verdicts, type estimate) writes its own artifacts and returns
+its report rows, from which report.md, the stdout lines and the exit code
+are built.  The inversion and identity checks are batches of the records
+that `borel invert` and `contour identity` print, built by the same code.
 
 Every output is deterministic: sampling uses fixed seeds, grids are fixed by
 the configuration, and floats are printed with 17 significant digits.  Exit
@@ -35,8 +38,6 @@ from .contours import (
     borel_inversion,
     u_decay_bound,
     u_eval,
-    write_borel_check_csv,
-    write_identity_csv,
 )
 from .csvio import fmt, write_rows
 from .diagnostics import (
@@ -194,10 +195,6 @@ def _emit(cfg: RunConfig, header, rows) -> None:
                            for v in row))
 
 
-def _quad_spec(cfg: RunConfig) -> QuadratureSpec:
-    return QuadratureSpec(target_rel_tol=cfg.tol)
-
-
 def _profile_grid(cfg: RunConfig) -> np.ndarray:
     k_lo = math.floor(math.log2(cfg.r_min))
     k_hi = math.ceil(math.log2(cfg.r_max))
@@ -255,17 +252,21 @@ def cmd_lattice(cfg: RunConfig, args) -> int:
     return EXIT_OK
 
 
-def _log_f_at(cfg: RunConfig, z: complex) -> complex:
-    """log f(z); a z outside the product's domain is a usage error."""
+def _evaluator(cfg: RunConfig) -> ProductEvaluator:
+    return ProductEvaluator(ZeroLattice(k_max=cfg.k_max))
+
+
+def _log_f(ev: ProductEvaluator, zs) -> np.ndarray:
+    """log f on zs; a z outside the product's domain is a usage error."""
     try:
-        return complex(ProductEvaluator(ZeroLattice(k_max=cfg.k_max)).log_f([z])[0])
+        return ev.log_f(zs)
     except ValueError as exc:
-        raise UsageError("z = %s: %s" % (z, exc)) from None
+        raise UsageError("z = %s: %s" % (", ".join(map(str, zs)), exc)) from None
 
 
 def cmd_eval(cfg: RunConfig, args) -> int:
     z = parse_complex(args.z)
-    lf = _log_f_at(cfg, z)
+    lf = complex(_log_f(_evaluator(cfg), [z])[0])
     w = complex(exp(lf))
     _emit(cfg, ("z_re", "z_im", "f_re", "f_im", "log_abs_f", "arg_f"),
           ((z.real, z.imag, w.real, w.imag, lf.real, lf.imag),))
@@ -274,8 +275,7 @@ def cmd_eval(cfg: RunConfig, args) -> int:
 
 def cmd_profile(cfg: RunConfig, args) -> int:
     out = _out_dir(cfg)
-    ev = ProductEvaluator(ZeroLattice(k_max=cfg.k_max))
-    profile = ev.profile_on(cfg.theta, _profile_grid(cfg))
+    profile = _evaluator(cfg).profile_on(cfg.theta, _profile_grid(cfg))
     write_profile_csv([profile], out / "profile.csv")
     if cfg.emit_svg:
         try:
@@ -286,6 +286,45 @@ def cmd_profile(cfg: RunConfig, args) -> int:
     print("wrote %s (%d samples, theta = %s)"
           % (out / "profile.csv", profile.radii.size, fmt(cfg.theta)))
     return EXIT_OK
+
+
+_INVERSION_HEADER = ("z_re", "z_im", "direct_re", "direct_im", "contour_re",
+                     "contour_im", "abs_err", "rel_err")
+
+
+def _inversion_rows(cfg: RunConfig, ev: ProductEvaluator, zs) -> list:
+    """`borel invert` records: f(z) from the product against the circle
+    integral of g.  Where f(z) = 0, rel_err is inf, or nan if the integral
+    is exactly 0 too."""
+    directs = exp(_log_f(ev, zs)).tolist()
+    contours = borel_inversion(np.array(zs, dtype=complex),
+                               radius=cfg.contour_radius,
+                               spec=QuadratureSpec(target_rel_tol=cfg.tol))
+    rows = []
+    for z, direct, contour in zip(zs, directs, contours.tolist()):
+        abs_err = abs(direct - contour)
+        if abs(direct) > 0.0:
+            rel = abs_err / abs(direct)
+        else:
+            rel = math.inf if abs_err > 0.0 else math.nan
+        rows.append((z.real, z.imag, direct.real, direct.imag, contour.real,
+                     contour.imag, abs_err, rel))
+    return rows
+
+
+_IDENTITY_HEADER = ("z_re", "z_im", "f_re", "f_im", "u_re", "u_im", "F_re",
+                    "F_im", "residual_abs")
+
+
+def _identity_rows(ev: ProductEvaluator, zs) -> list:
+    """`contour identity` records: f, u and F at each z, and |F + u - f|."""
+    spec = QuadratureSpec(target_rel_tol=1e-13)
+    fs = exp(_log_f(ev, zs)).tolist()
+    us = u_eval(np.array(zs, dtype=complex), spec).tolist()
+    Fs = F_eval(np.array(zs, dtype=complex), spec).tolist()
+    return [(z.real, z.imag, fv.real, fv.imag, uv.real, uv.imag, Fv.real,
+             Fv.imag, abs(Fv + uv - fv))
+            for z, fv, uv, Fv in zip(zs, fs, us, Fs)]
 
 
 def cmd_borel(cfg: RunConfig, args) -> int:
@@ -302,33 +341,14 @@ def cmd_borel(cfg: RunConfig, args) -> int:
         _emit(cfg, ("s_re", "s_im", "g_re", "g_im"),
               ((s.real, s.imag, g.real, g.imag),))
         return EXIT_OK
-    return _inversion_record(cfg, parse_complex(args.z))
-
-
-def cmd_contour(cfg: RunConfig, args) -> int:
-    z = parse_complex(args.z)
-    spec = QuadratureSpec(target_rel_tol=1e-13)
-    fv = complex(exp(_log_f_at(cfg, z)))
-    uv = u_eval(z, spec)
-    Fv = F_eval(z, spec)
-    _emit(cfg,
-          ("z_re", "z_im", "f_re", "f_im", "u_re", "u_im", "F_re", "F_im",
-           "residual_abs"),
-          ((z.real, z.imag, fv.real, fv.imag, uv.real, uv.imag,
-            Fv.real, Fv.imag, abs(Fv + uv - fv)),))
+    _emit(cfg, _INVERSION_HEADER,
+          _inversion_rows(cfg, _evaluator(cfg), [parse_complex(args.z)]))
     return EXIT_OK
 
 
-def _inversion_record(cfg: RunConfig, z: complex) -> int:
-    direct = complex(exp(_log_f_at(cfg, z)))
-    contour = borel_inversion(z, radius=cfg.contour_radius, spec=_quad_spec(cfg))
-    abs_err = abs(direct - contour)
-    rel = abs_err / abs(direct) if abs(direct) > 0.0 else math.inf
-    _emit(cfg,
-          ("z_re", "z_im", "direct_re", "direct_im", "contour_re",
-           "contour_im", "abs_err", "rel_err"),
-          ((z.real, z.imag, direct.real, direct.imag, contour.real,
-            contour.imag, abs_err, rel),))
+def cmd_contour(cfg: RunConfig, args) -> int:
+    _emit(cfg, _IDENTITY_HEADER,
+          _identity_rows(_evaluator(cfg), [parse_complex(args.z)]))
     return EXIT_OK
 
 
@@ -338,19 +358,27 @@ def _diagnose_profile(cfg: RunConfig, function_id: str, theta: float):
         return exp2_profile(theta, radii)
     if function_id == "sin2z":
         return sin2_profile(theta, radii)
-    ev = ProductEvaluator(ZeroLattice(k_max=cfg.k_max))
-    return ev.profile_on(theta, radii)
+    return _evaluator(cfg).profile_on(theta, radii)
+
+
+def _write_verdicts(cfg: RunConfig, profiles, out: Path, emit_svg: bool):
+    """classify each profile; writes windows.csv, one verdict_<id>.json per
+    profile and, if emit_svg, profile.svg of the first.  Returns the
+    verdicts."""
+    stats = [window_stats(p, cfg.q) for p in profiles]
+    verdicts = [classify(p, cfg.q, cfg.gap_tol, cfg.drift_tol)
+                for p in profiles]
+    write_windows_csv(list(zip(profiles, stats)), out / "windows.csv")
+    for v in verdicts:
+        write_verdict_json(v, out / ("verdict_%s.json" % v.function_id))
+    if emit_svg:
+        svg.write_profile_svg(profiles[0], stats[0], out / "profile.svg")
+    return verdicts
 
 
 def cmd_diagnose(cfg: RunConfig, args) -> int:
-    out = _out_dir(cfg)
     profile = _diagnose_profile(cfg, args.function, cfg.theta)
-    stats = window_stats(profile, cfg.q)
-    verdict = classify(profile, cfg.q, cfg.gap_tol, cfg.drift_tol)
-    write_windows_csv([(profile, stats)], out / "windows.csv")
-    write_verdict_json(verdict, out / ("verdict_%s.json" % profile.function_id))
-    if cfg.emit_svg:
-        svg.write_profile_svg(profile, stats, out / "profile.svg")
+    (verdict,) = _write_verdicts(cfg, [profile], _out_dir(cfg), cfg.emit_svg)
     detail = "" if verdict.limit_or_gap is None else " (%s)" % fmt(
         verdict.limit_or_gap)
     print("%s at theta = %s: %s%s"
@@ -367,6 +395,152 @@ def _sample_disc(rng, count: int, r_max: float):
     return zs
 
 
+def _write_records(path: Path, header, rows) -> None:
+    """The rows _emit prints, as a CSV artifact."""
+    write_rows(path, header, [[fmt(v) for v in row] for row in rows])
+
+
+@dataclass(frozen=True)
+class _Run:
+    """What the checks of one reproduce run share."""
+
+    cfg: RunConfig
+    ev: ProductEvaluator  # over the run's one lattice
+    out: Path
+    k_lo: int  # the verdict windows are k_lo..k_hi
+    k_hi: int
+
+
+def _check_lattice(run: _Run) -> list:
+    """Counting laws on dyadic radii (exact) and cancelling reciprocal sums;
+    writes zeros.csv, counting.csv and counting.svg."""
+    lattice = run.ev.lattice
+    report = verify_counting_bounds(lattice)
+    ok_exact = all(
+        lattice.counting(2.0 ** k) == 2 ** (k + 1) - 2
+        for k in range(1, run.cfg.k_max + 1)
+    )
+    rows = _write_counting(lattice, run.out, emit_svg=True)
+    band_worst = max((ratio for _, _, ratio, flag in rows if flag), default=0.0)
+    write_zeros_csv(lattice, run.out / "zeros.csv")
+    return [
+        ("counting law n(2^k) = 2^(k+1) - 2",
+         ok_exact and report.density_bounded_by_two,
+         "sup n(2^k)/2^k = %s at k = %d"
+         % (float(report.sup_normalized), report.sup_at_k)),
+        ("upper-band density <= 4/3", band_worst <= 4.0 / 3.0,
+         "worst flagged n(r)/r = %s" % fmt(band_worst)),
+        ("reciprocal sums bounded", report.reciprocal_bounded(1e-12),
+         "max |sum 1/a| = %s at r = %s"
+         % (fmt(report.max_reciprocal), fmt(report.max_reciprocal_at_r))),
+    ]
+
+
+def _check_product(run: _Run) -> list:
+    """The closed form against direct factor products."""
+    ev = run.ev
+    zs = _sample_disc(np.random.default_rng(101), 20, 4.0)
+    worst = 0.0
+    for z, closed in zip(zs, exp(ev.log_f(zs)).tolist()):
+        if closed == 0:
+            continue  # an exact lattice zero
+        direct = ev.eval_log_f_direct(z, min(run.cfg.k_max, ev.cutoff(z)))
+        worst = max(worst, abs(closed - direct.to_complex()) / abs(closed))
+    return [("closed form matches per-zero product", worst <= 1e-10,
+             "max rel diff = %s over 20 points" % fmt(worst))]
+
+
+def _check_coefficients(run: _Run) -> list:
+    """Low-order series data, exact; writes coeffs.csv."""
+    stream = CoefficientStream()
+    expected = {2: (-1, -2.0), 4: (-1, -8.0), 6: (1, -10.0)}
+    expected.update({m: (0, -math.inf) for m in (1, 3, 5, 7)})
+    write_coeffs_csv(stream, 256, run.out / "coeffs.csv")
+    return [("series coefficients (binary support, exact dyadic sizes)",
+             all(stream.taylor_coefficient(m) == sv
+                 for m, sv in expected.items()),
+             "a_2 = -1/4, a_4 = -1/256, a_6 = 1/1024, odd coefficients vanish")]
+
+
+def _check_inversion(run: _Run) -> list:
+    """`borel invert` at 12 points of |z| < 4; writes borel_check.csv."""
+    zs = _sample_disc(np.random.default_rng(55), 12, 4.0)
+    rows = _inversion_rows(run.cfg, run.ev, zs)
+    _write_records(run.out / "borel_check.csv", _INVERSION_HEADER, rows)
+    worst = max(rel for *_, rel in rows)
+    return [("inversion from the transform side", worst <= 1e-7,
+             "max rel err = %s over 12 points" % fmt(worst))]
+
+
+def _check_identity(run: _Run) -> list:
+    """`contour identity` at 10 points of |z| < 6; writes identity.csv."""
+    zs = _sample_disc(np.random.default_rng(77), 10, 6.0)
+    rows = _identity_rows(run.ev, zs)
+    _write_records(run.out / "identity.csv", _IDENTITY_HEADER, rows)
+    worst = max(resid / (1.0 + abs(complex(f_re, f_im)))
+                for _, _, f_re, f_im, *_, resid in rows)
+    return [("splitting identity F + u = f", worst <= 1e-7,
+             "max residual / (1 + |f|) = %s over 10 points" % fmt(worst))]
+
+
+def _check_decay(run: _Run) -> list:
+    """The bounded piece u under its envelope on [0, 10]; writes decay.svg."""
+    xs = [0.25 * i for i in range(41)]
+    u_abs = [abs(u) for u in u_eval(np.array(xs, dtype=complex)).tolist()]
+    bounds = [u_decay_bound(x) for x in xs]
+    svg.write_decay_svg(xs, u_abs, bounds, run.out / "decay.svg")
+    decay_ok = all(ua <= b * (1.0 + 1e-6) for ua, b in zip(u_abs, bounds))
+    origin_ok = abs(u_abs[0] - 0.0438) <= 1e-3
+    return [("bounded piece obeys its decay envelope", decay_ok and origin_ok,
+             "|u(0)| = %s, bound ratio max = %s"
+             % (fmt(u_abs[0]),
+                fmt(max(ua / b for ua, b in zip(u_abs, bounds)))))]
+
+
+def _check_growth(run: _Run) -> list:
+    """Verdicts: f irregular, both controls regular with limit 2; writes
+    profile.csv, windows.csv, the verdict files and profile.svg."""
+    cfg = run.cfg
+    radii = dyadic_radii(run.k_lo, run.k_hi + 1, cfg.samples_per_window)
+    profiles = [run.ev.profile_on(cfg.theta, radii),
+                exp2_profile(0.0, radii), sin2_profile(math.pi / 2.0, radii)]
+    vf, vexp, vsin = _write_verdicts(cfg, profiles, run.out, emit_svg=True)
+    write_profile_csv(profiles, run.out / "profile.csv")
+    controls_ok = all(v.verdict == "regular"
+                      and abs(v.limit_or_gap - 2.0) <= 0.01
+                      for v in (vexp, vsin))
+    detail = "verdict %s" % vf.verdict
+    if vf.limit_or_gap is not None:
+        detail += ", %s %s" % ("limit" if vf.verdict == "regular"
+                               else "persistent quantile gap",
+                               fmt(vf.limit_or_gap))
+    return [
+        ("f grows irregularly along theta = %s" % fmt(cfg.theta),
+         vf.verdict == "irregular", detail),
+        ("controls e^{2z} and sin(2z) grow regularly with limit 2",
+         controls_ok,
+         "limits %s and %s" % (fmt(vexp.limit_or_gap),
+                               fmt(vsin.limit_or_gap))),
+    ]
+
+
+def _check_type(run: _Run) -> list:
+    """The type estimate from ray suprema over 8 angles."""
+    angles = np.linspace(0.0, 2.0 * math.pi, 8, endpoint=False)
+    ray_radii = dyadic_radii(max(1, run.k_hi - 3), run.k_hi + 1, 64)
+    est = type_estimate([run.ev.profile_on(t, ray_radii) for t in angles])
+    return [("type estimate stays below 2", est <= 2.0,
+             "sup log|f|/r = %s over 8 rays, largest radius %s"
+             % (fmt(est), fmt(float(ray_radii[-1]))))]
+
+
+#: the checks of reproduce, in report order; each writes its own artifacts
+#: and returns its report rows (name, ok, detail)
+_CHECKS = (_check_lattice, _check_product, _check_coefficients,
+           _check_inversion, _check_identity, _check_decay, _check_growth,
+           _check_type)
+
+
 def cmd_reproduce(cfg: RunConfig, args) -> int:
     """End-to-end construction with artifacts and a pass/fail report."""
     # profile windows end one short of k_max so the top window is complete
@@ -377,188 +551,27 @@ def cmd_reproduce(cfg: RunConfig, args) -> int:
             "k_max = %d leaves too few dyadic windows for a verdict "
             "(need k_max >= 8)" % cfg.k_max
         )
-    lattice = _written_lattice(cfg)
-    out = _out_dir(cfg)
-    ev = ProductEvaluator(lattice)
-    checks = []
-
-    # 1. counting laws on dyadic radii, exact
-    report = verify_counting_bounds(lattice)
-    ok_exact = all(
-        lattice.counting(2.0 ** k) == 2 ** (k + 1) - 2
-        for k in range(1, cfg.k_max + 1)
-    )
-    checks.append((
-        "counting law n(2^k) = 2^(k+1) - 2",
-        ok_exact and report.density_bounded_by_two,
-        "sup n(2^k)/2^k = %s at k = %d"
-        % (float(report.sup_normalized), report.sup_at_k),
-    ))
-    rows = _write_counting(lattice, out, emit_svg=True)
-    band_worst = max((ratio for _, _, ratio, flag in rows if flag), default=0.0)
-    checks.append((
-        "upper-band density <= 4/3",
-        band_worst <= 4.0 / 3.0,
-        "worst flagged n(r)/r = %s" % fmt(band_worst),
-    ))
-
-    # 2. reciprocal sums cancel circle by circle
-    checks.append((
-        "reciprocal sums bounded",
-        report.reciprocal_bounded(1e-12),
-        "max |sum 1/a| = %s at r = %s"
-        % (fmt(report.max_reciprocal), fmt(report.max_reciprocal_at_r)),
-    ))
-
-    # 3. closed form against direct factor products
-    zs = _sample_disc(np.random.default_rng(101), 20, 4.0)
-    worst_rel = 0.0
-    for z, closed in zip(zs, exp(ev.log_f(zs)).tolist()):
-        if closed == 0:
-            continue  # an exact lattice zero
-        direct = ev.eval_log_f_direct(z, min(cfg.k_max, ev.cutoff(z)))
-        worst_rel = max(worst_rel,
-                        abs(closed - direct.to_complex()) / abs(closed))
-    checks.append((
-        "closed form matches per-zero product",
-        worst_rel <= 1e-10,
-        "max rel diff = %s over 20 points" % fmt(worst_rel),
-    ))
-
-    # 4. low-order series data
-    stream = CoefficientStream()
-    expected = {2: (-1, -2.0), 4: (-1, -8.0), 6: (1, -10.0)}
-    ok_coeff = all(stream.taylor_coefficient(m) == sv for m, sv in expected.items())
-    ok_coeff = ok_coeff and all(
-        stream.taylor_coefficient(m) == (0, -math.inf) for m in (1, 3, 5, 7)
-    )
-    checks.append((
-        "series coefficients (binary support, exact dyadic sizes)",
-        ok_coeff,
-        "a_2 = -1/4, a_4 = -1/256, a_6 = 1/1024, odd coefficients vanish",
-    ))
-    write_coeffs_csv(stream, 256, out / "coeffs.csv")
-
-    # 5. circle inversion against the closed form
-    zs = _sample_disc(np.random.default_rng(55), 12, 4.0)
-    contours = borel_inversion(np.array(zs), radius=cfg.contour_radius,
-                               spec=_quad_spec(cfg)).tolist()
-    inv_records = []
-    inv_worst = 0.0
-    for z, direct, contour in zip(zs, exp(ev.log_f(zs)).tolist(), contours):
-        inv_records.append((z, direct, contour))
-        inv_worst = max(inv_worst, abs(direct - contour) / abs(direct))
-    write_borel_check_csv(inv_records, out / "borel_check.csv")
-    checks.append((
-        "inversion from the transform side",
-        inv_worst <= 1e-7,
-        "max rel err = %s over 12 points" % fmt(inv_worst),
-    ))
-
-    # 6. splitting identity F + u = f
-    zs = _sample_disc(np.random.default_rng(77), 10, 6.0)
-    spec_id = QuadratureSpec(target_rel_tol=1e-13)
-    us = u_eval(np.array(zs), spec_id).tolist()
-    Fs = F_eval(np.array(zs), spec_id).tolist()
-    id_records = []
-    id_worst = 0.0
-    for z, fv, uv, Fv in zip(zs, exp(ev.log_f(zs)).tolist(), us, Fs):
-        id_records.append((z, fv, uv, Fv))
-        id_worst = max(id_worst, abs(Fv + uv - fv) / (1.0 + abs(fv)))
-    write_identity_csv(id_records, out / "identity.csv")
-    checks.append((
-        "splitting identity F + u = f",
-        id_worst <= 1e-7,
-        "max residual / (1 + |f|) = %s over 10 points" % fmt(id_worst),
-    ))
-
-    # 7. decay of the bounded piece on the positive axis
-    xs = [0.25 * i for i in range(41)]
-    u_abs = [abs(u) for u in u_eval(np.array(xs, dtype=complex)).tolist()]
-    bounds = [u_decay_bound(x) for x in xs]
-    decay_ok = all(ua <= b * (1.0 + 1e-6) for ua, b in zip(u_abs, bounds))
-    origin_ok = abs(u_abs[0] - 0.0438) <= 1e-3
-    checks.append((
-        "bounded piece obeys its decay envelope",
-        decay_ok and origin_ok,
-        "|u(0)| = %s, bound ratio max = %s"
-        % (fmt(u_abs[0]),
-           fmt(max(ua / b for ua, b in zip(u_abs, bounds)))),
-    ))
-
-    # 8. growth verdicts: f irregular, both controls regular
-    radii = dyadic_radii(k_lo, k_hi + 1, cfg.samples_per_window)
-    prof_f = ev.profile_on(cfg.theta, radii)
-    prof_exp = exp2_profile(0.0, radii)
-    prof_sin = sin2_profile(math.pi / 2.0, radii)
-    verdicts = {}
-    stats_by_profile = []
-    for prof in (prof_f, prof_exp, prof_sin):
-        stats_by_profile.append((prof, window_stats(prof, cfg.q)))
-        verdicts[prof.function_id] = classify(
-            prof, cfg.q, cfg.gap_tol, cfg.drift_tol)
-        write_verdict_json(
-            verdicts[prof.function_id],
-            out / ("verdict_%s.json" % prof.function_id),
-        )
-    write_windows_csv(stats_by_profile, out / "windows.csv")
-    write_profile_csv([prof_f, prof_exp, prof_sin], out / "profile.csv")
-    vf, vexp, vsin = (verdicts[k] for k in ("f", "exp2z", "sin2z"))
-    checks.append((
-        "f grows irregularly along theta = %s" % fmt(cfg.theta),
-        vf.verdict == "irregular",
-        "verdict %s, persistent quantile gap %s"
-        % (vf.verdict, "-" if vf.limit_or_gap is None else fmt(vf.limit_or_gap)),
-    ))
-    controls_ok = (
-        vexp.verdict == "regular"
-        and abs(vexp.limit_or_gap - 2.0) <= 0.01
-        and vsin.verdict == "regular"
-        and abs(vsin.limit_or_gap - 2.0) <= 0.01
-    )
-    checks.append((
-        "controls e^{2z} and sin(2z) grow regularly with limit 2",
-        controls_ok,
-        "limits %s and %s" % (fmt(vexp.limit_or_gap), fmt(vsin.limit_or_gap)),
-    ))
-
-    # 9. type estimate from ray suprema
-    angles = np.linspace(0.0, 2.0 * math.pi, 8, endpoint=False)
-    ray_radii = dyadic_radii(max(1, k_hi - 3), k_hi + 1, 64)
-    rays = [ev.profile_on(t, ray_radii) for t in angles]
-    est = type_estimate(rays)
-    checks.append((
-        "type estimate stays below 2",
-        est <= 2.0,
-        "sup log|f|/r = %s over 8 rays, largest radius %s"
-        % (fmt(est), fmt(float(ray_radii[-1]))),
-    ))
-
-    # remaining artifacts
-    write_zeros_csv(lattice, out / "zeros.csv")
-    svg.write_profile_svg(prof_f, stats_by_profile[0][1], out / "profile.svg")
-    svg.write_decay_svg(xs, u_abs, bounds, out / "decay.svg")
-
+    run = _Run(cfg, ProductEvaluator(_written_lattice(cfg)), _out_dir(cfg),
+               k_lo, k_hi)
+    checks = [row for check in _CHECKS for row in check(run)]
     all_ok = all(ok for _, ok, _ in checks)
-    lines = ["# Reproduction report", ""]
-    lines.append("Configuration: k_max = %d, theta = %r, windows k = %d..%d, "
-                 "q = %r, gap_tol = %r, drift_tol = %r, contour radius = %r"
-                 % (cfg.k_max, cfg.theta, k_lo, k_hi, cfg.q,
-                    cfg.gap_tol, cfg.drift_tol, cfg.contour_radius))
-    lines.append("")
-    lines.append("| check | status | detail |")
-    lines.append("|---|---|---|")
+    lines = [
+        "# Reproduction report", "",
+        "Configuration: k_max = %d, theta = %r, windows k = %d..%d, "
+        "q = %r, gap_tol = %r, drift_tol = %r, contour radius = %r"
+        % (cfg.k_max, cfg.theta, k_lo, k_hi, cfg.q,
+           cfg.gap_tol, cfg.drift_tol, cfg.contour_radius),
+        "", "| check | status | detail |", "|---|---|---|",
+    ]
     for name, ok, detail in checks:
-        lines.append("| %s | %s | %s |" % (name, "pass" if ok else "FAIL",
-                                           detail))
-    lines.append("")
-    lines.append("Overall: %s" % ("PASS" if all_ok else "FAIL"))
-    lines.append("")
-    (out / "report.md").write_text("\n".join(lines), encoding="ascii")
-
-    for name, ok, detail in checks:
-        print("[%s] %s: %s" % ("pass" if ok else "FAIL", name, detail))
-    print("report: %s" % (out / "report.md"))
+        status = "pass" if ok else "FAIL"
+        # a bare | would split the markdown cell
+        lines.append("| %s | %s | %s |" % (name.replace("|", "\\|"), status,
+                                           detail.replace("|", "\\|")))
+        print("[%s] %s: %s" % (status, name, detail))
+    lines += ["", "Overall: %s" % ("PASS" if all_ok else "FAIL"), ""]
+    (run.out / "report.md").write_text("\n".join(lines), encoding="ascii")
+    print("report: %s" % (run.out / "report.md"))
     return EXIT_OK if all_ok else EXIT_VERIFY
 
 

@@ -400,6 +400,34 @@ _DENOM = 1j * TAU
 _LOG_RATIO = math.log(4.0) - math.log(3.0)
 
 
+def _on_series_route(w: complex) -> bool:
+    return abs(w) <= _CHANNEL_RADIUS and w.real > _CHANNEL_LEFT
+
+
+def _asymptotic_tail(w: complex) -> complex:
+    """e^w S(w) / w, with S the asymptotic series of E(w) cut at its
+    smallest term; off the series route E(w) = -gamma - log(-w) + this."""
+    if w.imag == 0.0 and w.real > 0.0:
+        # E is real on the positive axis: sum in real arithmetic
+        x = w.real
+        t = s = 1.0
+        for k in range(1, 300):
+            nxt = t * k / x
+            if abs(nxt) >= abs(t):
+                break
+            t = nxt
+            s += t
+        return complex(math.exp(x) * s / x, 0.0)
+    t = s = 1.0 + 0.0j
+    for k in range(1, 300):
+        nxt = t * k / w
+        if abs(nxt) >= abs(t):
+            break
+        t = nxt
+        s += t
+    return cmath.exp(w) * s / w
+
+
 def _entire_exp_integral(w: complex) -> complex:
     """E(w) = sum_{k>=1} w^k / (k k!) = int_0^1 (e^{wt} - 1)/t dt, entire.
 
@@ -412,7 +440,7 @@ def _entire_exp_integral(w: complex) -> complex:
     """
     if w == 0.0:
         return 0.0 + 0.0j
-    if abs(w) <= _CHANNEL_RADIUS and w.real > _CHANNEL_LEFT:
+    if _on_series_route(w):
         term = complex(w)
         total = term
         k = 2
@@ -425,41 +453,34 @@ def _entire_exp_integral(w: complex) -> complex:
             k += 1
         raise ArithmeticError("channel series failed to settle")
     if w.imag == 0.0 and w.real > 0.0:
-        # on the axis the log channels of the two cut sides cancel; the
-        # remainder is the real asymptotic series at the smallest term
-        x = w.real
-        t = s = 1.0
-        for k in range(1, 300):
-            nxt = t * k / x
-            if abs(nxt) >= abs(t):
-                break
-            t = nxt
-            s += t
-        return complex(-_EULER_GAMMA - math.log(x) + math.exp(x) * s / x, 0.0)
-    t = s = 1.0 + 0.0j
-    for k in range(1, 300):
-        nxt = t * k / w
-        if abs(nxt) >= abs(t):
-            break
-        t = nxt
-        s += t
-    return -_EULER_GAMMA - cmath.log(-w) + cmath.exp(w) * s / w
+        # on the axis the log channels of the two cut sides cancel
+        return -_EULER_GAMMA - math.log(w.real) + _asymptotic_tail(w)
+    return -_EULER_GAMMA - cmath.log(-w) + _asymptotic_tail(w)
 
 
 def _endpoint_channels(z: complex) -> tuple:
-    """Channel values at the shared path endpoints -3 and -4."""
-    return (_entire_exp_integral(-3.0 * z), _entire_exp_integral(-4.0 * z))
+    """(c, e3, e4) with c + e4 - e3 = log(4/3) + E(-4z) - E(-3z).
+
+    When both endpoints are off the series route, their -gamma - log(-w)
+    terms cancel log(4/3) exactly (log 4z - log 3z = log 4/3), so c = 0 and
+    e3, e4 are the asymptotic tails alone.  Summing the logs instead would
+    leave their roundoff, ~1e-16, in a u that decays like e^{-3x}.
+    """
+    w3, w4 = -3.0 * z, -4.0 * z
+    if not (_on_series_route(w3) or _on_series_route(w4)):
+        return 0.0, _asymptotic_tail(w3), _asymptotic_tail(w4)
+    return _LOG_RATIO, _entire_exp_integral(w3), _entire_exp_integral(w4)
 
 
 def _u_channel(z: complex) -> complex:
-    e3, e4 = _endpoint_channels(z)
-    return (complex(_LOG_RATIO, 0.0) + (e4 - e3)) / _DENOM
+    c, e3, e4 = _endpoint_channels(z)
+    return (complex(c, 0.0) + (e4 - e3)) / _DENOM
 
 
 def _F_channel(z: complex) -> complex:
-    e3, e4 = _endpoint_channels(z)
+    c, e3, e4 = _endpoint_channels(z)
     # continuous log along the arc gains 2 pi i (one counterclockwise turn)
-    return (complex(-_LOG_RATIO, TAU) + (e3 - e4)) / _DENOM
+    return (complex(-c, TAU) + (e3 - e4)) / _DENOM
 
 
 def _tail_plus_channel(path, z, spec: QuadratureSpec, channel):
@@ -537,46 +558,3 @@ def u_decay_bound(x: float) -> float:
     """Explicit decay bound |u(x)| <= 0.0502 e^{-3x} for real x >= 0."""
     return 0.0502 * math.exp(-3.0 * x)
 
-
-def write_identity_csv(records, path) -> None:
-    """records: iterable of (z, f_value, u_value, F_value)."""
-    from .csvio import fmt, write_rows
-
-    rows = []
-    for z, fv, uv, Fv in records:
-        resid = abs(Fv + uv - fv)
-        rows.append(
-            (fmt(z.real), fmt(z.imag), fmt(fv.real), fmt(fv.imag),
-             fmt(uv.real), fmt(uv.imag), fmt(Fv.real), fmt(Fv.imag),
-             fmt(resid))
-        )
-    write_rows(
-        path,
-        ("z_re", "z_im", "f_re", "f_im", "u_re", "u_im", "F_re", "F_im",
-         "residual_abs"),
-        rows,
-    )
-
-
-def write_borel_check_csv(records, path) -> None:
-    """records: iterable of (z, direct_value, contour_value)."""
-    from .csvio import fmt, write_rows
-
-    rows = []
-    for z, direct, contour in records:
-        abs_err = abs(direct - contour)
-        mag = abs(direct)
-        if mag > 0.0:
-            rel = abs_err / mag
-        else:
-            rel = math.inf if abs_err > 0.0 else math.nan
-        rows.append(
-            (fmt(z.real), fmt(z.imag), fmt(direct.real), fmt(direct.imag),
-             fmt(contour.real), fmt(contour.imag), fmt(abs_err), fmt(rel))
-        )
-    write_rows(
-        path,
-        ("z_re", "z_im", "direct_re", "direct_im", "contour_re", "contour_im",
-         "abs_err", "rel_err"),
-        rows,
-    )

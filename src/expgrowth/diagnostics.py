@@ -142,7 +142,6 @@ def classify(
     q: float = 0.1,
     gap_tol: float = 0.02,
     drift_tol: float = 0.02,
-    trailing: int = TRAILING_WINDOWS,
 ) -> RegularityVerdict:
     """Regularity verdict from the trailing dyadic windows.
 
@@ -154,10 +153,8 @@ def classify(
     """
     if not (gap_tol > 0.0 and drift_tol > 0.0):  # nan fails too
         raise ValueError("tolerances must be positive")
-    if trailing < 2:
-        raise ValueError("need trailing >= 2")
     stats = window_stats(profile, q)
-    tail = stats[-min(trailing, len(stats)):]
+    tail = stats[-TRAILING_WINDOWS:]
     widths = [s.width for s in tail]
     mids = [s.midpoint for s in tail]
     drifts = [abs(b - a) for a, b in zip(mids, mids[1:])]

@@ -1,6 +1,7 @@
 """Tests for the command-line front end: schemas, exit codes, determinism."""
 import io
 import json
+import re
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -13,6 +14,7 @@ from expgrowth.cli import (
     EXIT_NUMERIC,
     EXIT_OK,
     EXIT_USAGE,
+    EXIT_VERIFY,
     RunConfig,
     main,
     parse_complex,
@@ -121,6 +123,23 @@ class TestEval:
         header, row = capsys.readouterr().out.splitlines()
         assert header.split(",")[-1] == "rel_err"
         assert float(row.split(",")[-1]) <= 1e-8
+
+    def test_identity_schema(self, capsys):
+        assert main(["contour", "identity", "--z", "1"]) == EXIT_OK
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == (
+            "z_re,z_im,f_re,f_im,u_re,u_im,F_re,F_im,residual_abs"
+        )
+        assert len(lines) == 2
+
+    def test_borel_check_schema_and_zero_direct(self, capsys):
+        # f(2) = 0 exactly, the circle integral only to roundoff
+        assert main(["borel", "invert", "--z", "2"]) == EXIT_OK
+        header, row = capsys.readouterr().out.splitlines()
+        assert header == (
+            "z_re,z_im,direct_re,direct_im,contour_re,contour_im,abs_err,rel_err"
+        )
+        assert row.endswith(",inf")
 
 
 class TestLattice:
@@ -291,7 +310,46 @@ class TestExitCodes:
         assert "k_max" in capsys.readouterr().err
 
 
+@pytest.fixture(scope="module")
+def reproduced(tmp_path_factory):
+    """Output directory of one in-process reproduce run at k_max = 12."""
+    out = tmp_path_factory.mktemp("reproduce")
+    code, _, _ = run_main(["--out-dir", str(out), "--k-max", "12",
+                           "reproduce"])
+    assert code == EXIT_OK
+    return out
+
+
 class TestReproduce:
+    def test_inversion_row_is_the_command_row(self, reproduced):
+        # check 5 is a batch of `borel invert`: same record, same bits
+        row = (reproduced / "borel_check.csv").read_text().splitlines()[3]
+        z_re, z_im = row.split(",")[:2]
+        z = "%s%s%si" % (z_re, "" if z_im.startswith("-") else "+", z_im)
+        code, out, _ = run_main(["--k-max", "12", "borel", "invert", "--z=" + z])
+        assert code == EXIT_OK
+        assert out.splitlines()[1] == row
+
+    def test_report_rows_have_three_cells(self, reproduced):
+        report = (reproduced / "report.md").read_text()
+        rows = [line for line in report.splitlines() if line.startswith("|")]
+        assert len(rows) == 13
+        for line in rows:
+            assert len(re.split(r"(?<!\\)\|", line)) == 5, line
+        assert r"sup log\|f\|/r" in report
+
+    def test_verification_failure(self, tmp_path):
+        # a gap tolerance this wide calls the product's growth regular
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("gap_tol = 0.5\n")
+        code, out, _ = run_main(["--config", str(cfg), "--out-dir",
+                                 str(tmp_path), "--k-max", "12", "reproduce"])
+        assert code == EXIT_VERIFY
+        assert "Overall: FAIL" in (tmp_path / "report.md").read_text()
+        (line,) = [x for x in out.splitlines() if x.startswith("[FAIL]")]
+        assert "verdict regular, limit 1.4" in line
+        assert "gap" not in line
+
     def test_end_to_end_and_determinism(self, tmp_path):
         first, second = tmp_path / "a", tmp_path / "b"
         code1, out1, _ = run("--out-dir", str(first), "--k-max", "12",

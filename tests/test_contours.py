@@ -25,8 +25,6 @@ from expgrowth.contours import (
     splitting_profile,
     u_decay_bound,
     u_eval,
-    write_borel_check_csv,
-    write_identity_csv,
 )
 from expgrowth.lattice import ZeroLattice
 from expgrowth.product import ProductEvaluator
@@ -168,6 +166,21 @@ class TestBoundedPiece:
     def test_decay_bound(self):
         for x in range(1, 11):
             assert abs(u_eval(float(x))) <= u_decay_bound(x) * (1.0 + 1e-6)
+
+    def test_decay_bound_far_out(self):
+        # past Re z = 4 both channel endpoints take the asymptotic route;
+        # their log terms cancel log(4/3) exactly, so no roundoff of size
+        # 1e-16 is left in u
+        for x in (12.0, 16.0, 1000.0, 2048.0):
+            assert abs(u_eval(x)) <= u_decay_bound(x)
+
+    def test_positive_axis_oracle(self):
+        # 40-digit mpmath quadrature of the series for g over [-4, -3]
+        oracle = {10.0: -4.5563626942242023e-16j,
+                  12.0: -9.4552749608754030e-19j,
+                  16.0: -4.3825397880563907e-24j}
+        for x, want in oracle.items():
+            assert abs(u_eval(x) - want) <= 1e-11 * abs(want)
 
     def test_anti_conjugation(self):
         # the segment integral T satisfies T(conj z) = conj(T(z)), but the
@@ -317,30 +330,3 @@ class TestSplittingProfile:
             f_v = ev.eval_log_f(r).log_mag / r
             assert v == pytest.approx(f_v, abs=1e-9)
 
-
-class TestCsvExports:
-    def test_identity_schema(self, tmp_path):
-        path = tmp_path / "identity.csv"
-        write_identity_csv(
-            [(1.0 + 0.0j, 0.747 + 0.0j, 0.001 + 0.0j, 0.746 + 0.0j)], path
-        )
-        lines = path.read_text().splitlines()
-        assert lines[0] == (
-            "z_re,z_im,f_re,f_im,u_re,u_im,F_re,F_im,residual_abs"
-        )
-        assert len(lines) == 2
-
-    def test_borel_check_schema_and_zero_direct(self, tmp_path):
-        path = tmp_path / "borel_check.csv"
-        write_borel_check_csv(
-            [
-                (1.0 + 0.0j, 0.747 + 0.0j, 0.747 + 1e-12j),
-                (2.0 + 0.0j, 0.0 + 0.0j, 1e-13 + 0.0j),
-            ],
-            path,
-        )
-        lines = path.read_text().splitlines()
-        assert lines[0] == (
-            "z_re,z_im,direct_re,direct_im,contour_re,contour_im,abs_err,rel_err"
-        )
-        assert lines[2].endswith(",inf")
