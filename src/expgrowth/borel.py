@@ -112,10 +112,10 @@ _COEFFS = tuple(
 class BorelEvaluator:
     """Evaluates g(s) = sum c_m / s^{m+1} at finite |s| >= MIN_MODULUS.
 
-    `at` sums the series on a whole array of nodes.  Each node stops once
-    term_envelope bounds every remaining term by _TERM_FLOOR times its own
-    partial sum, so its value does not depend on the rest of the batch;
-    calling the evaluator on one s is the same sum on a batch of one.
+    `at` sums the series on whole node arrays with plain adds.  A node stops
+    once term_envelope bounds every remaining term by _TERM_FLOOR times its
+    own partial sum, and its sum is copied out then, so its value does not
+    depend on the rest of the batch: one s is the same sum as a batch of one.
     """
 
     #: first series index summed; min_index=2 gives the tail g(s) - 1/s
@@ -168,20 +168,24 @@ class BorelEvaluator:
         log_abs_s = np.log(mod)
         acc_r = np.zeros(s.shape)
         acc_i = np.zeros(s.shape)
+        out = np.empty(s.shape, dtype=complex)
         active = np.ones(s.shape, dtype=bool)
         for k, (m, c) in enumerate(_COEFFS):
             if m >= self.min_index:
-                np.add(acc_r, c * wr, out=acc_r, where=active)
-                np.add(acc_i, c * wi, out=acc_i, where=active)
+                acc_r += c * wr
+                acc_i += c * wi
                 if k % _STOP_STRIDE == _STOP_STRIDE - 1:
                     # a node stops once the envelope bounds every term from
-                    # m + 2 on (odd m have c_m = 0)
+                    # m + 2 on (odd m have c_m = 0); later terms it gets are
+                    # discarded
                     size2 = np.maximum(acc_r * acc_r + acc_i * acc_i, 1e-60)
-                    active &= (term_envelope(m + 2, log_abs_s)
+                    running = (term_envelope(m + 2, log_abs_s)
                                > math.log(_TERM_FLOOR) + 0.5 * np.log(size2))
+                    stop = active & ~running
+                    np.copyto(out.real, acc_r, where=stop)
+                    np.copyto(out.imag, acc_i, where=stop)
+                    active &= running
                     if not active.any():
-                        out = np.empty(s.shape, dtype=complex)
-                        out.real, out.imag = acc_r, acc_i
                         return out
             wr, wi = wr * u2r - wi * u2i, wr * u2i + wi * u2r
         raise ArithmeticError(f"series did not settle within {_MAX_TERMS} terms")

@@ -5,9 +5,10 @@ outside modulus 2.5, where the transform g is analytic.  Full circles use the
 periodic trapezoid rule (spectrally accurate); open arcs and segments use
 composite Gauss-Legendre panels.  Each refinement level doubles the nodes or
 panels and evaluates g and e^{zs} on the whole node array of every segment
-at once; its terms are summed by math.fsum, exactly rounded, so a level's
-value does not depend on the order of its nodes.  The nodes do not depend on
-z, so a batch of z shares one g pass per level: the named integrals take a
+at once; levels 0 and 1, which every z needs, share one pass on their
+joined nodes.  A level's terms are summed by math.fsum, exactly rounded, so
+its value does not depend on the order of its nodes.  The nodes do not
+depend on z, so a batch of z shares each g pass: the named integrals take a
 scalar z or a 1-D array of z, and each entry of a batch keeps its own
 refinement and has the bits of the scalar call.
 
@@ -50,6 +51,9 @@ _INVERSION_RADII = (MIN_MODULUS, 8.0)
 
 #: absolute tolerance for endpoint matching in chained contours
 _JOIN_TOL = 1e-12
+
+#: phase samples per segment when counting a closed contour's winding
+_WINDING_SAMPLES = 512
 
 
 class NonConvergenceError(ArithmeticError):
@@ -183,8 +187,8 @@ class Contour:
             if w != 1:
                 raise ValueError(f"closed contour winds {w} times, need +1")
 
-    def winding_number(self, samples_per_segment: int = 512) -> int:
-        t = np.arange(samples_per_segment + 1) / samples_per_segment
+    def winding_number(self) -> int:
+        t = np.arange(_WINDING_SAMPLES + 1) / _WINDING_SAMPLES
         phase = np.angle(np.concatenate([seg.point(t) for seg in self.segments]))
         steps = np.diff(phase)
         steps -= TAU * np.round(steps / TAU)  # into [-pi, pi]
@@ -285,33 +289,39 @@ def _level_nodes(seg, spec: QuadratureSpec, level: int) -> tuple:
 
 
 def _refinement_values(g_eval, segments, zs, spec: QuadratureSpec,
-                       level: int) -> list:
-    """The rule at one level for every z of zs: a list of (value, absolute
-    mass sum |term| / tau), with g evaluated once per segment for them all."""
-    terms = [[] for _ in zs]
+                       levels) -> list:
+    """The rule at each of levels for every z of zs: per level, a list of
+    (value, absolute mass sum |term| / tau); one g pass per segment."""
+    terms = [[[] for _ in zs] for _ in levels]
     for seg in segments:
-        t, weights = _level_nodes(seg, spec, level)
+        nodes = [_level_nodes(seg, spec, level) for level in levels]
+        t = np.concatenate([t for t, _ in nodes])
         s = seg.point(t)
         # every e^{zs} first, so an overflow stops before g runs
         exps = [_exp_zs(z, s) for z in zs]
-        g = g_eval(s)
+        g = np.broadcast_to(g_eval(s), s.shape)
         dpoint = seg.dpoint(t)
-        for out, exp_zs in zip(terms, exps):
-            out.append(g * exp_zs * dpoint * weights)
-    values = []
-    for parts in terms:
-        part = np.concatenate(parts)
-        total = complex(math.fsum(part.real.tolist()),
-                        math.fsum(part.imag.tolist()))
-        values.append((total / (1j * TAU), float(np.abs(part).sum()) / TAU))
-    return values
+        ends = np.cumsum([t.size for t, _ in nodes])
+        for (level_t, weights), level_terms, end in zip(nodes, terms, ends):
+            cut = slice(end - level_t.size, end)
+            for out, exp_zs in zip(level_terms, exps):
+                out.append(g[cut] * exp_zs[cut] * dpoint[cut] * weights)
+    return [[_value_and_mass(np.concatenate(parts)) for parts in level_terms]
+            for level_terms in terms]
+
+
+def _value_and_mass(part: np.ndarray) -> tuple:
+    total = complex(math.fsum(part.real.tolist()),
+                    math.fsum(part.imag.tolist()))
+    return total / (1j * TAU), float(np.abs(part).sum()) / TAU
 
 
 def _integrate_batch(g_eval, path, zs, spec: QuadratureSpec = None) -> list:
     """integrate at every z of zs, one IntegralResult each.
 
-    Each refinement level evaluates g once for every z still refining.  A z
-    keeps its own convergence test and leaves the batch once it passes, and
+    No z can stop before it has two level values, so levels 0 and 1 share
+    one g pass; each later level has its own, for every z still refining.
+    A z keeps its own convergence test and leaves the batch once it passes;
     its terms are formed and summed exactly as for a batch of one, so its
     result does not depend on the rest of the batch.
     """
@@ -324,24 +334,25 @@ def _integrate_batch(g_eval, path, zs, spec: QuadratureSpec = None) -> list:
     older = [None] * len(zs)
     err = [math.inf] * len(zs)
     active = list(range(len(zs)))
+    tol, level = spec.target_rel_tol, 0
     with np.errstate(over="raise", invalid="raise"):
-        for level in range(spec.max_refinements + 1):
-            if not active:
-                break
-            values = _refinement_values(
-                g_eval, segments, [zs[i] for i in active], spec, level)
-            refining = []
-            for i, (value, mass) in zip(active, values):
-                if prev[i] is not None:
-                    err[i] = abs(value - prev[i])
-                    floor = 4.0 * _EPS * mass
-                    if err[i] <= max(spec.target_rel_tol * abs(value), floor):
-                        results[i] = IntegralResult(value, err[i], level)
-                        continue
-                older[i] = prev[i]
-                prev[i] = value
-                refining.append(i)
-            active = refining
+        while active and level <= spec.max_refinements:
+            levels = (0, 1) if level == 0 else (level,)
+            for values in _refinement_values(
+                    g_eval, segments, [zs[i] for i in active], spec, levels):
+                refining = []
+                for i, (value, mass) in zip(active, values):
+                    if prev[i] is not None:
+                        err[i] = abs(value - prev[i])
+                        floor = 4.0 * _EPS * mass
+                        if err[i] <= max(tol * abs(value), floor):
+                            results[i] = IntegralResult(value, err[i], level)
+                            continue
+                    older[i] = prev[i]
+                    prev[i] = value
+                    refining.append(i)
+                active = refining
+                level += 1
     if active:
         i = active[0]
         raise NonConvergenceError(prev[i], older[i], err[i])

@@ -171,6 +171,22 @@ class TestEvaluator:
                 want = np.array([ev(complex(node)) for node in s])
                 assert ev.at(s).tobytes() == want.tobytes()
 
+    def test_stopped_nodes_keep_their_sum(self, g):
+        # these nodes stop at very different terms; the ones that stop early
+        # go on adding (discarded) terms until the last one stops, and must
+        # neither raise nor change their value.  On the two |s| = 4 nodes
+        # one part of g - 1/s crosses zero (~2e-18), so a late term kept
+        # there would change its bits
+        s = np.array([2.5, -2.5j, 4.0, 4.0 * complex(math.cos(2.0),
+                      math.sin(2.0)), 3.467634372751331 + 1.9938685656064403j,
+                      2.017237019389363 + 3.454092472358712j, 1e150, -1e300j,
+                      2.0**1023 * (1.0 + 1.0j)])
+        for ev in (g, BorelEvaluator(min_index=2)):
+            with np.errstate(over="raise", invalid="raise"):
+                got = ev.at(s)
+                want = np.array([ev(complex(node)) for node in s])
+            assert got.tobytes() == want.tobytes()
+
     def test_validation(self):
         with pytest.raises(ValueError):
             BorelEvaluator(min_index=-1)

@@ -233,7 +233,7 @@ class TestRefinement:
         spec = QuadratureSpec(initial_panels=1, points_per_panel=8)
 
         def level(n):
-            return _refinement_values(g.at, (circ,), [1.5], spec, n)[0][0]
+            return _refinement_values(g.at, (circ,), [1.5], spec, (n,))[0][0][0]
 
         ref = level(6)
         errs = [abs(level(n) - ref) for n in range(4)]
@@ -270,6 +270,31 @@ def _batch_points(count):
     r = rng.uniform(0.0, 1.0, small)
     phi = rng.uniform(-math.pi, math.pi, small)
     return np.concatenate([r * np.exp(1j * phi), EIGHT])[-count:]
+
+
+_LOOP = Contour((spiral_arc(), closing_segment()))
+
+
+class TestSharedFirstPass:
+    @pytest.mark.parametrize("count", [1, 7, 41])
+    @pytest.mark.parametrize("path", [
+        CirclePath(3.0), spiral_arc(), closing_segment(), _LOOP,
+    ], ids=["circle", "arc", "segment", "loop"])
+    def test_levels_0_and_1_match_single_level_passes(self, path, count):
+        # levels 0 and 1 share one g pass on their joined nodes; each level
+        # must keep the bits of its own pass
+        segments = path.segments if isinstance(path, Contour) else (path,)
+        zs = [complex(z) for z in _batch_points(count)]
+        spec = QuadratureSpec()
+        with np.errstate(over="raise", invalid="raise"):
+            joint = _refinement_values(
+                _SHARED_TAIL.at, segments, zs, spec, (0, 1))
+            single = [_refinement_values(
+                _SHARED_TAIL.at, segments, zs, spec, (level,))[0]
+                for level in (0, 1)]
+        assert len(joint) == 2 and len(joint[0]) == count
+        assert (np.array(joint, dtype=complex).tobytes()
+                == np.array(single, dtype=complex).tobytes())
 
 
 class TestBatch:

@@ -107,6 +107,21 @@ class TestAccuracy:
         assert abs(ev.eval_log_f(z).log_mag - want) <= 1e-12
 
 
+class TestFiniteCutoffOracle:
+    @pytest.mark.parametrize("K", [20, 100, 500, 1000])
+    def test_log_f_matches_closed_form(self, ev, K):
+        # at r = 2^K t, t in (1, 2), every factor k <= K is dominated by
+        # (r/2^k)^{2^k} and every factor k > K is 1 up to (t/2)^{2^{K+1}},
+        # so log|f| = (2^{K+1}-2) ln t + (2^{K+1}-2K-2) ln 2; below K = 20
+        # the k = 1 factor's O(4^-K) correction shows (7.6e-8 at K = 8)
+        t = np.array([1.3, math.e / 2.0, 1.7])[:, None]
+        theta = np.array([0.0, 0.3, math.pi / 2.0, 2.5, -1.0])
+        got = ev.log_f((np.ldexp(t, K) * cis(theta)).ravel()).real
+        want = ((2.0**(K + 1) - 2.0) * np.log(t)
+                + (2.0**(K + 1) - 2.0 * K - 2.0) * math.log(2.0))
+        assert np.all(np.abs(got.reshape(3, 5) - want) <= 1e-14 * np.abs(want))
+
+
 class TestDomain:
     @pytest.mark.parametrize("z", [
         complex(math.nan, 0.0), complex(1.0, math.nan), complex(math.inf, 0.0),
