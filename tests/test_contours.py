@@ -272,13 +272,11 @@ def _batch_points(count):
     return np.concatenate([r * np.exp(1j * phi), EIGHT])[-count:]
 
 
-_LOOP = Contour((spiral_arc(), closing_segment()))
-
-
 class TestSharedFirstPass:
     @pytest.mark.parametrize("count", [1, 7, 41])
     @pytest.mark.parametrize("path", [
-        CirclePath(3.0), spiral_arc(), closing_segment(), _LOOP,
+        CirclePath(3.0), spiral_arc(), closing_segment(),
+        Contour((spiral_arc(), closing_segment())),
     ], ids=["circle", "arc", "segment", "loop"])
     def test_levels_0_and_1_match_single_level_passes(self, path, count):
         # levels 0 and 1 share one g pass on their joined nodes; each level
