@@ -594,7 +594,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--out-dir", dest="out_dir", metavar="PATH")
     parser.add_argument("--k-max", dest="k_max", type=int, metavar="N")
     parser.add_argument("--tol", type=float, metavar="X",
-                        help="quadrature relative tolerance")
+                        help="quadrature relative tolerance of borel invert "
+                        "and the inversion check of reproduce; contour "
+                        "identity and the identity check always use 1e-13")
     parser.add_argument("--svg", dest="emit_svg", action="store_true",
                         default=None, help="also write SVG figures")
     parser.add_argument("--format", choices=("csv", "json"),

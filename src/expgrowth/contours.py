@@ -3,14 +3,13 @@
 Every integral here is (1/(2*pi*i)) * int g(s) e^{zs} ds over some path kept
 outside modulus 2.5, where the transform g is analytic.  Full circles use the
 periodic trapezoid rule (spectrally accurate); open arcs and segments use
-composite Gauss-Legendre panels.  Each refinement level doubles the nodes or
-panels and evaluates g and e^{zs} on the whole node array of every segment
-at once; levels 0 and 1, which every z needs, share one pass on their
-joined nodes.  A level's terms are summed by math.fsum, exactly rounded, so
-its value does not depend on the order of its nodes.  The nodes do not
-depend on z, so a batch of z shares each g pass: the named integrals take a
-scalar z or a 1-D array of z, and each entry of a batch keeps its own
-refinement and has the bits of the scalar call.
+composite Gauss-Legendre panels; each refinement level doubles the nodes or
+panels.  Only e^{zs} depends on z: the nodes of a path and level, g there,
+the path derivative and the weights form one read-only table, built once per
+process (levels 0 and 1, which every z needs, share one).  Per z, a level's
+terms are summed by math.fsum, exactly rounded, so its value does not depend
+on node order.  The named integrals take a scalar z or a 1-D array of z; each
+entry of a batch keeps its own refinement and has the bits of the scalar call.
 
 The named integrals (borel_inversion, u_eval, F_eval) split g into 1/s plus
 a smooth tail: the 1/s channel integrates in closed form (residue on closed
@@ -227,14 +226,6 @@ class IntegralResult:
     refinements: int
 
 
-@lru_cache(maxsize=None)
-def _gauss_rule(points: int) -> tuple:
-    """Gauss-Legendre abscissae and weights on [-1, 1], read-only."""
-    x, w = np.polynomial.legendre.leggauss(points)
-    x.flags.writeable = w.flags.writeable = False
-    return x, w
-
-
 _SPLIT = 134217729.0  # 2^27 + 1, Dekker splitting constant
 
 
@@ -275,35 +266,51 @@ def _exp_zs(z: complex, s: np.ndarray) -> np.ndarray:
     return out
 
 
-def _level_nodes(seg, spec: QuadratureSpec, level: int) -> tuple:
-    """Parameters t in [0, 1] and weights of one refinement level on seg."""
-    if isinstance(seg, CirclePath):
-        n = spec.initial_panels * spec.points_per_panel * (1 << level)
-        return np.arange(n) / n, 1.0 / n  # exact dyadic t for power-of-two n
-    panels = spec.initial_panels * (1 << level)
-    x, w = _gauss_rule(spec.points_per_panel)
-    width = 1.0 / panels
-    half = 0.5 * width
-    mid = (np.arange(panels) + 0.5) * width
-    return (mid[:, None] + half * x).ravel(), np.tile(w * half, panels)
+#: keys in use: 10 in a contour_solve round of the benchmark (circles of
+#: radius 3, 4, 5; the arc at levels (0, 1) to 6; the segment), 5 in reproduce
+_TABLE_SIZE = 32
+
+
+@lru_cache(maxsize=_TABLE_SIZE)
+def _level_table(g_eval, seg, points_per_panel: int, initial_panels: int,
+                 levels: tuple) -> tuple:
+    """The z-independent half of a pass, read-only so no caller can change
+    what the next z reads: the nodes s of levels on seg joined, g_eval(s),
+    the path derivative at s, and per level its (slice of s, weights)."""
+    t, cuts = [], []
+    for level in levels:
+        if isinstance(seg, CirclePath):
+            n = initial_panels * points_per_panel * (1 << level)
+            t.append(np.arange(n) / n)  # exact dyadic t for power-of-two n
+            weights = 1.0 / n
+        else:
+            panels = initial_panels * (1 << level)
+            x, w = np.polynomial.legendre.leggauss(points_per_panel)
+            width = 1.0 / panels
+            half = 0.5 * width
+            mid = (np.arange(panels) + 0.5) * width
+            t.append((mid[:, None] + half * x).ravel())
+            weights = np.tile(w * half, panels)
+            weights.flags.writeable = False
+        start = cuts[-1][0].stop if cuts else 0
+        cuts.append((slice(start, start + t[-1].size), weights))
+    t = np.concatenate(t)
+    s, dpoint = seg.point(t), seg.dpoint(t)
+    s.flags.writeable = dpoint.flags.writeable = False
+    return s, np.broadcast_to(g_eval(s), s.shape), dpoint, tuple(cuts)
 
 
 def _refinement_values(g_eval, segments, zs, spec: QuadratureSpec,
-                       levels) -> list:
+                       levels: tuple) -> list:
     """The rule at each of levels for every z of zs: per level, a list of
-    (value, absolute mass sum |term| / tau); one g pass per segment."""
+    (value, absolute mass sum |term| / tau).  Only e^{zs} and the terms are
+    formed per z; the rest comes from each segment's _level_table."""
     terms = [[[] for _ in zs] for _ in levels]
     for seg in segments:
-        nodes = [_level_nodes(seg, spec, level) for level in levels]
-        t = np.concatenate([t for t, _ in nodes])
-        s = seg.point(t)
-        # every e^{zs} first, so an overflow stops before g runs
+        s, g, dpoint, cuts = _level_table(
+            g_eval, seg, spec.points_per_panel, spec.initial_panels, levels)
         exps = [_exp_zs(z, s) for z in zs]
-        g = np.broadcast_to(g_eval(s), s.shape)
-        dpoint = seg.dpoint(t)
-        ends = np.cumsum([t.size for t, _ in nodes])
-        for (level_t, weights), level_terms, end in zip(nodes, terms, ends):
-            cut = slice(end - level_t.size, end)
+        for (cut, weights), level_terms in zip(cuts, terms):
             for out, exp_zs in zip(level_terms, exps):
                 out.append(g[cut] * exp_zs[cut] * dpoint[cut] * weights)
     return [[_value_and_mass(np.concatenate(parts)) for parts in level_terms]
@@ -320,7 +327,7 @@ def _integrate_batch(g_eval, path, zs, spec: QuadratureSpec = None) -> list:
     """integrate at every z of zs, one IntegralResult each.
 
     No z can stop before it has two level values, so levels 0 and 1 share
-    one g pass; each later level has its own, for every z still refining.
+    one table; each later level has its own, for every z still refining.
     A z keeps its own convergence test and leaves the batch once it passes;
     its terms are formed and summed exactly as for a batch of one, so its
     result does not depend on the rest of the batch.
@@ -362,7 +369,9 @@ def _integrate_batch(g_eval, path, zs, spec: QuadratureSpec = None) -> list:
 def integrate(g_eval, path, z: complex, spec: QuadratureSpec = None) -> IntegralResult:
     """(1/(2*pi*i)) * int_path g(s) e^{zs} ds with adaptive refinement.
 
-    g_eval maps an array of nodes s to the array of g(s).  path may be a
+    g_eval maps an array of nodes s to the array of g(s); it must be a pure,
+    hashable function of the node array, as it is evaluated once per path
+    and level per process and its values serve every z.  path may be a
     Contour or a single segment.  The convergence check floors the
     achievable error at eps * mass: below that, successive refinements
     differ only by roundoff of the (possibly huge) oscillatory mass and
@@ -502,6 +511,8 @@ def _tail_plus_channel(path, z, spec: QuadratureSpec, channel):
         z = complex(z)
         c = channel(z)
         return integrate(_SHARED_TAIL.at, path, z, spec).value + c
+    if np.ndim(z) > 1:
+        raise ValueError("z must be a scalar or a 1-D array")
     zs = [complex(w) for w in np.asarray(z).tolist()]
     cs = [channel(w) for w in zs]
     results = _integrate_batch(_SHARED_TAIL.at, path, zs, spec)

@@ -1,4 +1,6 @@
 """Tests for contour geometry, adaptive quadrature, and the three transforms."""
+import dataclasses
+import functools
 import math
 
 import numpy as np
@@ -17,6 +19,7 @@ from expgrowth.contours import (
     SpiralArc,
     _SHARED_TAIL,
     _integrate_batch,
+    _level_table,
     _refinement_values,
     borel_inversion,
     closing_segment,
@@ -342,6 +345,84 @@ class TestBatch:
     def test_cap_applies_to_every_entry(self):
         with pytest.raises(CancellationCapError):
             F_eval(np.array([1.0, 50.0]))
+
+    @pytest.mark.parametrize("fn", [borel_inversion, u_eval, F_eval],
+                             ids=["borel_inversion", "u_eval", "F_eval"])
+    def test_more_than_one_dimension_rejected(self, fn):
+        with pytest.raises(ValueError, match="scalar or a 1-D array"):
+            fn(np.array([[1, 2]]))
+
+
+def _counting(g_eval):
+    """A pure g_eval that records the size of every node array it gets."""
+    sizes = []
+
+    def counted(s):
+        sizes.append(s.size)
+        return g_eval(s)
+
+    return counted, sizes
+
+
+class TestLevelTable:
+    @pytest.mark.parametrize("path", [
+        CirclePath(3.5), SpiralArc(4.0, 3.5, 0.0, 5.0)], ids=["circle", "arc"])
+    def test_g_runs_once_per_segment_and_levels(self, path):
+        # each call builds its path anew: the table is keyed on the
+        # segment's value, not on the object
+        g_eval, sizes = _counting(_SHARED_TAIL.at)
+        spec = QuadratureSpec(target_rel_tol=1e-13)
+        deepest = 0
+        for z in [0.5, 12j, -8.0, 0.5, 12j, 8.0]:
+            fresh = dataclasses.replace(path)
+            deepest = max(deepest, integrate(g_eval, fresh, z, spec).refinements)
+        assert deepest >= 2
+        # levels (0, 1) share a table, then one table per level up to deepest
+        per_level = spec.initial_panels * spec.points_per_panel
+        assert sizes == [3 * per_level] + [per_level << level
+                                           for level in range(2, deepest + 1)]
+
+    def test_key_leaves_out_tolerance_but_not_the_rule(self):
+        g_eval, sizes = _counting(_SHARED_TAIL.at)
+        seg = SpiralArc(4.0, 3.25, 0.0, 4.0)
+        for spec in (QuadratureSpec(), QuadratureSpec(target_rel_tol=1e-13),
+                     QuadratureSpec(cancellation_cap=10.0)):
+            _refinement_values(g_eval, (seg,), [1.0], spec, (0, 1))
+        assert len(sizes) == 1
+        _refinement_values(g_eval, (seg,), [1.0],
+                           QuadratureSpec(points_per_panel=8), (0, 1))
+        assert len(sizes) == 2
+
+    @pytest.mark.parametrize("name, radius", [
+        ("borel_inversion", 3.0), ("borel_inversion", 4.0),
+        ("borel_inversion", 5.0), ("u_eval", None), ("F_eval", None),
+    ])
+    def test_cold_and_warm_tables_give_the_same_bits(self, name, radius):
+        spec = QuadratureSpec(target_rel_tol=1e-13)
+        fn = {"borel_inversion": functools.partial(borel_inversion,
+                                                   radius=radius, spec=spec),
+              "u_eval": functools.partial(u_eval, spec=spec),
+              "F_eval": functools.partial(F_eval, spec=spec)}[name]
+        zs = _batch_points(41)  # ends in the five |z| = 8 points
+        runs = []
+        for batched in (True, False):
+            _level_table.cache_clear()
+            for _ in ("cold", "warm"):
+                runs.append(fn(zs) if batched
+                            else np.array([fn(z) for z in zs.tolist()]))
+        assert len({run.tobytes() for run in runs}) == 1
+
+    @pytest.mark.parametrize("seg", [CirclePath(3.0), spiral_arc(),
+                                     closing_segment()],
+                             ids=["circle", "arc", "segment"])
+    def test_arrays_are_read_only(self, seg):
+        s, g, dpoint, cuts = _level_table(_SHARED_TAIL.at, seg, 16, 8, (0, 1))
+        arrays = [s, g, dpoint] + [w for _, w in cuts
+                                   if isinstance(w, np.ndarray)]
+        assert len(arrays) == (3 if isinstance(seg, CirclePath) else 5)
+        for array in arrays:
+            with pytest.raises(ValueError):
+                array[0] = 0.0
 
 
 class TestSplittingProfile:
