@@ -4,12 +4,14 @@ Every integral here is (1/(2*pi*i)) * int g(s) e^{zs} ds over some path kept
 outside modulus 2.5, where the transform g is analytic.  Full circles use the
 periodic trapezoid rule (spectrally accurate); open arcs and segments use
 composite Gauss-Legendre panels; each refinement level doubles the nodes or
-panels.  Only e^{zs} depends on z: the nodes of a path and level, g there,
-the path derivative and the weights form one read-only table, built once per
+panels.  Only e^{zs} depends on z: the nodes of a path and level (with
+their Dekker split for the doubled-precision exponent), g there, the path
+derivative and the weights form one read-only table, built once per
 process (levels 0 and 1, which every z needs, share one).  Per z, a level's
-terms are summed by math.fsum, exactly rounded, so its value does not depend
-on node order.  The named integrals take a scalar z or a 1-D array of z; each
-entry of a batch keeps its own refinement and has the bits of the scalar call.
+terms are summed by math.fsum, exactly rounded, so its value does not
+depend on node order.  The named integrals take a scalar z or a 1-D array
+of z; each entry of a batch keeps its own refinement and has the bits of
+the scalar call.
 
 The named integrals (borel_inversion, u_eval, F_eval) split g into 1/s plus
 a smooth tail: the 1/s channel integrates in closed form (residue on closed
@@ -229,33 +231,40 @@ class IntegralResult:
 _SPLIT = 134217729.0  # 2^27 + 1, Dekker splitting constant
 
 
-def _two_product(a, b) -> tuple:
-    """a*b as an exact head/tail pair (no fma available on 3.10)."""
-    p = a * b
+def _split(a) -> tuple:
+    """Dekker's split a = head + tail, each with at most 26 significant bits."""
     ah = a * _SPLIT
     ah = ah - (ah - a)
-    al = a - ah
-    bh = b * _SPLIT
-    bh = bh - (bh - b)
-    bl = b - bh
+    return ah, a - ah
+
+
+def _two_product(a, b, b_split: tuple) -> tuple:
+    """a*b as an exact head/tail pair (no fma available on 3.10), given
+    b_split = _split(b)."""
+    p = a * b
+    ah, al = _split(a)
+    bh, bl = b_split
     e = ((ah * bh - p) + ah * bl + al * bh) + al * bl
     return p, e
 
 
-def _exp_zs(z: complex, s: np.ndarray) -> np.ndarray:
+def _exp_zs(z: complex, s: np.ndarray, re_split: tuple,
+            im_split: tuple) -> np.ndarray:
     """e^{z s} on an array of s, with the exponent in doubled precision.
 
     Rounding z*s to binary64 alone costs a relative error of |z*s|*eps in
     the exponential; with |z*s| up to ~160 on these contours that noise,
     multiplied by the integrand mass, would dominate every cancellation-
     limited integral.  The head/tail exponent buys those ~8 bits back.
+    re_split and im_split are _split(s.real) and _split(s.imag), which do
+    not depend on z and come with the level table.
     """
-    xp, xe1 = _two_product(z.real, s.real)
-    xq, xe2 = _two_product(z.imag, s.imag)
+    xp, xe1 = _two_product(z.real, s.real, re_split)
+    xq, xe2 = _two_product(z.imag, s.imag, im_split)
     x = xp - xq
     xe = ((xp - x) - xq) + (xe1 - xe2)  # two-sum tail of xp + (-xq)
-    yp, ye1 = _two_product(z.real, s.imag)
-    yq, ye2 = _two_product(z.imag, s.real)
+    yp, ye1 = _two_product(z.real, s.imag, im_split)
+    yq, ye2 = _two_product(z.imag, s.real, re_split)
     y = yp + yq
     ye = ((yp - y) + yq) + (ye1 + ye2)
     mag = np.exp(x) * (1.0 + xe)
@@ -275,8 +284,9 @@ _TABLE_SIZE = 32
 def _level_table(g_eval, seg, points_per_panel: int, initial_panels: int,
                  levels: tuple) -> tuple:
     """The z-independent half of a pass, read-only so no caller can change
-    what the next z reads: the nodes s of levels on seg joined, g_eval(s),
-    the path derivative at s, and per level its (slice of s, weights)."""
+    what the next z reads: the nodes s of levels on seg joined, the _split
+    of s.real and of s.imag, g_eval(s), the path derivative at s, and per
+    level its (slice of s, weights)."""
     t, cuts = [], []
     for level in levels:
         if isinstance(seg, CirclePath):
@@ -296,8 +306,11 @@ def _level_table(g_eval, seg, points_per_panel: int, initial_panels: int,
         cuts.append((slice(start, start + t[-1].size), weights))
     t = np.concatenate(t)
     s, dpoint = seg.point(t), seg.dpoint(t)
-    s.flags.writeable = dpoint.flags.writeable = False
-    return s, np.broadcast_to(g_eval(s), s.shape), dpoint, tuple(cuts)
+    splits = _split(s.real), _split(s.imag)
+    for array in (s, dpoint, *splits[0], *splits[1]):
+        array.flags.writeable = False
+    return (s, *splits, np.broadcast_to(g_eval(s), s.shape), dpoint,
+            tuple(cuts))
 
 
 def _refinement_values(g_eval, segments, zs, spec: QuadratureSpec,
@@ -307,9 +320,9 @@ def _refinement_values(g_eval, segments, zs, spec: QuadratureSpec,
     formed per z; the rest comes from each segment's _level_table."""
     terms = [[[] for _ in zs] for _ in levels]
     for seg in segments:
-        s, g, dpoint, cuts = _level_table(
+        s, re_split, im_split, g, dpoint, cuts = _level_table(
             g_eval, seg, spec.points_per_panel, spec.initial_panels, levels)
-        exps = [_exp_zs(z, s) for z in zs]
+        exps = [_exp_zs(z, s, re_split, im_split) for z in zs]
         for (cut, weights), level_terms in zip(cuts, terms):
             for out, exp_zs in zip(level_terms, exps):
                 out.append(g[cut] * exp_zs[cut] * dpoint[cut] * weights)

@@ -11,6 +11,10 @@ verdict is issued only from the joint behavior of the trailing windows.
 Exact zeros on the ray produce -inf samples.  They form the exceptional set
 of the profile and are excluded before any quantile is taken, but they still
 count toward a window's sample total.
+
+The quantiles are numpy's linear method, bit for bit those of np.quantile,
+but computed by a small helper: np.quantile imports numpy.ma on its first
+call (through np.unique), which costs a fresh process more than a ray.
 """
 from __future__ import annotations
 
@@ -62,11 +66,6 @@ class WindowStats:
         return 0.5 * (self.q_low + self.q_high)
 
 
-def _window_index(r: float) -> int:
-    # frexp is exact, so dyadic radii land in the window they open
-    return math.frexp(r)[1] - 1
-
-
 def _window_groups(profile: GrowthProfile):
     """(k, samples in window, finite samples) per dyadic window, ascending.
 
@@ -74,7 +73,8 @@ def _window_groups(profile: GrowthProfile):
     must not disqualify an adequately sampled window (at theta = 0 every
     window opens on one).
     """
-    ks = np.array([_window_index(r) for r in profile.radii])
+    # frexp is exact, so dyadic radii land in the window they open
+    ks = np.frexp(profile.radii)[1] - 1
     out = []
     for k in range(int(ks[0]), int(ks[-1]) + 1):
         vals = profile.values[ks == k]
@@ -82,6 +82,29 @@ def _window_groups(profile: GrowthProfile):
         if finite.size:
             out.append((k, vals.size, finite))
     return out
+
+
+def _quantile_pair(values: np.ndarray, q: float) -> tuple:
+    """np.quantile(values, (q, 1 - q)) bit for bit, numpy's linear method.
+
+    numpy's own steps: the virtual index (n - 1) * p clipped as numpy
+    clips it, np.partition on numpy's kth set (a sort can put -0.0 and 0.0
+    in another order), and numpy's two-sided lerp.
+    """
+    n = values.size
+    picks, kth = [], {0, -1}
+    for p in (q, 1.0 - q):
+        v = (n - 1) * p
+        # numpy's _get_indexes: at or past the last index, take the last
+        lo, hi = (-1, -1) if v >= n - 1 else (math.floor(v), math.floor(v) + 1)
+        picks.append((v - lo, lo, hi))
+        kth.update((lo, hi))
+    part = np.partition(values, sorted(kth))
+    out = []
+    for t, lo, hi in picks:
+        a, b = float(part[lo]), float(part[hi])
+        out.append(b - (b - a) * (1.0 - t) if t >= 0.5 else a + (b - a) * t)
+    return tuple(out)
 
 
 def window_stats(profile: GrowthProfile, q: float = 0.1) -> tuple:
@@ -98,7 +121,7 @@ def window_stats(profile: GrowthProfile, q: float = 0.1) -> tuple:
     for k, count, finite in _window_groups(profile):
         if count < MIN_WINDOW_SAMPLES:
             continue
-        lo, hi = np.quantile(finite, (q, 1.0 - q))
+        lo, hi = _quantile_pair(finite, q)
         stats.append(
             WindowStats(
                 k=k,

@@ -77,12 +77,18 @@ _POW2 = np.ldexp(1.0, _KS)
 
 def _log_f_block(radii: np.ndarray, phi: np.ndarray, cutoffs: np.ndarray):
     """log|f| and arg f for one block of points; see ProductEvaluator.log_f."""
-    k_max = int(cutoffs.max())
-    n = _POW2[:k_max]
-    # w^n = e^{x+iy} for w = z/n: dividing |z| by n is exact, so the huge
-    # power loses no accuracy to the base; circles past the cutoff get
+    # w^n = e^{x+iy} for w = z/n, x = n log(|z|/n): dividing |z| by n is
+    # exact, so the huge power loses no accuracy to the base.  A circle with
+    # x < -750 is dead: e^x is 0 and expm1(-|x|) is -1, so its factor is
+    # exactly 1 + 0i; it adds +0 to log|f| and a signed zero to the half
+    # turns, which changes no sum and no reduced argument.  x falls for good
+    # once 2^k > |z| and grows with |z|, so the circles dead at the block's
+    # largest radius are a suffix dead at every point and are cut (circle 1
+    # stays, so no sum is empty).  Circles past a point's own cutoff get
     # x = -inf, which makes their factor exactly 1
-    x = np.where(_KS[:k_max] <= cutoffs, np.log(radii / n) * n, -math.inf)
+    n = _POW2[:int(cutoffs.max())]
+    n = n[:max(1, int(np.count_nonzero(np.log(radii.max() / n) * n > -750.0)))]
+    x = np.where(_KS[:n.size] <= cutoffs, np.log(radii / n) * n, -math.inf)
     # y modulo fl(tau), exactly: fmod, then a Sterbenz subtraction
     y = np.fmod(phi * n, TAU)
     y -= TAU * np.rint(y / TAU)

@@ -416,10 +416,11 @@ class TestLevelTable:
                                      closing_segment()],
                              ids=["circle", "arc", "segment"])
     def test_arrays_are_read_only(self, seg):
-        s, g, dpoint, cuts = _level_table(_SHARED_TAIL.at, seg, 16, 8, (0, 1))
-        arrays = [s, g, dpoint] + [w for _, w in cuts
-                                   if isinstance(w, np.ndarray)]
-        assert len(arrays) == (3 if isinstance(seg, CirclePath) else 5)
+        s, re_split, im_split, g, dpoint, cuts = _level_table(
+            _SHARED_TAIL.at, seg, 16, 8, (0, 1))
+        arrays = [s, *re_split, *im_split, g, dpoint] + [
+            w for _, w in cuts if isinstance(w, np.ndarray)]
+        assert len(arrays) == (7 if isinstance(seg, CirclePath) else 9)
         for array in arrays:
             with pytest.raises(ValueError):
                 array[0] = 0.0

@@ -1,6 +1,8 @@
 """Tests for window statistics and growth verdicts."""
 import json
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -8,6 +10,8 @@ import pytest
 from expgrowth.diagnostics import (
     InsufficientSamplesError,
     RegularityVerdict,
+    _quantile_pair,
+    _window_groups,
     classify,
     exp2_profile,
     sin2_profile,
@@ -91,6 +95,52 @@ class TestWindowStats:
         prof = sin2_profile(0.0, dyadic_radii(8, 14, 256))
         for s in window_stats(prof, 0.1):
             assert abs(s.q_low) <= 0.02 and abs(s.q_high) <= 0.02
+
+
+class TestWindowGroups:
+    def test_dyadic_radius_opens_its_window(self):
+        # 2^k falls in window k and the float just below it in window k - 1
+        dyadic = np.ldexp(1.0, np.arange(-3, 40))
+        radii = np.sort(np.concatenate([dyadic, np.nextafter(dyadic, 0.0)]))
+        values = np.array([math.frexp(r)[1] - 1 for r in radii], dtype=float)
+        groups = _window_groups(GrowthProfile("t", 0.0, radii, values))
+        assert [k for k, _, _ in groups] == list(range(-4, 40))
+        assert [n for _, n, _ in groups] == [1] + [2] * 42 + [1]
+        for k, _, finite in groups:
+            assert np.all(finite == k)
+
+
+class TestQuantilePair:
+    @pytest.mark.parametrize("q", [0.01, 0.1, 0.25, 0.4999])
+    @pytest.mark.parametrize("n", [1, 2, 64, 257])
+    @pytest.mark.parametrize("kind", ["normal", "ties", "signed_zeros"])
+    def test_matches_numpy_quantile_bitwise(self, n, q, kind):
+        rng = np.random.default_rng([n, int(q * 1e4)])
+        for _ in range(20):
+            if kind == "normal":
+                v = rng.normal(size=n)
+            elif kind == "ties":
+                v = rng.integers(-2, 3, size=n) * 0.5
+            else:
+                v = rng.choice([-0.0, 0.0, -1.0, 1.0], size=n)
+            want = np.quantile(v, (q, 1.0 - q))
+            assert np.array(_quantile_pair(v, q)).tobytes() == want.tobytes()
+
+    def test_classify_leaves_numpy_ma_unimported(self):
+        # np.quantile pulls in numpy.ma; a fresh process must not pay for it
+        code = (
+            "import sys\n"
+            "from expgrowth.diagnostics import classify\n"
+            "from expgrowth.lattice import ZeroLattice\n"
+            "from expgrowth.product import ProductEvaluator, dyadic_radii\n"
+            "ev = ProductEvaluator(ZeroLattice(k_max=14))\n"
+            "classify(ev.profile_on(0.3, dyadic_radii(8, 14, 256)))\n"
+            "print('numpy.ma' in sys.modules)\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", code],
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
 
 
 class TestClassify:

@@ -157,8 +157,12 @@ class TestBatchInvariance:
     @pytest.mark.parametrize("size", [1, 127, 128, 129, 1537])
     def test_log_f_matches_scalar_bitwise(self, size):
         rng = np.random.default_rng(size)
-        # moduli over many cutoffs, every direction, and some lattice zeros
-        zs = np.geomspace(0.7, 3.0e6, size) * np.exp(1j * rng.uniform(-4, 4, size))
+        # moduli over many cutoffs up to 2^500, so one block mixes points
+        # with different numbers of live circles; every direction, points on
+        # both axes, and some lattice zeros
+        mods = np.geomspace(0.7, 2.0**500, size)
+        zs = mods * np.exp(1j * rng.uniform(-4, 4, size))
+        zs[1::7] = mods[1::7] * np.resize([1, 1j, -1, -1j], zs[1::7].size)
         for lattice in (ZeroLattice(k_max=14), ZeroLattice(k_max=8, rotation=0.3)):
             ev = ProductEvaluator(lattice)
             zs[::50] = lattice.zero(3, 5)
