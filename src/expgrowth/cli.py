@@ -39,7 +39,7 @@ from .contours import (
     u_decay_bound,
     u_eval,
 )
-from .csvio import fmt, write_rows
+from .csvio import fmt, row_blocks, write_rows
 from .diagnostics import (
     InsufficientSamplesError,
     classify,
@@ -211,18 +211,16 @@ def _write_counting(lattice: ZeroLattice, out: Path, emit_svg: bool):
     """
     radii = dyadic_radii(0, max(1, lattice.k_max), 64)
     rows = []
-    for r in radii:
+    for r in radii.tolist():
         n = lattice.counting(r)
         # the upper band [1.5*2^(k-1), 2^k) is exactly mantissa >= 0.75
-        rows.append((float(r), n, n / r, math.frexp(r)[0] >= 0.75))
-    write_rows(
-        out / "counting.csv",
-        ("r", "n", "n_over_r", "upper_band"),
-        [(fmt(r), str(n), fmt(ratio), "1" if flag else "0")
-         for r, n, ratio, flag in rows],
-    )
+        rows.append((r, n, n / r, math.frexp(r)[0] >= 0.75))
+    columns = tuple(zip(*rows))
+    with open(out / "counting.csv", "w", encoding="ascii") as f:
+        f.write("r,n,n_over_r,upper_band\n")
+        f.writelines(row_blocks("%.17g,%d,%.17g,%d\n", *columns))
     if emit_svg:
-        radii, _, ratios, flags = zip(*rows)
+        radii, _, ratios, flags = columns
         svg.write_counting_svg(radii, ratios, flags, out / "counting.svg")
     return rows
 

@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import struct
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -497,8 +498,15 @@ def _endpoint_channels(z: complex) -> tuple:
     When both endpoints are off the series route, their -gamma - log(-w)
     terms cancel log(4/3) exactly (log 4z - log 3z = log 4/3), so c = 0 and
     e3, e4 are the asymptotic tails alone.  Summing the logs instead would
-    leave their roundoff, ~1e-16, in a u that decays like e^{-3x}.
+    leave their roundoff, ~1e-16, in a u that decays like e^{-3x}.  F and u
+    share them through a memo keyed on the bits of z (0.0 is not -0.0).
     """
+    return _endpoint_channels_of(struct.pack("<2d", z.real, z.imag))
+
+
+@lru_cache(maxsize=64)
+def _endpoint_channels_of(bits: bytes) -> tuple:
+    z = complex(*struct.unpack("<2d", bits))
     w3, w4 = -3.0 * z, -4.0 * z
     if not (_on_series_route(w3) or _on_series_route(w4)):
         return 0.0, _asymptotic_tail(w3), _asymptotic_tail(w4)

@@ -13,6 +13,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from .csvio import row_blocks
 from .lognum import TAU
 
 #: cardinal unit roots, exact in binary64
@@ -162,13 +163,10 @@ def verify_counting_bounds(lattice: ZeroLattice) -> CountingReport:
 
 def write_zeros_csv(lattice: ZeroLattice, path) -> None:
     """Export the lattice as columns k, j, re, im (17 significant digits),
-    written circle by circle."""
+    written circle by circle in blocks of rows."""
     with open(path, "w", encoding="ascii") as out:
         out.write("k,j,re,im\n")
         for k in range(1, lattice.k_max + 1):
             a = lattice.circle(k)
-            out.write("".join([
-                "%d,%d,%.17g,%.17g\n" % (k, j, x, y)
-                for j, (x, y) in enumerate(zip(a.real.tolist(),
-                                               a.imag.tolist()))
-            ]))
+            out.writelines(row_blocks("%d,%%d,%%.17g,%%.17g\n" % k,
+                                      range(a.size), a.real, a.imag))

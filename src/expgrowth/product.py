@@ -14,9 +14,11 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
+from .csvio import row_blocks
 from .lattice import ZeroLattice
 from .lognum import TAU, LogComplex, cis
 
@@ -206,8 +208,8 @@ class ProductEvaluator:
             w = 1.0 - z / self.lattice.circle(k)
             if np.any(w == 0):
                 return LogComplex(-math.inf, 0.0)
-            mag_parts.append(math.fsum(np.log(np.abs(w))))
-            arg_parts.append(math.fsum(np.angle(w)))
+            mag_parts.append(math.fsum(np.log(np.abs(w)).tolist()))
+            arg_parts.append(math.fsum(np.angle(w).tolist()))
         # the argument reduced to (-pi, pi]
         arg = math.remainder(math.fsum(arg_parts), TAU)
         return LogComplex(math.fsum(mag_parts), arg + TAU if arg <= -math.pi else arg)
@@ -246,7 +248,6 @@ def write_profile_csv(profiles, path) -> None:
     with open(path, "w", encoding="ascii") as out:
         out.write("function_id,theta,r,value\n")
         for p in profiles:
-            out.write("".join([
-                "%s,%.17g,%.17g,%.17g\n" % (p.function_id, p.theta, r, v)
-                for r, v in zip(p.radii.tolist(), p.values.tolist())
-            ]))
+            out.writelines(row_blocks(
+                "%s,%.17g,%.17g,%.17g\n", repeat(p.function_id),
+                repeat(p.theta), p.radii, p.values))

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .csvio import fmt
+from .csvio import fmt, row_blocks
 
 WIDTH = 640
 HEIGHT = 420
@@ -56,9 +56,9 @@ class _Panel:
         return HEIGHT - _MB - h * (y - self.y_lo) / (self.y_hi - self.y_lo)
 
     def polyline(self, xs, ys, color=_LINE, width=1.4, dash=None):
-        pts = " ".join(
-            "%.2f,%.2f" % (self.px(x), self.py(y)) for x, y in zip(xs, ys)
-        )
+        # px and py on whole arrays: per element the operations of one value
+        pts = "".join(row_blocks("%.2f,%.2f ", self.px(np.asarray(xs, float)),
+                                 self.py(np.asarray(ys, float))))[:-1]
         extra = ' stroke-dasharray="%s"' % dash if dash else ""
         self.parts.append(
             '<polyline points="%s" fill="none" stroke="%s" '

@@ -1,6 +1,7 @@
 """Tests for the command-line front end: schemas, exit codes, determinism."""
 import io
 import json
+import math
 import re
 import subprocess
 import sys
@@ -16,10 +17,14 @@ from expgrowth.cli import (
     EXIT_USAGE,
     EXIT_VERIFY,
     RunConfig,
+    _write_counting,
     main,
     parse_complex,
     parse_config_file,
 )
+from expgrowth.csvio import fmt
+from expgrowth.lattice import ZeroLattice
+from expgrowth.product import dyadic_radii
 
 
 def run(*args, cwd=None):
@@ -168,6 +173,19 @@ class TestLattice:
         flagged = [r.split(",") for r in rows if r.endswith(",1")]
         assert flagged
         assert all(float(c[2]) <= 4.0 / 3.0 for c in flagged)
+
+    def test_counting_matches_per_row_writer(self, tmp_path):
+        # the per-row writer the blocks replaced; 1281 rows span two blocks
+        lattice = ZeroLattice(k_max=20)
+        lines = ["r,n,n_over_r,upper_band"]
+        for r in dyadic_radii(0, 20, 64):
+            n = lattice.counting(r)
+            lines.append(",".join((fmt(float(r)), str(n), fmt(n / r),
+                                   "1" if math.frexp(r)[0] >= 0.75 else "0")))
+        rows = _write_counting(lattice, tmp_path, emit_svg=False)
+        assert len(rows) == len(lines) - 1 == 1281
+        assert ((tmp_path / "counting.csv").read_bytes()
+                == ("\n".join(lines) + "\n").encode("ascii"))
 
 
 class TestProfileAndDiagnose:

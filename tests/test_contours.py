@@ -18,6 +18,8 @@ from expgrowth.contours import (
     QuadratureSpec,
     SpiralArc,
     _SHARED_TAIL,
+    _endpoint_channels,
+    _endpoint_channels_of,
     _integrate_batch,
     _level_table,
     _refinement_values,
@@ -219,6 +221,51 @@ class TestArcTransform:
             fv = ev.eval_log_f(z).to_complex()
             resid = abs(F_eval(z, spec) + u_eval(z, spec) - fv)
             assert resid <= 1e-7 * (1.0 + abs(fv))
+
+
+class TestEndpointChannels:
+    # on the series route (-3z and -4z within reach of E's Taylor series),
+    # and pairs that differ only in the sign of a zero component; the
+    # channels of complex(-5, 0.0) and complex(-5, -0.0) differ in bits
+    SIGNED = [complex(-5.0, 0.0), complex(-5.0, -0.0), complex(-0.5, 0.0),
+              complex(-0.5, -0.0), complex(0.0, 2.0), complex(-0.0, 2.0),
+              complex(0.5, 0.0), complex(0.5, -0.0)]
+
+    def test_identity_sums_each_endpoint_once(self, monkeypatch):
+        import expgrowth.contours as contours
+
+        calls = []
+        exact = contours._entire_exp_integral
+
+        def counted(w):
+            calls.append(w)
+            return exact(w)
+
+        monkeypatch.setattr(contours, "_entire_exp_integral", counted)
+        _endpoint_channels_of.cache_clear()
+        z = 0.5 + 0.3j
+        F_eval(z)
+        u_eval(z)
+        assert calls == [-3.0 * z, -4.0 * z]
+
+    def test_signed_zeros_and_batches_keep_uncached_bits(self):
+        spec = QuadratureSpec(target_rel_tol=1e-13)
+        assert (np.array(_endpoint_channels(self.SIGNED[0])).tobytes()
+                != np.array(_endpoint_channels(self.SIGNED[1])).tobytes())
+        for fn in (u_eval, F_eval):
+            cold = []
+            for z in self.SIGNED:
+                _endpoint_channels_of.cache_clear()
+                cold.append(fn(z, spec))
+            cold = np.array(cold)
+            # warm: the other function and the other sign of zero went first
+            other = F_eval if fn is u_eval else u_eval
+            _endpoint_channels_of.cache_clear()
+            other(np.array(self.SIGNED[::-1]), spec)
+            warm = np.array([fn(z, spec) for z in self.SIGNED])
+            batch = fn(np.array(self.SIGNED), spec)
+            assert warm.tobytes() == cold.tobytes()
+            assert batch.tobytes() == cold.tobytes()
 
 
 class TestClosedLoop:

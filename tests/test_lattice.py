@@ -206,3 +206,17 @@ class TestCsvExport:
         path = tmp_path / "zeros.csv"
         write_zeros_csv(lat, path)
         assert path.read_bytes() == ("\n".join(lines) + "\n").encode("ascii")
+
+    def test_matches_per_row_writer(self, tmp_path):
+        # the per-row writer the blocks replaced; circles 11 and 12 span
+        # several blocks, and a rotation leaves no value cardinal
+        lat = ZeroLattice(k_max=12, rotation=0.3)
+        text = ["k,j,re,im\n"]
+        for k in range(1, lat.k_max + 1):
+            a = lat.circle(k)
+            text.extend("%d,%d,%.17g,%.17g\n" % (k, j, x, y)
+                        for j, (x, y) in enumerate(zip(a.real.tolist(),
+                                                       a.imag.tolist())))
+        path = tmp_path / "zeros.csv"
+        write_zeros_csv(lat, path)
+        assert path.read_bytes() == "".join(text).encode("ascii")

@@ -340,3 +340,19 @@ class TestCsvExport:
         write_profile_csv(profiles, path)
         assert "-inf" in path.read_text()
         assert path.read_bytes() == ("\n".join(lines) + "\n").encode("ascii")
+
+    def test_matches_per_row_writer(self, ev, tmp_path):
+        # the per-row writer the blocks replaced, on two profiles with -inf
+        # samples, one with a "%" in its function_id
+        profiles = [ev.profile_on(0.0, dyadic_radii(2, 13, 256)),
+                    ev.profile_on(0.3, np.geomspace(4.0, 64.0, 37),
+                                  function_id="f%s%%d")]
+        text = ["function_id,theta,r,value\n"]
+        for p in profiles:
+            text.extend("%s,%.17g,%.17g,%.17g\n" % (p.function_id, p.theta, r, v)
+                        for r, v in zip(p.radii.tolist(), p.values.tolist()))
+        path = tmp_path / "profile.csv"
+        write_profile_csv(profiles, path)
+        assert profiles[0].radii.size > 2048
+        assert "-inf" in path.read_text()
+        assert path.read_bytes() == "".join(text).encode("ascii")
