@@ -23,9 +23,11 @@ integrand reaches e^{32}.
 
 Past the cancellation cap of F_eval, F's growth comes from the splitting:
 splitting_profile forms log F = log(f - u) from one ProductEvaluator.log_f
-array and one batch of u with lognum.log_sub, so it holds where f itself
-leaves binary64.  Path points use the array lognum.cis, exact at the
-cardinal angles.
+array and one batch of u with lognum.log_sub.  f may leave binary64 there,
+but u may not: below Re z = -177.4, e^{-4z} overflows and u_eval raises
+OverflowError, and where u is subnormal (about 235 < Re z < 245 off the real
+axis) its quadrature can stall and raise NonConvergenceError.  Path points
+use the array lognum.cis, exact at the cardinal angles.
 
 Refinement stops when successive values agree to the requested relative
 tolerance or hit the roundoff floor set by the accumulated absolute mass;
@@ -276,6 +278,55 @@ def _exp_zs(z: complex, s: np.ndarray, re_split: tuple,
     return out
 
 
+def _legval(x, c):
+    """sum_i c[i] P_i(x) by Clenshaw's recurrence, as numpy's legval does
+    it, for a float coefficient array c of length >= 2."""
+    nd = len(c)
+    c0, c1 = c[-2], c[-1]
+    for i in range(3, len(c) + 1):
+        tmp = c0
+        nd = nd - 1
+        c0 = c[-i] - c1 * ((nd - 1) / nd)
+        c1 = tmp + c1 * x * ((2 * nd - 1) / nd)
+    return c0 + c1 * x
+
+
+@lru_cache(maxsize=8)
+def _gauss_rule(n: int) -> tuple:
+    """The n-point Gauss-Legendre nodes and weights on [-1, 1], read-only.
+
+    A step-for-step copy of numpy.polynomial.legendre.leggauss, so the bits
+    are the same, but a cold run need not import numpy.polynomial for it:
+    the eigenvalues of the symmetric companion matrix of P_n, one Newton
+    step, then the weights from P_n' and P_{n-1}, symmetrised and scaled to
+    sum to 2.  Only legder's coefficients of P_n' are written in closed
+    form; they are small integers, exact either way.
+    """
+    c = np.zeros(n + 1)
+    c[-1] = 1.0
+    mat = np.zeros((n, n))
+    scl = 1. / np.sqrt(2 * np.arange(n) + 1)
+    top = mat.reshape(-1)[1::n + 1]
+    bot = mat.reshape(-1)[n::n + 1]
+    top[...] = np.arange(1, n) * scl[:n - 1] * scl[1:n]
+    bot[...] = top
+    x = np.linalg.eigvalsh(mat)
+    dy = _legval(x, c)
+    der = np.zeros(n)  # P_n' = sum of (2k + 1) P_k over k = n-1, n-3, ...
+    der[n - 1::-2] = 2.0 * np.arange(n - 1, -1, -2) + 1.0
+    df = _legval(x, der)
+    x -= dy / df
+    fm = _legval(x, c[1:])
+    fm /= np.abs(fm).max()
+    df /= np.abs(df).max()
+    w = 1 / (fm * df)
+    w = (w + w[::-1]) / 2
+    x = (x - x[::-1]) / 2
+    w *= 2. / w.sum()
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
+
+
 #: keys in use: 10 in a contour_solve round of the benchmark (circles of
 #: radius 3, 4, 5; the arc at levels (0, 1) to 6; the segment), 5 in reproduce
 _TABLE_SIZE = 32
@@ -289,6 +340,8 @@ def _level_table(g_eval, seg, points_per_panel: int, initial_panels: int,
     of s.real and of s.imag, g_eval(s), the path derivative at s, and per
     level its (slice of s, weights)."""
     t, cuts = [], []
+    if not isinstance(seg, CirclePath):
+        x, w = _gauss_rule(points_per_panel)
     for level in levels:
         if isinstance(seg, CirclePath):
             n = initial_panels * points_per_panel * (1 << level)
@@ -296,7 +349,6 @@ def _level_table(g_eval, seg, points_per_panel: int, initial_panels: int,
             weights = 1.0 / n
         else:
             panels = initial_panels * (1 << level)
-            x, w = np.polynomial.legendre.leggauss(points_per_panel)
             width = 1.0 / panels
             half = 0.5 * width
             mid = (np.arange(panels) + 0.5) * width
@@ -586,8 +638,14 @@ def splitting_profile(ev, theta: float, radii, spec: QuadratureSpec = None,
                       function_id: str = "F") -> GrowthProfile:
     """Growth profile of the arc transform computed as f - u.
 
-    Valid at any radius: both pieces are evaluated independently of the
-    cancellation-limited direct arc quadrature.
+    Both pieces are evaluated independently of the cancellation-limited
+    direct arc quadrature, so no radius cap applies, but u must stay in
+    binary64.  Measured over dyadic_radii(8, 14, 256) and scans of Re z:
+    it raises OverflowError once some Re z < -177.4, where e^{-4z}
+    overflows (r > 426 at theta = 2, r > 177.4 at theta = pi), and
+    NonConvergenceError at radii where u is subnormal, about
+    235 < Re z < 245 off the real axis (theta = 0.5, 1.0, 1.5).  Elsewhere,
+    the whole positive axis included, it returns the profile.
     """
     radii = np.asarray(radii, float)
     zs = radii * cis(theta)

@@ -97,7 +97,8 @@ class ZeroLattice:
         cached = self._recip.get(k)
         if cached is None:
             inv = 1.0 / self.circle(k)
-            cached = complex(math.fsum(inv.real), math.fsum(inv.imag))
+            cached = complex(math.fsum(inv.real.tolist()),
+                             math.fsum(inv.imag.tolist()))
             self._recip[k] = cached
         return cached
 

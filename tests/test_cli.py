@@ -368,6 +368,23 @@ class TestReproduce:
         assert "verdict regular, limit 1.4" in line
         assert "gap" not in line
 
+    def test_imports_no_numpy_submodule(self, tmp_path):
+        # numpy imports numpy.random and numpy.polynomial lazily; a cold
+        # reproduce must not pay for them (an eager numpy passes too)
+        code = (
+            "import sys\n"
+            "import expgrowth.cli\n"
+            "before = set(sys.modules)\n"
+            "code = expgrowth.cli.main(['--out-dir', sys.argv[1],\n"
+            "                           '--k-max', '12', 'reproduce'])\n"
+            "print(code, sorted(m for m in set(sys.modules) - before\n"
+            "                   if m.split('.')[0] == 'numpy'))\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", code, str(tmp_path)],
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "0 []"
+
     def test_end_to_end_and_determinism(self, tmp_path):
         first, second = tmp_path / "a", tmp_path / "b"
         code1, out1, _ = run("--out-dir", str(first), "--k-max", "12",

@@ -1,7 +1,10 @@
 """Tests for contour geometry, adaptive quadrature, and the three transforms."""
 import dataclasses
 import functools
+import hashlib
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -20,6 +23,7 @@ from expgrowth.contours import (
     _SHARED_TAIL,
     _endpoint_channels,
     _endpoint_channels_of,
+    _gauss_rule,
     _integrate_batch,
     _level_table,
     _refinement_values,
@@ -471,6 +475,55 @@ class TestLevelTable:
         for array in arrays:
             with pytest.raises(ValueError):
                 array[0] = 0.0
+
+
+class TestGaussRule:
+    def test_within_two_ulps_of_numpy(self):
+        from numpy.polynomial.legendre import leggauss
+        for n in range(2, 65):
+            for ours, theirs in zip(_gauss_rule(n), leggauss(n)):
+                assert ours.shape == (n,)
+                assert np.all(np.abs(ours - theirs)
+                              <= 2.0 * np.spacing(np.abs(theirs))), n
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 8, 16, 32])
+    def test_integrates_monomials_exactly(self, n):
+        # numpy's own rule misses by up to 1.3e-15 (n = 32, k = 6): a few
+        # ulps in the weights, not in the sum, which fsum rounds once
+        x, w = _gauss_rule(n)
+        for k in range(2 * n):
+            exact = 2.0 / (k + 1) if k % 2 == 0 else 0.0
+            assert abs(math.fsum((w * x ** k).tolist()) - exact) <= 2e-15, k
+
+    def test_arrays_are_read_only(self):
+        for array in _gauss_rule(5):
+            with pytest.raises(ValueError):
+                array[0] = 0.0
+
+    def test_default_rule_bytes_are_pinned(self):
+        # sha256 of numpy 2.4.6's leggauss(16), the rule of every default
+        # QuadratureSpec: no numpy version may move the quadrature's bits
+        x, w = _gauss_rule(QuadratureSpec().points_per_panel)
+        assert hashlib.sha256(x.tobytes() + w.tobytes()).hexdigest() == (
+            "cfbec389e51be570a7c11d417e51ddf7452b650090e96ceae2c5a91a93020864")
+
+    def test_named_integrals_import_no_numpy_submodule(self):
+        # numpy imports numpy.polynomial lazily; a cold process must not
+        # pay for it (a numpy that imports it eagerly passes too)
+        code = (
+            "import sys\n"
+            "import expgrowth.cli\n"
+            "from expgrowth.contours import borel_inversion, F_eval, u_eval\n"
+            "before = set(sys.modules)\n"
+            "z = 1.5 - 2.0j\n"
+            "borel_inversion(z), F_eval(z), u_eval(z)\n"
+            "print(sorted(m for m in set(sys.modules) - before\n"
+            "             if m.split('.')[0] == 'numpy'))\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", code],
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
 
 
 class TestSplittingProfile:
