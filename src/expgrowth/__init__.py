@@ -16,7 +16,6 @@ from .borel import (
 from .contours import (
     CancellationCapError,
     CirclePath,
-    Contour,
     F_eval,
     IntegralResult,
     LineSegment,
@@ -25,7 +24,6 @@ from .contours import (
     SpiralArc,
     borel_inversion,
     closing_segment,
-    integrate,
     spiral_arc,
     splitting_profile,
     u_decay_bound,
@@ -66,7 +64,6 @@ __all__ = [
     "CancellationCapError",
     "CirclePath",
     "CoefficientStream",
-    "Contour",
     "CountingReport",
     "F_eval",
     "GrowthProfile",
@@ -87,7 +84,6 @@ __all__ = [
     "closing_segment",
     "dyadic_radii",
     "exp2_profile",
-    "integrate",
     "sin2_profile",
     "spiral_arc",
     "splitting_profile",

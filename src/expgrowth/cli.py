@@ -138,6 +138,11 @@ def resolve_config(args) -> RunConfig:
     return cfg
 
 
+#: largest --samples-per-window and --max-index: 2^16 samples in each of the
+#: six default windows take about 2 s, m <= 2^16 about 0.6 s
+_MAX_SAMPLES = _MAX_INDEX = 1 << 16
+
+
 def _validate(cfg: RunConfig) -> None:
     if cfg.k_max < 1:
         raise UsageError("k_max must be >= 1")
@@ -153,8 +158,9 @@ def _validate(cfg: RunConfig) -> None:
     if not 0.0 < cfg.r_min < cfg.r_max < math.inf:
         raise UsageError("need 0 < r_min < r_max < inf")
     n = cfg.samples_per_window
-    if n < 1 or n & (n - 1):
-        raise UsageError("samples_per_window must be a power of two")
+    if not 1 <= n <= _MAX_SAMPLES or n & (n - 1):
+        raise UsageError("samples_per_window must be a power of two, at "
+                         "most %d" % _MAX_SAMPLES)
     lo, hi = _INVERSION_RADII
     if not lo <= cfg.contour_radius <= hi:
         raise UsageError("contour_radius must lie in [%g, %g]" % (lo, hi))
@@ -330,8 +336,8 @@ def _identity_rows(ev: ProductEvaluator, zs) -> list:
 
 def cmd_borel(cfg: RunConfig, args) -> int:
     if args.action == "coeffs":
-        if args.max_index < 0:
-            raise UsageError("max_index must be >= 0")
+        if not 0 <= args.max_index <= _MAX_INDEX:
+            raise UsageError("max_index must lie in [0, %d]" % _MAX_INDEX)
         out = _out_dir(cfg)
         write_coeffs_csv(CoefficientStream(), args.max_index, out / "coeffs.csv")
         print("wrote %s (m <= %d)" % (out / "coeffs.csv", args.max_index))

@@ -9,9 +9,10 @@ their Dekker split for the doubled-precision exponent), g there, the path
 derivative and the weights form one read-only table, built once per
 process (levels 0 and 1, which every z needs, share one).  Per z, a level's
 terms are summed by math.fsum, exactly rounded, so its value does not
-depend on node order.  The named integrals take a scalar z or a 1-D array
-of z; each entry of a batch keeps its own refinement and has the bits of
-the scalar call.
+depend on node order.  The rule is fixed and a QuadratureSpec is only a
+tolerance.  Each named integral runs its one segment through one batch
+engine, _integrate_batch: a scalar z is a batch of one, and each entry of a
+1-D batch keeps its own refinement and has the bits of the scalar call.
 
 The named integrals (borel_inversion, u_eval, F_eval) split g into 1/s plus
 a smooth tail: the 1/s channel integrates in closed form (residue on closed
@@ -53,11 +54,14 @@ _EPS = math.ulp(1.0)
 #: circle radii accepted by borel_inversion and the CLI's --radius
 _INVERSION_RADII = (MIN_MODULUS, 8.0)
 
-#: absolute tolerance for endpoint matching in chained contours
-_JOIN_TOL = 1e-12
+#: the rule: level L = 0 .. _MAX_REFINEMENTS takes _INITIAL_PANELS * 2^L
+#: panels of _POINTS_PER_PANEL nodes, Gauss on open paths, trapezoid on circles
+_POINTS_PER_PANEL = 16
+_INITIAL_PANELS = 8
+_MAX_REFINEMENTS = 10
 
-#: phase samples per segment when counting a closed contour's winding
-_WINDING_SAMPLES = 512
+#: largest |z| at which F_eval integrates the arc directly
+_CANCELLATION_CAP = 40.0
 
 
 class NonConvergenceError(ArithmeticError):
@@ -78,7 +82,7 @@ class NonConvergenceError(ArithmeticError):
 
 
 class CancellationCapError(ValueError):
-    """Arc-transform evaluation refused beyond the configured |z| cap."""
+    """Arc-transform evaluation refused beyond the cancellation cap |z| = 40."""
 
 
 def _require_outside(lo: float, what: str) -> None:
@@ -169,59 +173,15 @@ class LineSegment:
 
 
 @dataclass(frozen=True)
-class Contour:
-    """Chain of segments; if closed, must wind once counterclockwise about 0."""
-
-    segments: tuple
-    closed: bool = True
-
-    def __post_init__(self) -> None:
-        segments = tuple(self.segments)
-        object.__setattr__(self, "segments", segments)
-        if not segments:
-            raise ValueError("contour needs at least one segment")
-        ends = [(seg.point(0.0), seg.point(1.0)) for seg in segments]
-        for (_, e), (s, _) in zip(ends, ends[1:]):
-            if abs(e - s) > _JOIN_TOL:
-                raise ValueError(f"segment seam mismatch: {e!r} vs {s!r}")
-        if self.closed:
-            if abs(ends[-1][1] - ends[0][0]) > _JOIN_TOL:
-                raise ValueError("contour marked closed but endpoints differ")
-            w = self.winding_number()
-            if w != 1:
-                raise ValueError(f"closed contour winds {w} times, need +1")
-
-    def winding_number(self) -> int:
-        t = np.arange(_WINDING_SAMPLES + 1) / _WINDING_SAMPLES
-        phase = np.angle(np.concatenate([seg.point(t) for seg in self.segments]))
-        steps = np.diff(phase)
-        steps -= TAU * np.round(steps / TAU)  # into [-pi, pi]
-        return int(round(steps.sum() / TAU))
-
-
-@dataclass(frozen=True)
 class QuadratureSpec:
-    """Refinement policy: level L of a full circle takes initial_panels *
-    points_per_panel * 2^L trapezoid nodes, of an open arc or segment
-    initial_panels * 2^L Gauss panels of points_per_panel nodes."""
+    """A tolerance only: refinement stops once successive levels agree to
+    target_rel_tol relative, or to the roundoff floor."""
 
-    points_per_panel: int = 16
-    initial_panels: int = 8
     target_rel_tol: float = 1e-10
-    max_refinements: int = 10
-    cancellation_cap: float = 40.0
 
     def __post_init__(self) -> None:
-        if self.points_per_panel < 2:
-            raise ValueError("points_per_panel must be >= 2")
-        if self.initial_panels < 1:
-            raise ValueError("initial_panels must be >= 1")
         if not self.target_rel_tol >= 1e-13:  # nan fails too
             raise ValueError("target_rel_tol below achievable floor 1e-13")
-        if self.max_refinements < 1:
-            raise ValueError("max_refinements must be >= 1")
-        if not self.cancellation_cap > 0.0:
-            raise ValueError("cancellation_cap must be positive")
 
 
 @dataclass(frozen=True)
@@ -327,28 +287,28 @@ def _gauss_rule(n: int) -> tuple:
     return x, w
 
 
-#: keys in use: 10 in a contour_solve round of the benchmark (circles of
-#: radius 3, 4, 5; the arc at levels (0, 1) to 6; the segment), 5 in reproduce
+#: keys (g, segment, levels) in use: 10 in a contour_solve round of the
+#: benchmark (circles of radius 3, 4, 5 and the segment at levels (0, 1), the
+#: arc at (0, 1) and 2 to 6), 4 in reproduce (radius 4, segment, arc to 2)
 _TABLE_SIZE = 32
 
 
 @lru_cache(maxsize=_TABLE_SIZE)
-def _level_table(g_eval, seg, points_per_panel: int, initial_panels: int,
-                 levels: tuple) -> tuple:
+def _level_table(g_eval, seg, levels: tuple) -> tuple:
     """The z-independent half of a pass, read-only so no caller can change
     what the next z reads: the nodes s of levels on seg joined, the _split
     of s.real and of s.imag, g_eval(s), the path derivative at s, and per
     level its (slice of s, weights)."""
     t, cuts = [], []
     if not isinstance(seg, CirclePath):
-        x, w = _gauss_rule(points_per_panel)
+        x, w = _gauss_rule(_POINTS_PER_PANEL)
     for level in levels:
         if isinstance(seg, CirclePath):
-            n = initial_panels * points_per_panel * (1 << level)
+            n = _INITIAL_PANELS * _POINTS_PER_PANEL * (1 << level)
             t.append(np.arange(n) / n)  # exact dyadic t for power-of-two n
             weights = 1.0 / n
         else:
-            panels = initial_panels * (1 << level)
+            panels = _INITIAL_PANELS * (1 << level)
             width = 1.0 / panels
             half = 0.5 * width
             mid = (np.arange(panels) + 0.5) * width
@@ -366,21 +326,14 @@ def _level_table(g_eval, seg, points_per_panel: int, initial_panels: int,
             tuple(cuts))
 
 
-def _refinement_values(g_eval, segments, zs, spec: QuadratureSpec,
-                       levels: tuple) -> list:
+def _refinement_values(g_eval, seg, zs, levels: tuple) -> list:
     """The rule at each of levels for every z of zs: per level, a list of
     (value, absolute mass sum |term| / tau).  Only e^{zs} and the terms are
-    formed per z; the rest comes from each segment's _level_table."""
-    terms = [[[] for _ in zs] for _ in levels]
-    for seg in segments:
-        s, re_split, im_split, g, dpoint, cuts = _level_table(
-            g_eval, seg, spec.points_per_panel, spec.initial_panels, levels)
-        exps = [_exp_zs(z, s, re_split, im_split) for z in zs]
-        for (cut, weights), level_terms in zip(cuts, terms):
-            for out, exp_zs in zip(level_terms, exps):
-                out.append(g[cut] * exp_zs[cut] * dpoint[cut] * weights)
-    return [[_value_and_mass(np.concatenate(parts)) for parts in level_terms]
-            for level_terms in terms]
+    formed per z; the rest comes from the segment's _level_table."""
+    s, re_split, im_split, g, dpoint, cuts = _level_table(g_eval, seg, levels)
+    exps = [_exp_zs(z, s, re_split, im_split) for z in zs]
+    return [[_value_and_mass(g[cut] * exp_zs[cut] * dpoint[cut] * weights)
+             for exp_zs in exps] for cut, weights in cuts]
 
 
 def _value_and_mass(part: np.ndarray) -> tuple:
@@ -389,18 +342,20 @@ def _value_and_mass(part: np.ndarray) -> tuple:
     return total / (1j * TAU), float(np.abs(part).sum()) / TAU
 
 
-def _integrate_batch(g_eval, path, zs, spec: QuadratureSpec = None) -> list:
-    """integrate at every z of zs, one IntegralResult each.
+def _integrate_batch(g_eval, seg, zs, spec: QuadratureSpec = None) -> list:
+    """(1/(2*pi*i)) * int_seg g(s) e^{zs} ds for every z of zs, one
+    IntegralResult each.
 
-    No z can stop before it has two level values, so levels 0 and 1 share
-    one table; each later level has its own, for every z still refining.
-    A z keeps its own convergence test and leaves the batch once it passes;
-    its terms are formed and summed exactly as for a batch of one, so its
-    result does not depend on the rest of the batch.
+    g_eval maps an array of nodes s to g(s); it must be pure and hashable,
+    as its values on a segment and level serve every z for the process.
+    Levels 0 and 1, which every z needs, share one table; each later level
+    has its own, for every z still refining.  A z leaves the batch once two
+    levels agree to the tolerance or to the roundoff floor 4 * eps * mass,
+    its bits those of a batch of one.  An overflowing integrand raises
+    FloatingPointError (an ArithmeticError) at once.
     """
     if spec is None:
         spec = QuadratureSpec()
-    segments = path.segments if isinstance(path, Contour) else (path,)
     zs = [complex(z) for z in zs]
     results = [None] * len(zs)
     prev = [None] * len(zs)
@@ -409,10 +364,10 @@ def _integrate_batch(g_eval, path, zs, spec: QuadratureSpec = None) -> list:
     active = list(range(len(zs)))
     tol, level = spec.target_rel_tol, 0
     with np.errstate(over="raise", invalid="raise"):
-        while active and level <= spec.max_refinements:
+        while active and level <= _MAX_REFINEMENTS:
             levels = (0, 1) if level == 0 else (level,)
             for values in _refinement_values(
-                    g_eval, segments, [zs[i] for i in active], spec, levels):
+                    g_eval, seg, [zs[i] for i in active], levels):
                 refining = []
                 for i, (value, mass) in zip(active, values):
                     if prev[i] is not None:
@@ -430,21 +385,6 @@ def _integrate_batch(g_eval, path, zs, spec: QuadratureSpec = None) -> list:
         i = active[0]
         raise NonConvergenceError(prev[i], older[i], err[i])
     return results
-
-
-def integrate(g_eval, path, z: complex, spec: QuadratureSpec = None) -> IntegralResult:
-    """(1/(2*pi*i)) * int_path g(s) e^{zs} ds with adaptive refinement.
-
-    g_eval maps an array of nodes s to the array of g(s); it must be a pure,
-    hashable function of the node array, as it is evaluated once per path
-    and level per process and its values serve every z.  path may be a
-    Contour or a single segment.  The convergence check floors the
-    achievable error at eps * mass: below that, successive refinements
-    differ only by roundoff of the (possibly huge) oscillatory mass and
-    further doubling is pointless.  An overflowing integrand raises
-    FloatingPointError (an ArithmeticError) at once.
-    """
-    return _integrate_batch(g_eval, path, (z,), spec)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -576,20 +516,19 @@ def _F_channel(z: complex) -> complex:
     return (complex(-c, TAU) + (e3 - e4)) / _DENOM
 
 
-def _tail_plus_channel(path, z, spec: QuadratureSpec, channel):
-    """Quadrature of the tail g - 1/s on path plus channel(z), the closed-form
-    1/s part.  A scalar z gives a complex; a 1-D array of z gives a complex
-    array, each entry bit for bit the scalar value, from one batch."""
-    if np.ndim(z) == 0:
-        z = complex(z)
-        c = channel(z)
-        return integrate(_SHARED_TAIL.at, path, z, spec).value + c
-    if np.ndim(z) > 1:
+def _tail_plus_channel(seg, z, spec: QuadratureSpec, channel):
+    """Quadrature of the tail g - 1/s on seg plus channel(z), the closed-form
+    1/s part, from one batch.  A scalar z is a batch of one and gives a
+    complex; a 1-D array of z gives a complex array, each entry bit for bit
+    the scalar value."""
+    ndim = np.ndim(z)
+    if ndim > 1:
         raise ValueError("z must be a scalar or a 1-D array")
-    zs = [complex(w) for w in np.asarray(z).tolist()]
+    zs = [complex(w) for w in (np.asarray(z).tolist() if ndim else [z])]
     cs = [channel(w) for w in zs]
-    results = _integrate_batch(_SHARED_TAIL.at, path, zs, spec)
-    return np.array([r.value + c for r, c in zip(results, cs)], dtype=complex)
+    values = [r.value + c for r, c in zip(
+        _integrate_batch(_SHARED_TAIL.at, seg, zs, spec), cs)]
+    return np.array(values, dtype=complex) if ndim else values[0]
 
 
 def borel_inversion(z, radius: float = 4.0, spec: QuadratureSpec = None):
@@ -617,18 +556,16 @@ def u_eval(z, spec: QuadratureSpec = None):
 def F_eval(z, spec: QuadratureSpec = None):
     """The arc transform: the loop integral restricted to the spiral arc.
 
-    Direct evaluation is refused beyond spec.cancellation_cap: the integrand
+    Direct evaluation is refused beyond |z| = 40: the integrand
     reaches e^{4|z|} while the value stays near e^{1.5|z|}, and binary64 runs
     out of cancellation headroom.  Beyond the cap, use the identity
     F = f - u (see splitting_profile).  z is a scalar or a 1-D array; the
     cap applies to every entry.
     """
-    if spec is None:
-        spec = QuadratureSpec()
     worst = float(np.max(np.abs(z), initial=0.0))
-    if worst > spec.cancellation_cap:
+    if worst > _CANCELLATION_CAP:
         raise CancellationCapError(
-            f"|z|={worst:.4g} beyond cancellation cap {spec.cancellation_cap}; "
+            f"|z|={worst:.4g} beyond cancellation cap {_CANCELLATION_CAP}; "
             "evaluate through the f - u identity instead"
         )
     return _tail_plus_channel(spiral_arc(), z, spec, _F_channel)

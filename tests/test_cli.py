@@ -303,6 +303,10 @@ class TestExitCodes:
         (("--k-max", "21", "reproduce"), EXIT_USAGE),
         (("eval", "--z", "inf"), EXIT_USAGE),
         (("borel", "eval", "--s", "inf"), EXIT_USAGE),
+        # refused before any array or row is formed (2^40 samples per window
+        # would ask numpy for 48 TiB)
+        (("profile", "--samples-per-window", "1099511627776"), EXIT_USAGE),
+        (("borel", "coeffs", "--max-index", "100000000000"), EXIT_USAGE),
     ])
     def test_contract_probes(self, argv, want):
         code, out, err = run(*argv)

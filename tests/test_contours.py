@@ -1,5 +1,6 @@
 """Tests for contour geometry, adaptive quadrature, and the three transforms."""
 import dataclasses
+import cmath
 import functools
 import hashlib
 import math
@@ -13,13 +14,15 @@ from expgrowth.borel import BorelEvaluator
 from expgrowth.contours import (
     CancellationCapError,
     CirclePath,
-    Contour,
     F_eval,
     IntegralResult,
     LineSegment,
     NonConvergenceError,
     QuadratureSpec,
     SpiralArc,
+    _INITIAL_PANELS,
+    _MAX_REFINEMENTS,
+    _POINTS_PER_PANEL,
     _SHARED_TAIL,
     _endpoint_channels,
     _endpoint_channels_of,
@@ -29,7 +32,6 @@ from expgrowth.contours import (
     _refinement_values,
     borel_inversion,
     closing_segment,
-    integrate,
     spiral_arc,
     splitting_profile,
     u_decay_bound,
@@ -91,50 +93,34 @@ class TestSegments:
         assert hi == pytest.approx(5.0)
 
 
-class TestContour:
-    def test_loop_closes_and_winds_once(self):
-        loop = Contour((spiral_arc(), closing_segment()))
-        assert loop.winding_number() == 1
-        assert len(loop.segments) == 2
-
-    def test_seam_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            Contour((spiral_arc(), LineSegment(-3.5 + 0.0j, -4.0 + 0.0j)))
-
-    def test_clockwise_rejected(self):
-        with pytest.raises(ValueError):
-            Contour((SpiralArc(3.0, 4.0, math.pi, -math.pi),
-                     LineSegment(-4.0 + 0.0j, -3.0 + 0.0j)), closed=True)
-
-    def test_open_chain_allowed(self):
-        c = Contour((spiral_arc(),), closed=False)
-        assert c.winding_number() == 1
+def _integral(g_eval, seg, z, spec=None):
+    """The batch engine at one z."""
+    return _integrate_batch(g_eval, seg, [z], spec)[0]
 
 
 class TestQuadratureSpec:
     def test_validation(self):
+        # a spec is a tolerance only
+        assert [f.name for f in dataclasses.fields(QuadratureSpec)] == [
+            "target_rel_tol"]
         with pytest.raises(ValueError):
             QuadratureSpec(target_rel_tol=1e-14)
         with pytest.raises(ValueError):
             QuadratureSpec(target_rel_tol=math.nan)
-        with pytest.raises(ValueError):
-            QuadratureSpec(initial_panels=0)
-        with pytest.raises(ValueError):
-            QuadratureSpec(cancellation_cap=0.0)
 
 
 class TestResidues:
     def test_simple_pole(self):
-        out = integrate(lambda s: 1.0 / s, CirclePath(4.0), 0.0)
+        out = _integral(lambda s: 1.0 / s, CirclePath(4.0), 0.0)
         assert isinstance(out, IntegralResult)
         assert abs(out.value - 1.0) <= 1e-12
 
     def test_double_pole_picks_linear_term(self):
-        out = integrate(lambda s: 1.0 / s**2, CirclePath(4.0), 3.0)
+        out = _integral(lambda s: 1.0 / s**2, CirclePath(4.0), 3.0)
         assert abs(out.value - 3.0) <= 1e-9
 
     def test_entire_integrand_vanishes(self):
-        out = integrate(lambda s: 1.0, CirclePath(4.0), 2.0)
+        out = _integral(lambda s: 1.0, CirclePath(4.0), 2.0)
         assert abs(out.value) <= 1e-12
 
 
@@ -203,8 +189,6 @@ class TestArcTransform:
     def test_cap_refusal(self):
         with pytest.raises(CancellationCapError):
             F_eval(41.0)
-        with pytest.raises(CancellationCapError):
-            F_eval(30.0, QuadratureSpec(cancellation_cap=20.0))
 
     def test_anchor_values(self, ev):
         f1 = ev.eval_log_f(1.0).to_complex()
@@ -274,41 +258,64 @@ class TestEndpointChannels:
 
 class TestClosedLoop:
     def test_matches_circle_inversion(self, g):
-        loop = Contour((spiral_arc(), closing_segment()))
+        # the arc and then the segment wind once around the origin
         for z in (0.0, 1.5 + 0.5j, -2.0 + 1.0j):
-            via_loop = integrate(g.at, loop, z).value
+            via_loop = (_integral(g.at, spiral_arc(), z).value
+                        + _integral(g.at, closing_segment(), z).value)
             via_circle = borel_inversion(z)
             assert abs(via_loop - via_circle) <= 1e-8 * (1.0 + abs(via_circle))
 
 
+def _counting(g_eval):
+    """A pure g_eval that records the size of every node array it gets."""
+    sizes = []
+
+    def counted(s):
+        sizes.append(s.size)
+        return g_eval(s)
+
+    return counted, sizes
+
+
+def _sign_of_imag(s):
+    """A jump across the real axis: no level of the trapezoid rule settles."""
+    return np.sign(s.imag)
+
+
 class TestRefinement:
-    def test_trapezoid_geometric_decay(self, g):
-        circ = CirclePath(3.0)
-        spec = QuadratureSpec(initial_panels=1, points_per_panel=8)
+    def test_trapezoid_geometric_decay(self):
+        # a pole at distance 0.05 inside the circle: the periodic trapezoid
+        # error falls like (2.45 / 2.5)^n in the node count n (Trefethen and
+        # Weideman, SIAM Review 56, 2014), from 8e-2 at level 0 to 1e-9 at
+        # level 3
+        circ = CirclePath(2.5)
+
+        def pole(s):
+            return 1.0 / (s - 2.45)
 
         def level(n):
-            return _refinement_values(g.at, (circ,), [1.5], spec, (n,))[0][0][0]
+            return _refinement_values(pole, circ, [0.0], (n,))[0][0][0]
 
         ref = level(6)
-        errs = [abs(level(n) - ref) for n in range(4)]
+        errs = [abs(level(n) - ref) for n in range(6)]
+        assert errs[0] > 1e-2
         for a, b in zip(errs, errs[1:]):
-            if b <= 1e-12:
+            if a <= 1e-12:
                 break  # roundoff floor reached
             assert b <= a / 4.0
+        assert errs[4] <= 1e-12
 
     def test_non_convergence_carries_last_values(self):
-        spec = QuadratureSpec(
-            initial_panels=1,
-            points_per_panel=4,
-            max_refinements=1,
-            target_rel_tol=1e-13,
-        )
+        g_eval, sizes = _counting(_sign_of_imag)
         with pytest.raises(NonConvergenceError) as info:
-            integrate(lambda s: 1.0 / s, CirclePath(4.0), 30.0, spec)
+            _integral(g_eval, CirclePath(4.0), 0.0)
+        # it gives up only after the last level
+        per_level = _INITIAL_PANELS * _POINTS_PER_PANEL
+        assert sizes[-1] == per_level << _MAX_REFINEMENTS
         err = info.value
-        assert err.value is not None and err.previous is not None
+        assert cmath.isfinite(err.value) and cmath.isfinite(err.previous)
         assert err.value != err.previous
-        assert math.isfinite(err.error)
+        assert math.isfinite(err.error) and err.error > 0.0
 
 
 #: the five |z| = 8 points; on the circle and the arc they converge one to
@@ -328,23 +335,22 @@ def _batch_points(count):
 
 class TestSharedFirstPass:
     @pytest.mark.parametrize("count", [1, 7, 41])
-    @pytest.mark.parametrize("path", [
-        CirclePath(3.0), spiral_arc(), closing_segment(),
-        Contour((spiral_arc(), closing_segment())),
+    @pytest.mark.parametrize("pieces", [
+        (CirclePath(3.0),), (spiral_arc(),), (closing_segment(),),
+        (spiral_arc(), closing_segment()),
     ], ids=["circle", "arc", "segment", "loop"])
-    def test_levels_0_and_1_match_single_level_passes(self, path, count):
+    def test_levels_0_and_1_match_single_level_passes(self, pieces, count):
         # levels 0 and 1 share one g pass on their joined nodes; each level
-        # must keep the bits of its own pass
-        segments = path.segments if isinstance(path, Contour) else (path,)
+        # must keep the bits of its own pass, on every piece of a path (the
+        # loop's two pieces keep apart tables of the same g)
         zs = [complex(z) for z in _batch_points(count)]
-        spec = QuadratureSpec()
         with np.errstate(over="raise", invalid="raise"):
-            joint = _refinement_values(
-                _SHARED_TAIL.at, segments, zs, spec, (0, 1))
-            single = [_refinement_values(
-                _SHARED_TAIL.at, segments, zs, spec, (level,))[0]
-                for level in (0, 1)]
-        assert len(joint) == 2 and len(joint[0]) == count
+            joint = [_refinement_values(_SHARED_TAIL.at, seg, zs, (0, 1))
+                     for seg in pieces]
+            single = [[_refinement_values(
+                _SHARED_TAIL.at, seg, zs, (level,))[0] for level in (0, 1)]
+                for seg in pieces]
+        assert len(joint[0]) == 2 and len(joint[0][0]) == count
         assert (np.array(joint, dtype=complex).tobytes()
                 == np.array(single, dtype=complex).tobytes())
 
@@ -372,13 +378,6 @@ class TestBatch:
                 _SHARED_TAIL.at, path, _batch_points(7), spec)}
             assert len(levels) >= 2
 
-    def test_integrate_is_a_batch_of_one(self, g):
-        zs = [0.0, 1.5 + 0.5j, 8j]
-        loop = Contour((spiral_arc(), closing_segment()))
-        batch = _integrate_batch(g.at, loop, zs)
-        for z, res in zip(zs, batch):
-            assert integrate(g.at, loop, z) == res
-
     def test_empty_batch(self):
         assert u_eval(np.array([], dtype=complex)).shape == (0,)
 
@@ -387,11 +386,11 @@ class TestBatch:
             borel_inversion(np.array([1.0, 200.0]))
 
     def test_non_convergence_stops_the_batch(self):
-        spec = QuadratureSpec(initial_panels=1, points_per_panel=4,
-                              max_refinements=1, target_rel_tol=1e-13)
-        with pytest.raises(NonConvergenceError):
-            _integrate_batch(lambda s: 1.0 / s, CirclePath(4.0),
-                             [0.0, 30.0], spec)
+        with pytest.raises(NonConvergenceError) as info:
+            _integrate_batch(_sign_of_imag, CirclePath(4.0), [0.0, 1.0])
+        err = info.value
+        assert cmath.isfinite(err.value) and cmath.isfinite(err.previous)
+        assert err.value != err.previous
 
     def test_cap_applies_to_every_entry(self):
         with pytest.raises(CancellationCapError):
@@ -402,17 +401,6 @@ class TestBatch:
     def test_more_than_one_dimension_rejected(self, fn):
         with pytest.raises(ValueError, match="scalar or a 1-D array"):
             fn(np.array([[1, 2]]))
-
-
-def _counting(g_eval):
-    """A pure g_eval that records the size of every node array it gets."""
-    sizes = []
-
-    def counted(s):
-        sizes.append(s.size)
-        return g_eval(s)
-
-    return counted, sizes
 
 
 class TestLevelTable:
@@ -426,23 +414,26 @@ class TestLevelTable:
         deepest = 0
         for z in [0.5, 12j, -8.0, 0.5, 12j, 8.0]:
             fresh = dataclasses.replace(path)
-            deepest = max(deepest, integrate(g_eval, fresh, z, spec).refinements)
+            deepest = max(deepest, _integral(g_eval, fresh, z, spec).refinements)
         assert deepest >= 2
         # levels (0, 1) share a table, then one table per level up to deepest
-        per_level = spec.initial_panels * spec.points_per_panel
+        per_level = _INITIAL_PANELS * _POINTS_PER_PANEL
         assert sizes == [3 * per_level] + [per_level << level
                                            for level in range(2, deepest + 1)]
 
     def test_key_leaves_out_tolerance_but_not_the_rule(self):
+        # the rule's nodes are fixed by the segment and the levels; the
+        # tolerance only decides how many levels a z runs
         g_eval, sizes = _counting(_SHARED_TAIL.at)
         seg = SpiralArc(4.0, 3.25, 0.0, 4.0)
-        for spec in (QuadratureSpec(), QuadratureSpec(target_rel_tol=1e-13),
-                     QuadratureSpec(cancellation_cap=10.0)):
-            _refinement_values(g_eval, (seg,), [1.0], spec, (0, 1))
-        assert len(sizes) == 1
-        _refinement_values(g_eval, (seg,), [1.0],
-                           QuadratureSpec(points_per_panel=8), (0, 1))
+        levels = [_integral(g_eval, seg, 8.0, QuadratureSpec(tol)).refinements
+                  for tol in (1e-10, 1e-13)]
+        assert levels == [1, 2]  # the tighter tolerance adds a level
         assert len(sizes) == 2
+        _refinement_values(g_eval, seg, [1.0], (0,))
+        _refinement_values(g_eval, SpiralArc(4.0, 3.25, 0.0, 4.5), [1.0],
+                           (0, 1))
+        assert len(sizes) == 4
 
     @pytest.mark.parametrize("name, radius", [
         ("borel_inversion", 3.0), ("borel_inversion", 4.0),
@@ -468,7 +459,7 @@ class TestLevelTable:
                              ids=["circle", "arc", "segment"])
     def test_arrays_are_read_only(self, seg):
         s, re_split, im_split, g, dpoint, cuts = _level_table(
-            _SHARED_TAIL.at, seg, 16, 8, (0, 1))
+            _SHARED_TAIL.at, seg, (0, 1))
         arrays = [s, *re_split, *im_split, g, dpoint] + [
             w for _, w in cuts if isinstance(w, np.ndarray)]
         assert len(arrays) == (7 if isinstance(seg, CirclePath) else 9)
@@ -501,9 +492,9 @@ class TestGaussRule:
                 array[0] = 0.0
 
     def test_default_rule_bytes_are_pinned(self):
-        # sha256 of numpy 2.4.6's leggauss(16), the rule of every default
-        # QuadratureSpec: no numpy version may move the quadrature's bits
-        x, w = _gauss_rule(QuadratureSpec().points_per_panel)
+        # sha256 of numpy 2.4.6's leggauss(16), the panel rule of every open
+        # path: no numpy version may move the quadrature's bits
+        x, w = _gauss_rule(_POINTS_PER_PANEL)
         assert hashlib.sha256(x.tobytes() + w.tobytes()).hexdigest() == (
             "cfbec389e51be570a7c11d417e51ddf7452b650090e96ceae2c5a91a93020864")
 
