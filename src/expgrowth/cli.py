@@ -55,7 +55,12 @@ from .diagnostics import (
 )
 from .lattice import ZeroLattice, verify_counting_bounds, write_zeros_csv
 from .lognum import exp
-from .product import ProductEvaluator, dyadic_radii, write_profile_csv
+from .product import (
+    _MAX_RADIUS,
+    ProductEvaluator,
+    dyadic_radii,
+    write_profile_csv,
+)
 from . import svg
 
 EXIT_OK = 0
@@ -142,6 +147,10 @@ def resolve_config(args) -> RunConfig:
 #: six default windows take about 2 s, m <= 2^16 about 0.6 s
 _MAX_SAMPLES = _MAX_INDEX = 1 << 16
 
+#: largest profile grid, windows times samples per window: 16 windows at
+#: the largest --samples-per-window, any finite range at the default 256
+_MAX_GRID = 1 << 20
+
 
 def _validate(cfg: RunConfig) -> None:
     if cfg.k_max < 1:
@@ -157,10 +166,18 @@ def _validate(cfg: RunConfig) -> None:
         raise UsageError("theta must be finite")
     if not 0.0 < cfg.r_min < cfg.r_max < math.inf:
         raise UsageError("need 0 < r_min < r_max < inf")
+    if not cfg.r_max < _MAX_RADIUS:
+        raise UsageError("r_max must lie below 2^%d, where f's domain ends"
+                         % math.log2(_MAX_RADIUS))
     n = cfg.samples_per_window
     if not 1 <= n <= _MAX_SAMPLES or n & (n - 1):
         raise UsageError("samples_per_window must be a power of two, at "
                          "most %d" % _MAX_SAMPLES)
+    k_lo, k_hi = _grid_windows(cfg)
+    if (k_hi - k_lo) * n > _MAX_GRID:
+        raise UsageError("the profile grid would hold %d windows of %d "
+                         "samples; the limit is %d samples in all"
+                         % (k_hi - k_lo, n, _MAX_GRID))
     lo, hi = _INVERSION_RADII
     if not lo <= cfg.contour_radius <= hi:
         raise UsageError("contour_radius must lie in [%g, %g]" % (lo, hi))
@@ -204,12 +221,14 @@ def _emit(cfg: RunConfig, header, rows) -> None:
                            for v in row))
 
 
-def _profile_grid(cfg: RunConfig) -> np.ndarray:
+def _grid_windows(cfg: RunConfig):
+    """The dyadic windows k_lo..k_hi - 1 of the grid over [r_min, r_max]."""
     k_lo = math.floor(math.log2(cfg.r_min))
-    k_hi = math.ceil(math.log2(cfg.r_max))
-    if k_hi <= k_lo:
-        k_hi = k_lo + 1
-    radii = dyadic_radii(k_lo, k_hi, cfg.samples_per_window)
+    return k_lo, max(k_lo + 1, math.ceil(math.log2(cfg.r_max)))
+
+
+def _profile_grid(cfg: RunConfig) -> np.ndarray:
+    radii = dyadic_radii(*_grid_windows(cfg), cfg.samples_per_window)
     return radii[(radii >= cfg.r_min) & (radii <= cfg.r_max)]
 
 

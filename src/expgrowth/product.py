@@ -6,12 +6,14 @@ form needs only O(log|z|) factors.  A per-zero product over materialized
 lattice circles is kept as an independent cross-check oracle.  All factor
 arithmetic happens in the log domain because (z/2^k)^{2^k} overflows binary64
 already at moderate |z|: ProductEvaluator.log_f returns log f = log|f| +
-i arg f as a complex array for a whole array of z, and every other
-closed-form evaluation here is a call of it.
+i arg f as a complex array for a whole array of z, and log_abs_f its real
+part alone, bit for bit; eval_log_f is a call of the one, profile_on and
+max_modulus of the other.  Both skip the full factor on deep circles, where
+(|z|/2^k)^{2^k} >= e^40: there the factor's log modulus is exactly
+2^k log(|z|/2^k), and log_abs_f spends nothing else on them.
 """
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from itertools import repeat
@@ -72,13 +74,33 @@ _MAX_CUTOFF = 1021
 #: circles kept beyond the two that bring |z|/2^K under 1/4; see cutoff()
 _TAIL_MARGIN = 6
 
+#: largest |z| whose cutoff circle is at most _MAX_CUTOFF: f's domain
+_MAX_RADIUS = math.ldexp(1.0, _MAX_CUTOFF - 2 - _TAIL_MARGIN)
+
 #: circle indices k and their exact powers n = 2^k, up to _MAX_CUTOFF
 _KS = np.arange(1, _MAX_CUTOFF + 1)[:, None]
 _POW2 = np.ldexp(1.0, _KS)
 
 
-def _log_f_block(radii: np.ndarray, phi: np.ndarray, cutoffs: np.ndarray):
-    """log|f| and arg f for one block of points; see ProductEvaluator.log_f."""
+#: x = n log(|z|/n) from which a circle is deep: e^{-x} < 2^-54, so its
+#: factor 1 - e^{x+iy} is -e^{x+iy} in binary64 (see _log_f_block)
+_DEEP = 40.0
+
+#: no circle is deep below |z| = 32 e^{40/32} = 111.7, where circle 5 is
+#: the first to reach _DEEP: blocks below this radius skip the deep test
+_DEEP_RADIUS = 100.0
+
+
+def _reduce(phi, n):
+    """phi * n modulo fl(tau), exactly: fmod, then a Sterbenz subtraction."""
+    y = np.fmod(phi * n, TAU)
+    y -= TAU * np.rint(y / TAU)
+    return y
+
+
+def _log_f_block(radii, phi, cutoffs, with_arg):
+    """log|f| and arg f (or None) for one block of points; see
+    ProductEvaluator.log_f."""
     # w^n = e^{x+iy} for w = z/n, x = n log(|z|/n): dividing |z| by n is
     # exact, so the huge power loses no accuracy to the base.  A circle with
     # x < -750 is dead: e^x is 0 and expm1(-|x|) is -1, so its factor is
@@ -88,26 +110,57 @@ def _log_f_block(radii: np.ndarray, phi: np.ndarray, cutoffs: np.ndarray):
     # largest radius are a suffix dead at every point and are cut (circle 1
     # stays, so no sum is empty).  Circles past a point's own cutoff get
     # x = -inf, which makes their factor exactly 1
+    r_top = radii.max()
     n = _POW2[:int(cutoffs.max())]
-    n = n[:max(1, int(np.count_nonzero(np.log(radii.max() / n) * n > -750.0)))]
+    n = n[:max(1, int(np.count_nonzero(np.log(r_top / n) * n > -750.0)))]
     x = np.where(_KS[:n.size] <= cutoffs, np.log(radii / n) * n, -math.inf)
-    # y modulo fl(tau), exactly: fmod, then a Sterbenz subtraction
-    y = np.fmod(phi * n, TAU)
-    y -= TAU * np.rint(y / TAU)
+    # at a deep point expm1(-x) is -1 and exp(min(x, 0)) is 1, so the
+    # formula below gives log|1 - e^{x+iy}| = x + log|2 sin^2(y/2) - 1 -
+    # i sin y|, whose second term (under 1e-15) is below half an ulp of x:
+    # the log modulus is x bit for bit, and the argument is y + pi.  The
+    # formula runs only on the circles with a point below _DEEP, on views
+    # while that is every circle
+    some_deep = r_top >= _DEEP_RADIUS and x.max() >= _DEEP
+    every = True
+    if some_deep:
+        deep = x >= _DEEP
+        shallow = ~deep.all(axis=1)
+        every = shallow.all()
+    rows = slice(None) if every else np.flatnonzero(shallow)
+    if with_arg:
+        y = _reduce(phi, n)
+        ys = y[rows]
+    else:
+        ys = _reduce(phi, n[rows])
+    xs = x[rows]
     # 1 - e^{x+iy} (divided by e^x when x > 0) from expm1(-|x|) and
     # 2 sin^2(y/2), which do not cancel near zeros
-    em1 = np.expm1(-np.abs(x))
-    scale = np.exp(np.minimum(x, 0.0))
-    s = np.sin(0.5 * y)
-    re = 2.0 * scale * s * s - np.copysign(em1, x)
-    im = -scale * np.sin(y)
+    em1 = np.expm1(-np.abs(xs))
+    scale = np.exp(np.minimum(xs, 0.0))
+    s = np.sin(0.5 * ys)
+    re = 2.0 * scale * s * s - np.copysign(em1, xs)
+    im = -scale * np.sin(ys)
+    log_mod = np.maximum(xs, 0.0) + np.log(np.hypot(re, im))
+    if every:
+        x = log_mod
+    else:
+        x[rows] = log_mod
     # accumulate, unlike sum, adds in the order k = 1, 2, ... whatever the
     # array shape, which keeps every value independent of its batch
-    mag = np.add.accumulate(np.maximum(x, 0.0) + np.log(np.hypot(re, im)), axis=0)
-    # arguments are summed in half turns, so a real f keeps an exact sign
-    turns = np.add.accumulate(np.arctan2(im, re) / math.pi, axis=0)[-1]
+    mag = np.add.accumulate(x, axis=0)[-1]
+    if not with_arg:
+        return mag, None
+    # arguments are summed in half turns, so a real f keeps an exact sign;
+    # a deep point takes the closed form y/pi - 1 (or + 1) whatever its
+    # row, with the signs arctan2 gives at y = +-0
+    half = np.arctan2(im, re) / math.pi
+    if some_deep:
+        turns = y / math.pi - np.copysign(1.0, y)
+        turns[rows] = np.where(deep[rows], turns[rows], half)
+        half = turns
+    turns = np.add.accumulate(half, axis=0)[-1]
     t = (turns - 2.0 * np.rint(0.5 * turns)) * math.pi
-    return mag[-1], np.where(t == -math.pi, math.pi, t)
+    return mag, np.where(t == -math.pi, math.pi, t)
 
 
 @dataclass(frozen=True)
@@ -143,7 +196,7 @@ class ProductEvaluator:
             if abs(r - rk) > 4.0 * math.ulp(rk):
                 continue
             n = 1 << k
-            phi = cmath.phase(z) - self.lattice.rotation
+            phi = math.atan2(z.imag, z.real) - self.lattice.rotation
             j = round(phi * n / TAU)
             # the rounded angle index can be off by one near cell boundaries
             for jj in (j - 1, j, j + 1):
@@ -161,29 +214,42 @@ class ProductEvaluator:
         order k = 1, 2, ..., so no value depends on its batch.  ValueError
         for a non-finite z or a cutoff circle beyond binary64.
         """
+        return self._log_f(zs, with_arg=True)
+
+    def log_abs_f(self, zs) -> np.ndarray:
+        """log|f| at every point of a 1-d complex array: log_f(zs).real bit
+        for bit, -inf at lattice zeros, with the same ValueErrors.  Forms no
+        argument, so the deep circles cost one log each."""
+        return self._log_f(zs, with_arg=False)
+
+    def _log_f(self, zs, with_arg: bool) -> np.ndarray:
         zs = np.asarray(zs, dtype=complex)
         radii = np.abs(zs)
         r_max = float(radii.max(initial=0.0))
         if not math.isfinite(r_max):
             raise ValueError("f is evaluated only at finite z")
-        if r_max > math.ldexp(1.0, _MAX_CUTOFF - 2 - _TAIL_MARGIN):
+        if r_max > _MAX_RADIUS:
             raise ValueError("|z| = %r is too large: the cutoff circle 2^%d "
                              "exceeds binary64" % (r_max, self.cutoff(r_max)))
         cutoffs = self._cutoffs(radii)
         phi = np.arctan2(zs.imag, zs.real) - self.lattice.rotation
-        out = np.empty(zs.size, dtype=complex)
+        out = np.empty(zs.size, dtype=complex if with_arg else float)
+        mag = out.real if with_arg else out
         with np.errstate(divide="ignore"):
             for lo in range(0, zs.size, _BLOCK):
                 rows = slice(lo, lo + _BLOCK)
-                out.real[rows], out.imag[rows] = _log_f_block(
-                    radii[rows], phi[rows], cutoffs[rows])
+                mag[rows], arg = _log_f_block(
+                    radii[rows], phi[rows], cutoffs[rows], with_arg)
+                if with_arg:
+                    out.imag[rows] = arg
         # only points within a few ulps of a dyadic radius can be lattice
         # zeros, so the scalar membership test runs on those alone
         near = np.abs(np.frexp(radii)[0] - 0.75) >= 0.25 - 2.0**-49
         for i in np.flatnonzero(near):
             if self._is_lattice_zero(complex(zs[i])):
                 out[i] = -math.inf
-        out.imag[out.real == -math.inf] = 0.0
+        if with_arg:
+            out.imag[out.real == -math.inf] = 0.0
         return out
 
     def eval_log_f(self, z: complex) -> LogComplex:
@@ -219,17 +285,17 @@ class ProductEvaluator:
     ) -> GrowthProfile:
         """Profile on a caller-supplied radius grid (e.g. dyadic_radii).
 
-        One log_f call on the points r e^{i theta}; exact lattice zeros on
-        the ray give -inf.
+        One log_abs_f call on the points r e^{i theta}; exact lattice zeros
+        on the ray give -inf.
         """
         radii = np.asarray(radii, float)
-        log_mag = self.log_f(radii * cis(theta)).real
+        log_mag = self.log_abs_f(radii * cis(theta))
         return GrowthProfile(function_id, theta, radii, log_mag / radii)
 
     def max_modulus(self, r: float, n_theta: int) -> float:
         """log M_f(r)/r estimated over n_theta equally spaced angles.
 
-        A lower bound of the true maximum, from one log_f call on the
+        A lower bound of the true maximum, from one log_abs_f call on the
         angles.  The fixed 0.5 rad offset keeps every sample angle off the
         lattice directions 2*pi*j/2^k (equality would force 1/(4*pi) to be
         rational), and angle sets nest whenever n_theta divides the finer
@@ -240,7 +306,7 @@ class ProductEvaluator:
         if n_theta < 8:
             raise ValueError("need n_theta >= 8")
         directions = cis(0.5 + TAU * np.arange(n_theta) / n_theta)
-        return float(self.log_f(r * directions).real.max()) / r
+        return float(self.log_abs_f(r * directions).max()) / r
 
 
 def write_profile_csv(profiles, path) -> None:

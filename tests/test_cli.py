@@ -285,6 +285,19 @@ class TestExitCodes:
             assert out == "" and "Traceback" not in err
             assert len(err.splitlines()) == 1 and err.startswith("error: ")
 
+    @pytest.mark.parametrize("argv", [
+        # the grid's last radius would lie beyond |z| = 2^1013
+        ("--r-min", "1", "--r-max", "1e306", "--samples-per-window", "1"),
+        # 1994 windows of 65536 samples: 130,678,785 radii before filtering
+        ("--r-min", "1e-300", "--r-max", "1e300",
+         "--samples-per-window", "65536"),
+    ])
+    def test_profile_grid_refused_before_any_array(self, argv):
+        code, out, err = run("profile", *argv)
+        assert code == EXIT_USAGE
+        assert out == "" and "Traceback" not in err
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
     @pytest.mark.parametrize("argv, want", [
         (("borel", "eval", "--s", "1"), EXIT_USAGE),
         (("borel", "eval", "--s", "nan"), EXIT_USAGE),

@@ -6,6 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from expgrowth import product
 from expgrowth.csvio import fmt
 from expgrowth.lattice import LatticeExhaustedError, ZeroLattice
 from expgrowth.lognum import TAU, LogComplex, cis
@@ -77,6 +78,14 @@ class TestZeroSet:
         out = ev.eval_log_f(2.0 + 1e-9)
         assert math.isfinite(out.log_mag)
 
+    def test_subnormal_phase_beside_a_zero(self, ev):
+        # the phase of 2 - 5e-324j underflows to -0: the membership test
+        # must not raise on it (cmath.phase does), and f there is about
+        # 5e-324, so log|f| is below -700 (-inf once the phase is 0)
+        out = ev.log_f([2.0 - 5e-324j, 2.0 + 5e-324j, 2.0 - 1e-300j])
+        assert np.all(out.real < -680.0) and np.all(np.isfinite(out.imag))
+        assert math.isfinite(out[2].real)
+
     def test_rotated_lattice(self):
         rot = ProductEvaluator(ZeroLattice(k_max=8, rotation=0.3))
         assert rot.eval_log_f(rot.lattice.zero(3, 2)).log_mag == -math.inf
@@ -84,14 +93,17 @@ class TestZeroSet:
         assert math.isfinite(rot.eval_log_f(8.0 + 0.0j).log_mag)
 
 
-def mp_log_abs_f(z: complex, k_cut: int) -> float:
-    """50-digit log|f(z)| over circles 1..k_cut, at the exact binary64 z."""
+def mp_log_f(z: complex, k_cut: int):
+    """50-digit (log|f(z)|, arg f(z)) over circles 1..k_cut, at the exact
+    binary64 z; the argument is reduced to (-pi, pi]."""
     mpmath = pytest.importorskip("mpmath")
     with mpmath.workdps(50):
         w = mpmath.mpc(z.real, z.imag)
-        total = mpmath.fsum(
-            mpmath.log(abs(1 - (w / 2**k) ** (2**k))) for k in range(1, k_cut + 1))
-        return float(total)
+        factors = [1 - (w / 2**k) ** (2**k) for k in range(1, k_cut + 1)]
+        log_abs = mpmath.fsum(mpmath.log(abs(t)) for t in factors)
+        arg = mpmath.fsum(mpmath.arg(t) for t in factors)
+        arg -= 2 * mpmath.pi * mpmath.floor(arg / (2 * mpmath.pi) + 0.5)
+        return float(log_abs), float(arg)
 
 
 class TestAccuracy:
@@ -103,8 +115,23 @@ class TestAccuracy:
         # 1 - w^n cancels near lattice zeros unless it is formed from
         # expm1(x) and sin^2(y/2); the reference runs 4 circles past the
         # cutoff, so it also bounds the truncated tail
-        want = mp_log_abs_f(complex(z), ev.cutoff(z) + 4)
+        want, _ = mp_log_f(complex(z), ev.cutoff(z) + 4)
         assert abs(ev.eval_log_f(z).log_mag - want) <= 1e-12
+
+    @pytest.mark.parametrize("r", [150.0, 300.0, 1000.0, 4096.5])
+    def test_log_f_matches_mpmath_with_deep_circles(self, ev, r):
+        # from |z| = 112 on some circles are deep (x >= 40), and their
+        # factors take the closed forms log modulus x and argument y + pi
+        zs = r * cis(np.array([0.0, 0.3, 1.0, 2.0, -2.5]))
+        got = ev.log_f(zs)
+        for z, lf in zip(zs, got):
+            want_abs, want_arg = mp_log_f(complex(z), ev.cutoff(z) + 4)
+            assert abs(lf.real - want_abs) <= 1e-15 * abs(want_abs)
+            # arg z is rounded to half an ulp and circle k multiplies that by
+            # 2^k: summed over the circles below |z| it is |z| ulp(pi) at most
+            # (1.1e-12 at 4096.5 e^{-2.5i})
+            bound = 1e-13 + 2.0 * r * math.ulp(math.pi)
+            assert abs(math.remainder(lf.imag - want_arg, TAU)) <= bound
 
 
 class TestFiniteCutoffOracle:
@@ -172,6 +199,40 @@ class TestBatchInvariance:
                 [lf.log_mag for lf in scalar]).tobytes()
             assert batch.imag.tobytes() == np.array(
                 [lf.arg for lf in scalar]).tobytes()
+
+    @pytest.mark.parametrize("size", [1, 127, 128, 129, 1537])
+    def test_log_abs_f_is_log_f_real_bitwise(self, size):
+        # moduli from 2^-3 to 2^300, so some blocks have deep circles and
+        # some not, and every 9th point a lattice zero
+        rng = np.random.default_rng(size + 7)
+        mods = np.exp2(rng.uniform(-3.0, 300.0, size))
+        zs = mods * np.exp(1j * rng.uniform(-4, 4, size))
+        for lattice in (ZeroLattice(k_max=14), ZeroLattice(k_max=8, rotation=0.3)):
+            ev = ProductEvaluator(lattice)
+            zs[::9] = [lattice.zero(k % 20 + 1, 3 * k) for k in range(zs[::9].size)]
+            got = ev.log_abs_f(zs)
+            assert got.dtype == np.float64
+            assert got.tobytes() == ev.log_f(zs).real.tobytes()
+            assert np.all(got[::9] == -math.inf)
+            assert np.all(np.isfinite(np.delete(got, np.s_[::9])))
+
+    def test_deep_circles_match_the_full_formula(self, ev, monkeypatch):
+        # with _DEEP = inf every circle runs the full formula: the closed
+        # forms must give the same log|f| bits and args within 1e-13
+        rng = np.random.default_rng(14)
+        mods = np.exp2(rng.uniform(7.0, 60.0, 2000))
+        zs = mods * np.exp(1j * rng.uniform(-math.pi, math.pi, mods.size))
+        axis = np.exp2(np.linspace(7.0, 60.0, 200))
+        zs = np.concatenate([zs, axis, -axis, 1j * axis, -1j * axis])
+        closed = ev.log_f(zs)
+        monkeypatch.setattr(product, "_DEEP", math.inf)
+        full = ev.log_f(zs)
+        assert closed.real.tobytes() == full.real.tobytes()
+        assert np.max(np.abs(np.remainder(
+            closed.imag - full.imag + math.pi, TAU) - math.pi)) <= 1e-13
+        # f is real on the real axis, and its args stay exactly 0 or pi
+        real_axis = closed.imag[2000:2400]
+        assert np.all((real_axis == 0.0) | (real_axis == math.pi))
 
     @pytest.mark.parametrize("n", [8, 127, 128, 129, 1537])
     def test_max_modulus_matches_scalar_bitwise(self, ev, n):
