@@ -3,7 +3,8 @@
 Circle k (radius 2^k, k = 1, 2, ...) carries the 2^k-th roots of unity
 scaled by 2^k, optionally rotated as a whole.  Counting queries are answered
 in exact integer arithmetic; zero coordinates are materialized lazily, one
-circle at a time.
+circle at a time.  An unrotated circle is built from its first octant by
+exact reflections, so its reciprocal sum is exactly 0.
 """
 from __future__ import annotations
 
@@ -13,11 +14,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .csvio import row_blocks
+from .csvio import _CHUNK, row_blocks
 from .lognum import TAU
-
-#: cardinal unit roots, exact in binary64
-_QUARTER = (1.0 + 0.0j, 1.0j, -1.0 + 0.0j, -1.0j)
 
 
 class LatticeExhaustedError(ValueError):
@@ -38,31 +36,48 @@ class ZeroLattice:
             raise ValueError("k_max must be >= 1")
 
     def zero(self, k: int, j: int) -> complex:
-        """Single lattice point; cardinal angles are exact when unrotated."""
+        """Single lattice point, bit for bit as circle(k)[j]."""
         n = 1 << k
         j %= n
-        if self.rotation == 0.0:
-            q, rem = divmod(4 * j, n)
-            if rem == 0:
-                return float(n) * _QUARTER[q]
-        phi = TAU * j / n + self.rotation
-        return float(n) * complex(math.cos(phi), math.sin(phi))
+        if self.rotation != 0.0:
+            phi = TAU * j / n + self.rotation
+            return float(n) * complex(math.cos(phi), math.sin(phi))
+        turns, rem = divmod(4 * j, n)  # j = turns quarters + rem/4
+        i = min(rem, n - rem) // 4  # the first-octant point or its mirror
+        x = math.cos(TAU * i / n)
+        y = x if 8 * i == n else math.sin(TAU * i / n)
+        if 2 * rem > n:
+            x, y = y, x
+        for _ in range(turns):
+            x, y = 0.0 - y, x
+        return complex(n * x, n * y)
 
     def circle(self, k: int) -> np.ndarray:
-        """All 2^k zeros on circle k, ordered by j (memoized)."""
+        """All 2^k zeros on circle k, ordered by j (memoized).
+
+        Unrotated, cos and sin are taken for 0 <= j <= 2^k/8 only (x = y on
+        the diagonal); x <-> y fills the first quarter and the exact quarter
+        turn x, y -> 0.0 - y, x the others, with no -0.0."""
         if not 1 <= k <= self.k_max:
             raise LatticeExhaustedError(f"circle {k} outside 1..{self.k_max}")
         cached = self._circles.get(k)
         if cached is None:
             n = 1 << k
-            phi = TAU * np.arange(n) / n + self.rotation
             cached = np.empty(n, dtype=complex)
-            cached.real = float(n) * np.cos(phi)
-            cached.imag = float(n) * np.sin(phi)
-            if self.rotation == 0.0:
-                # the quarter turns, exact as zero() gives them
-                step = max(n // 4, 1)
-                cached[::step] = [self.zero(k, j) for j in range(0, n, step)]
+            if self.rotation != 0.0:
+                phi = TAU * np.arange(n) / n + self.rotation
+                cached.real = float(n) * np.cos(phi)
+                cached.imag = float(n) * np.sin(phi)
+            elif k < 3:
+                cached[:] = [self.zero(k, j) for j in range(n)]
+            else:
+                m = n // 8
+                phi = TAU * np.arange(m + 1) / n
+                c, s = float(n) * np.cos(phi), float(n) * np.sin(phi)
+                s[m] = c[m]
+                x, y = np.append(c, s[m - 1:0:-1]), np.append(s, c[m - 1:0:-1])
+                cached.real = np.concatenate((x, 0.0 - y, 0.0 - x, y))
+                cached.imag = np.concatenate((y, x, 0.0 - y, 0.0 - x))
             self._circles[k] = cached
         return cached
 
@@ -164,10 +179,33 @@ def verify_counting_bounds(lattice: ZeroLattice) -> CountingReport:
 
 def write_zeros_csv(lattice: ZeroLattice, path) -> None:
     """Export the lattice as columns k, j, re, im (17 significant digits),
-    written circle by circle in blocks of rows."""
+    written circle by circle in blocks of rows.  Unrotated, up to 8
+    coordinates of a circle share a magnitude: each distinct one is
+    formatted once, and a set sign bit puts "-" before it."""
+    minus = np.array(["", "-"], dtype=object)
     with open(path, "w", encoding="ascii") as out:
         out.write("k,j,re,im\n")
         for k in range(1, lattice.k_max + 1):
             a = lattice.circle(k)
-            out.writelines(row_blocks("%d,%%d,%%.17g,%%.17g\n" % k,
-                                      range(a.size), a.real, a.imag))
+            if lattice.rotation != 0.0:
+                out.writelines(row_blocks("%d,%%d,%%.17g,%%.17g\n" % k,
+                                          range(a.size), a.real, a.imag))
+                continue
+            xy = a.view(float).reshape(-1, 2)  # rows re, im
+            # the distinct magnitudes, merged over at most 16 slices of rows
+            # so that no temporary is nearly as large as the circle
+            mags, step = np.empty(0), max(_CHUNK, a.size // 16)
+            for j in range(0, a.size, step):
+                mags = np.sort(np.append(mags, np.abs(xy[j:j + step])))
+                mags = mags[np.append(True, mags[1:] != mags[:-1])]
+            text = np.array("".join(row_blocks("%.17g\n", mags)).splitlines(),
+                            dtype=object)
+            row = "%d,%%d,%%s%%s,%%s%%s\n" % k
+            for j in range(0, a.size, _CHUNK):
+                b = xy[j:j + _CHUNK]
+                cells = np.empty((len(b), 5), dtype=object)
+                cells[:, 0] = range(j, j + len(b))
+                cells[:, 1::2] = minus[np.signbit(b).view(np.uint8)]
+                # one column at a time: searchsorted is fast on ordered keys
+                cells[:, 2::2] = text[np.searchsorted(mags, np.abs(b.T))].T
+                out.write(row * len(b) % tuple(cells.ravel().tolist()))

@@ -213,6 +213,10 @@ class ProductEvaluator:
         point's own cutoff contribute exactly 0 and circles are summed in the
         order k = 1, 2, ..., so no value depends on its batch.  ValueError
         for a non-finite z or a cutoff circle beyond binary64.
+
+        The real part keeps ~3e-16 relative accuracy, the imaginary part
+        drifts by up to ~|z| * 1e-16 rad: f is within 1e-10 relative out to
+        |z| = 2^18, and its argument is noise beyond ~2^50.
         """
         return self._log_f(zs, with_arg=True)
 
@@ -310,10 +314,16 @@ class ProductEvaluator:
 
 
 def write_profile_csv(profiles, path) -> None:
-    """Export profiles as columns function_id, theta, r, value."""
+    """Export profiles as columns function_id, theta, r, value; theta and
+    a radius grid repeated bit for bit from one profile on are formatted
+    once."""
+    grid = None
     with open(path, "w", encoding="ascii") as out:
         out.write("function_id,theta,r,value\n")
         for p in profiles:
-            out.writelines(row_blocks(
-                "%s,%.17g,%.17g,%.17g\n", repeat(p.function_id),
-                repeat(p.theta), p.radii, p.values))
+            if p.radii.tobytes() != grid:
+                grid = p.radii.tobytes()
+                radii = "".join(row_blocks("%.17g\n", p.radii)).splitlines()
+            head = "%s,%.17g" % (p.function_id, p.theta)
+            out.writelines(row_blocks("%s,%s,%.17g\n", repeat(head), radii,
+                                      p.values))

@@ -11,6 +11,7 @@ from expgrowth.lattice import (
     verify_counting_bounds,
     write_zeros_csv,
 )
+from expgrowth.lognum import TAU
 
 
 @pytest.fixture(scope="module")
@@ -64,6 +65,62 @@ class TestEnumeration:
         for k in range(1, 15):
             ref = np.array([lat.zero(k, j) for j in range(1 << k)])
             assert lat.circle(k).tobytes() == ref.tobytes(), k
+
+    def test_octant_cos_sin_match_math(self):
+        # circle() takes numpy cos/sin of the first-octant angles, zero()
+        # takes math.cos/math.sin of the same angles; the lattice command
+        # writes circles up to 20 and _is_lattice_zero reads zero()
+        for k in range(3, 21):
+            n = 1 << k
+            phi = TAU * np.arange(n // 8 + 1) / n
+            angles = [TAU * i / n for i in range(n // 8 + 1)]
+            assert phi.tolist() == angles, k
+            assert np.cos(phi).tolist() == list(map(math.cos, angles)), k
+            assert np.sin(phi).tolist() == list(map(math.sin, angles)), k
+
+    def test_deep_circles_are_zero_bitwise(self):
+        # the unrotated circles past 14, on every j within 2 of an octant
+        # boundary (a cardinal or a diagonal) and on a stride of the rest
+        lat = ZeroLattice(k_max=20)
+        for k in range(15, 21):
+            n = 1 << k
+            edges = np.arange(0, n, n // 8)[:, None] + np.arange(-2, 3)
+            js = np.union1d(edges.ravel() % n, np.arange(1, n, 997))
+            ref = np.array([lat.zero(k, j) for j in js.tolist()])
+            assert lat.circle(k)[js].tobytes() == ref.tobytes(), k
+
+    @pytest.mark.parametrize("k", range(1, 15))
+    def test_unrotated_circle_symmetries_bitwise(self, lattice, k):
+        # conjugation and the quarter turn, in the exact arithmetic
+        # x, y -> x, 0.0 - y and x, y -> 0.0 - y, x that keeps +0.0, map
+        # circle k onto itself
+        a = lattice.circle(k)
+        n = a.size
+        conj = np.empty_like(a)
+        conj.real, conj.imag = a.real, 0.0 - a.imag
+        assert conj.tobytes() == a[-np.arange(n) % n].tobytes()
+        if k >= 2:
+            turn = np.empty_like(a)
+            turn.real, turn.imag = 0.0 - a.imag, a.real
+            assert turn.tobytes() == np.roll(a, -(n // 4)).tobytes()
+        assert not np.signbit(a[a.real == 0.0].real).any()
+        assert not np.signbit(a[a.imag == 0.0].imag).any()
+
+    @pytest.mark.parametrize("k", [8, 11, 14])
+    def test_unrotated_coordinates_within_0_6_ulp(self, lattice, k):
+        # against 30-digit mpmath values of 2^k cos/sin(2 pi j/2^k):
+        # measured 0.43, 0.44 and 0.53 ulp; cos and sin taken on every
+        # angle of the circle were up to 2.9, 2.9 and 3.1 ulp off
+        mpmath = pytest.importorskip("mpmath")
+        a = lattice.circle(k)
+        n = a.size
+        worst = 0.0
+        with mpmath.workdps(30):
+            for j, (x, y) in enumerate(zip(a.real.tolist(), a.imag.tolist())):
+                t = mpmath.mpf(2 * j) / n
+                worst = max(worst, abs(x - n * mpmath.cospi(t)),
+                            abs(y - n * mpmath.sinpi(t)))
+        assert float(worst) <= 0.6 * math.ulp(float(n))
 
     def test_order_k_then_angle(self, lattice):
         z = np.concatenate([lattice.circle(k) for k in (1, 2, 3)])
@@ -160,6 +217,12 @@ class TestReciprocalSums:
     def test_generic_radius_matches_last_circle(self, lattice):
         assert lattice.reciprocal_sum(100.0) == lattice.reciprocal_sum(64.0)
 
+    def test_unrotated_circles_cancel_exactly(self, lattice):
+        # each quarter turn of 1/a is exact, so every circle sums to 0
+        for k in range(1, 15):
+            assert lattice._circle_recip(k) == 0j, k
+        assert lattice.reciprocal_sum(2.0**14) == 0j
+
     def test_rotation_still_cancels(self):
         rot = ZeroLattice(k_max=8, rotation=1.2345)
         assert abs(rot.reciprocal_sum(2.0**8)) <= 1e-12
@@ -207,16 +270,42 @@ class TestCsvExport:
         write_zeros_csv(lat, path)
         assert path.read_bytes() == ("\n".join(lines) + "\n").encode("ascii")
 
-    def test_matches_per_row_writer(self, tmp_path):
-        # the per-row writer the blocks replaced; circles 11 and 12 span
-        # several blocks, and a rotation leaves no value cardinal
-        lat = ZeroLattice(k_max=12, rotation=0.3)
+    @staticmethod
+    def per_row_writer(lat):
+        """The per-row writer the blocks replaced, as bytes."""
         text = ["k,j,re,im\n"]
         for k in range(1, lat.k_max + 1):
             a = lat.circle(k)
             text.extend("%d,%d,%.17g,%.17g\n" % (k, j, x, y)
                         for j, (x, y) in enumerate(zip(a.real.tolist(),
                                                        a.imag.tolist())))
+        return "".join(text).encode("ascii")
+
+    def test_matches_per_row_writer(self, tmp_path):
+        # circles 11 and 12 span several blocks, and a rotation leaves no
+        # value cardinal; a rotated lattice is formatted value by value
+        lat = ZeroLattice(k_max=12, rotation=0.3)
         path = tmp_path / "zeros.csv"
         write_zeros_csv(lat, path)
-        assert path.read_bytes() == "".join(text).encode("ascii")
+        assert path.read_bytes() == self.per_row_writer(lat)
+
+    def test_unrotated_matches_per_row_writer(self, tmp_path):
+        # up to 8 coordinates of a circle share a magnitude, formatted once
+        lat = ZeroLattice(k_max=12)
+        path = tmp_path / "zeros.csv"
+        write_zeros_csv(lat, path)
+        assert path.read_bytes() == self.per_row_writer(lat)
+
+    def test_signed_zeros_and_shared_magnitudes(self, tmp_path):
+        # circles given outright: -0.0 must keep its "-", and values that
+        # share a magnitude, or only differ in the last bit, keep their own
+        lat = ZeroLattice(k_max=2)
+        x = 0.1 + 0.2
+        lat._circles[1] = np.array([complex(-0.0, 0.0), complex(x, -x)])
+        lat._circles[2] = np.array([complex(-x, 0.3), complex(0.3, -0.0),
+                                    complex(math.nextafter(x, 1), -5e-324),
+                                    complex(-5e-324, 0.0)])
+        path = tmp_path / "zeros.csv"
+        write_zeros_csv(lat, path)
+        assert path.read_bytes() == self.per_row_writer(lat)
+        assert path.read_text().splitlines()[1] == "1,0,-0,0"

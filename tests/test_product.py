@@ -417,3 +417,18 @@ class TestCsvExport:
         assert profiles[0].radii.size > 2048
         assert "-inf" in path.read_text()
         assert path.read_bytes() == "".join(text).encode("ascii")
+
+    def test_shared_grid_matches_per_row_writer(self, ev, tmp_path):
+        # profiles on one grid, as reproduce writes them (one a copy of
+        # it), then another grid and the first again
+        grid, other = dyadic_radii(2, 6, 64), np.geomspace(3.0, 900.0, 51)
+        profiles = [ev.profile_on(0.0, grid),
+                    ev.profile_on(1.0, grid.copy(), function_id="g"),
+                    ev.profile_on(0.3, other), ev.profile_on(-2.0, grid)]
+        text = ["function_id,theta,r,value\n"]
+        for p in profiles:
+            text.extend("%s,%.17g,%.17g,%.17g\n" % (p.function_id, p.theta, r, v)
+                        for r, v in zip(p.radii.tolist(), p.values.tolist()))
+        path = tmp_path / "profile.csv"
+        write_profile_csv(profiles, path)
+        assert path.read_bytes() == "".join(text).encode("ascii")
