@@ -43,6 +43,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .borel import MIN_MODULUS, BorelEvaluator
 from .lognum import cis, log_sub
@@ -184,6 +185,10 @@ class QuadratureSpec:
             raise ValueError("target_rel_tol below achievable floor 1e-13")
 
 
+#: the default tolerance, built once
+_DEFAULT_SPEC = QuadratureSpec()
+
+
 @dataclass(frozen=True)
 class IntegralResult:
     value: complex
@@ -201,39 +206,37 @@ def _split(a) -> tuple:
     return ah, a - ah
 
 
-def _two_product(a, b, b_split: tuple) -> tuple:
-    """a*b as an exact head/tail pair (no fma available on 3.10), given
-    b_split = _split(b)."""
-    p = a * b
-    ah, al = _split(a)
-    bh, bl = b_split
-    e = ((ah * bh - p) + ah * bl + al * bh) + al * bl
-    return p, e
-
-
-def _exp_zs(z: complex, s: np.ndarray, re_split: tuple,
-            im_split: tuple) -> np.ndarray:
-    """e^{z s} on an array of s, with the exponent in doubled precision.
+def _exp_zs(z: complex, rows: np.ndarray, heads: np.ndarray) -> np.ndarray:
+    """e^{z s} on the nodes s of a level table, with the exponent in doubled
+    precision.
 
     Rounding z*s to binary64 alone costs a relative error of |z*s|*eps in
     the exponential; with |z*s| up to ~160 on these contours that noise,
     multiplied by the integrand mass, would dominate every cancellation-
     limited integral.  The head/tail exponent buys those ~8 bits back.
-    re_split and im_split are _split(s.real) and _split(s.imag), which do
-    not depend on z and come with the level table.
+    rows is the table's (2, 2, n) view [[s.imag, s.real], [s.real, -s.imag]]
+    and heads its Dekker heads; against the column (z.real, z.imag) one set
+    of whole-array calls forms the four products of y + ix = z*s, their
+    exact errors (Dekker's two-product; no fma on 3.10), then y and x and
+    their two-sum tails.
     """
-    xp, xe1 = _two_product(z.real, s.real, re_split)
-    xq, xe2 = _two_product(z.imag, s.imag, im_split)
-    x = xp - xq
-    xe = ((xp - x) - xq) + (xe1 - xe2)  # two-sum tail of xp + (-xq)
-    yp, ye1 = _two_product(z.real, s.imag, im_split)
-    yq, ye2 = _two_product(z.imag, s.real, re_split)
-    y = yp + yq
-    ye = ((yp - y) + yq) + (ye1 + ye2)
-    mag = np.exp(x) * (1.0 + xe)
-    c = np.cos(y)
-    sn = np.sin(y)
-    out = np.empty(s.shape, dtype=complex)
+    zr, zi = z.real, z.imag
+    zrh, zrl = _split(zr)
+    zih, zil = _split(zi)
+    a, ah, al = np.array((zr, zi, zrh, zih, zrl, zil)).reshape(3, 2, 1, 1)
+    tails = rows - heads
+    p = a * rows  # [[zr si, zr sr], [zi sr, -zi si]]
+    e = ah * heads
+    e -= p
+    e += ah * tails
+    e += al * heads
+    e += al * tails
+    yx = p[0] + p[1]
+    ye, xe = ((p[0] - yx) + p[1]) + (e[0] + e[1])
+    mag = np.exp(yx[1]) * (1.0 + xe)
+    c = np.cos(yx[0])
+    sn = np.sin(yx[0])
+    out = np.empty(c.shape, dtype=complex)
     out.real, out.imag = mag * (c - ye * sn), mag * (sn + ye * c)
     return out
 
@@ -296,18 +299,26 @@ _TABLE_SIZE = 32
 @lru_cache(maxsize=_TABLE_SIZE)
 def _level_table(g_eval, seg, levels: tuple) -> tuple:
     """The z-independent half of a pass, read-only so no caller can change
-    what the next z reads: the nodes s of levels on seg joined, the _split
-    of s.real and of s.imag, g_eval(s), the path derivative at s, and per
-    level its (slice of s, weights)."""
-    t, cuts = [], []
-    if not isinstance(seg, CirclePath):
+    what the next z reads: for the nodes s of levels on seg, the (2, 2, n)
+    view rows = [[s.imag, s.real], [s.real, -s.imag]] and the same view of
+    its Dekker heads, g_eval(s), the path derivative at s, and per level its
+    (index into the nodes, weights).  The complex s itself is not kept.
+
+    Open paths join each level's Gauss nodes.  Circle levels nest (t = j/n
+    lies on every finer level), so a circle's table holds the finest
+    level's nodes alone and reads a coarser level as every 2^d-th node."""
+    cuts = []
+    if isinstance(seg, CirclePath):
+        top = max(levels)
+        n = _INITIAL_PANELS * _POINTS_PER_PANEL << top
+        t = np.arange(n) / n  # exact dyadic t for power-of-two n
+        for level in levels:
+            step = 1 << (top - level)
+            cuts.append((slice(None, None, step), step / n))
+    else:
         x, w = _gauss_rule(_POINTS_PER_PANEL)
-    for level in levels:
-        if isinstance(seg, CirclePath):
-            n = _INITIAL_PANELS * _POINTS_PER_PANEL * (1 << level)
-            t.append(np.arange(n) / n)  # exact dyadic t for power-of-two n
-            weights = 1.0 / n
-        else:
+        t = []
+        for level in levels:
             panels = _INITIAL_PANELS * (1 << level)
             width = 1.0 / panels
             half = 0.5 * width
@@ -315,30 +326,42 @@ def _level_table(g_eval, seg, levels: tuple) -> tuple:
             t.append((mid[:, None] + half * x).ravel())
             weights = np.tile(w * half, panels)
             weights.flags.writeable = False
-        start = cuts[-1][0].stop if cuts else 0
-        cuts.append((slice(start, start + t[-1].size), weights))
-    t = np.concatenate(t)
+            start = cuts[-1][0].stop if cuts else 0
+            cuts.append((slice(start, start + t[-1].size), weights))
+        t = np.concatenate(t)
     s, dpoint = seg.point(t), seg.dpoint(t)
-    splits = _split(s.real), _split(s.imag)
-    for array in (s, dpoint, *splits[0], *splits[1]):
-        array.flags.writeable = False
-    return (s, *splits, np.broadcast_to(g_eval(s), s.shape), dpoint,
-            tuple(cuts))
+    rows = np.stack([s.imag, s.real, -s.imag])
+    stride, step = rows.strides
+
+    def pairs(a):
+        # [[a0, a1], [a1, a2]]: the rows [0:2] and [1:3], overlapping; with
+        # the tails formed per z, s and its heads take 6 floats a node, as
+        # the complex s and the split of its parts did
+        return as_strided(a, (2, 2, s.size), (stride, stride, step),
+                          writeable=False)
+
+    dpoint.flags.writeable = False
+    return (pairs(rows), pairs(_split(rows)[0]),
+            np.broadcast_to(g_eval(s), s.shape), dpoint, tuple(cuts))
 
 
 def _refinement_values(g_eval, seg, zs, levels: tuple) -> list:
     """The rule at each of levels for every z of zs: per level, a list of
-    (value, absolute mass sum |term| / tau).  Only e^{zs} and the terms are
-    formed per z; the rest comes from the segment's _level_table."""
-    s, re_split, im_split, g, dpoint, cuts = _level_table(g_eval, seg, levels)
-    exps = [_exp_zs(z, s, re_split, im_split) for z in zs]
-    return [[_value_and_mass(g[cut] * exp_zs[cut] * dpoint[cut] * weights)
-             for exp_zs in exps] for cut, weights in cuts]
+    (value, absolute mass sum |term| / tau).  Only e^{zs} and the terms
+    g e^{zs} dpoint are formed per z, once over the table's nodes; the rest
+    comes from the segment's _level_table."""
+    rows, heads, g, dpoint, cuts = _level_table(g_eval, seg, levels)
+    values = [[] for _ in cuts]
+    for z in zs:
+        terms = g * _exp_zs(z, rows, heads) * dpoint
+        for level, (index, weights) in zip(values, cuts):
+            level.append(_value_and_mass(terms[index] * weights))
+    return values
 
 
 def _value_and_mass(part: np.ndarray) -> tuple:
-    total = complex(math.fsum(part.real.tolist()),
-                    math.fsum(part.imag.tolist()))
+    total = complex(math.fsum(memoryview(part.real)),
+                    math.fsum(memoryview(part.imag)))
     return total / (1j * TAU), float(np.abs(part).sum()) / TAU
 
 
@@ -355,7 +378,7 @@ def _integrate_batch(g_eval, seg, zs, spec: QuadratureSpec = None) -> list:
     FloatingPointError (an ArithmeticError) at once.
     """
     if spec is None:
-        spec = QuadratureSpec()
+        spec = _DEFAULT_SPEC
     zs = [complex(z) for z in zs]
     results = [None] * len(zs)
     prev = [None] * len(zs)
@@ -406,6 +429,11 @@ def spiral_arc() -> SpiralArc:
 def closing_segment() -> LineSegment:
     """Segment from -3 to -4; appended to the arc it closes the loop."""
     return LineSegment(-3.0 + 0.0j, -4.0 + 0.0j)
+
+
+#: the paths of F_eval and u_eval, built and validated once
+_ARC = spiral_arc()
+_SEGMENT = closing_segment()
 
 
 _EULER_GAMMA = float(np.euler_gamma)
@@ -469,12 +497,13 @@ def _entire_exp_integral(w: complex) -> complex:
     if _on_series_route(w):
         term = complex(w)
         total = term
+        size = abs(w)
         k = 2
         while k < 400:
             term = term * w / k
             contribution = term / k
             total += contribution
-            if k > abs(w) and abs(contribution) <= 1e-20 * abs(total):
+            if k > size and abs(contribution) <= 1e-20 * abs(total):
                 return total
             k += 1
         raise ArithmeticError("channel series failed to settle")
@@ -516,15 +545,24 @@ def _F_channel(z: complex) -> complex:
     return (complex(-c, TAU) + (e3 - e4)) / _DENOM
 
 
-def _tail_plus_channel(seg, z, spec: QuadratureSpec, channel):
+def _tail_plus_channel(seg, z, spec: QuadratureSpec, channel,
+                       cap: float = math.inf):
     """Quadrature of the tail g - 1/s on seg plus channel(z), the closed-form
     1/s part, from one batch.  A scalar z is a batch of one and gives a
     complex; a 1-D array of z gives a complex array, each entry bit for bit
-    the scalar value."""
+    the scalar value.  ValueError for a non-finite z, CancellationCapError
+    for one with |z| > cap, before any quadrature."""
     ndim = np.ndim(z)
     if ndim > 1:
         raise ValueError("z must be a scalar or a 1-D array")
     zs = [complex(w) for w in (np.asarray(z).tolist() if ndim else [z])]
+    for w in zs:
+        if not cmath.isfinite(w):
+            raise ValueError(f"z = {w!r} is not finite")
+        if abs(w) > cap:
+            raise CancellationCapError(
+                f"|z|={abs(w):.4g} beyond cancellation cap {cap}; "
+                "evaluate through the f - u identity instead")
     cs = [channel(w) for w in zs]
     values = [r.value + c for r, c in zip(
         _integrate_batch(_SHARED_TAIL.at, seg, zs, spec), cs)]
@@ -550,7 +588,7 @@ def u_eval(z, spec: QuadratureSpec = None):
     so u decays in the right half-plane and is bounded for Re z >= 0.  z is
     a scalar or a 1-D array.
     """
-    return _tail_plus_channel(closing_segment(), z, spec, _u_channel)
+    return _tail_plus_channel(_SEGMENT, z, spec, _u_channel)
 
 
 def F_eval(z, spec: QuadratureSpec = None):
@@ -562,13 +600,7 @@ def F_eval(z, spec: QuadratureSpec = None):
     F = f - u (see splitting_profile).  z is a scalar or a 1-D array; the
     cap applies to every entry.
     """
-    worst = float(np.max(np.abs(z), initial=0.0))
-    if worst > _CANCELLATION_CAP:
-        raise CancellationCapError(
-            f"|z|={worst:.4g} beyond cancellation cap {_CANCELLATION_CAP}; "
-            "evaluate through the f - u identity instead"
-        )
-    return _tail_plus_channel(spiral_arc(), z, spec, _F_channel)
+    return _tail_plus_channel(_ARC, z, spec, _F_channel, _CANCELLATION_CAP)
 
 
 def splitting_profile(ev, theta: float, radii, spec: QuadratureSpec = None,

@@ -396,6 +396,19 @@ class TestBatch:
         with pytest.raises(CancellationCapError):
             F_eval(np.array([1.0, 50.0]))
 
+    @pytest.mark.parametrize("batched", [False, True], ids=["scalar", "batch"])
+    @pytest.mark.parametrize("z", [complex(math.nan, 0.0), math.inf,
+                                   complex(0.0, -math.inf)],
+                             ids=["nan", "inf", "-inf*j"])
+    @pytest.mark.parametrize("fn", [borel_inversion, u_eval, F_eval],
+                             ids=["borel_inversion", "u_eval", "F_eval"])
+    def test_non_finite_z_refused_before_quadrature(self, fn, z, batched):
+        # refused at once, not after ten levels or with a misleading error
+        before = _level_table.cache_info().currsize
+        with pytest.raises(ValueError, match="not finite"):
+            fn(np.array([1.0, z]) if batched else z)
+        assert _level_table.cache_info().currsize == before
+
     @pytest.mark.parametrize("fn", [borel_inversion, u_eval, F_eval],
                              ids=["borel_inversion", "u_eval", "F_eval"])
     def test_more_than_one_dimension_rejected(self, fn):
@@ -416,10 +429,12 @@ class TestLevelTable:
             fresh = dataclasses.replace(path)
             deepest = max(deepest, _integral(g_eval, fresh, z, spec).refinements)
         assert deepest >= 2
-        # levels (0, 1) share a table, then one table per level up to deepest
+        # levels (0, 1) share a table, then one table per level up to
+        # deepest; a circle's level 0 is every other node of its level 1
         per_level = _INITIAL_PANELS * _POINTS_PER_PANEL
-        assert sizes == [3 * per_level] + [per_level << level
-                                           for level in range(2, deepest + 1)]
+        joint = 2 if isinstance(path, CirclePath) else 3
+        assert sizes == [joint * per_level] + [
+            per_level << level for level in range(2, deepest + 1)]
 
     def test_key_leaves_out_tolerance_but_not_the_rule(self):
         # the rule's nodes are fixed by the segment and the levels; the
@@ -458,11 +473,11 @@ class TestLevelTable:
                                      closing_segment()],
                              ids=["circle", "arc", "segment"])
     def test_arrays_are_read_only(self, seg):
-        s, re_split, im_split, g, dpoint, cuts = _level_table(
+        rows, heads, g, dpoint, cuts = _level_table(
             _SHARED_TAIL.at, seg, (0, 1))
-        arrays = [s, *re_split, *im_split, g, dpoint] + [
+        arrays = [rows, heads, g, dpoint] + [
             w for _, w in cuts if isinstance(w, np.ndarray)]
-        assert len(arrays) == (7 if isinstance(seg, CirclePath) else 9)
+        assert len(arrays) == (4 if isinstance(seg, CirclePath) else 6)
         for array in arrays:
             with pytest.raises(ValueError):
                 array[0] = 0.0
