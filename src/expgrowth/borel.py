@@ -6,8 +6,9 @@ powers 2^k with k >= 1, i.e. when m is even; the coefficient is then a signed
 power of two read off m's binary expansion.  This gives an O(popcount)
 closed-form indexer, with no series manipulation at all.
 
-The transform g(s) = sum_m c_m / s^{m+1} (c_m = m! * a_m) converges outside
-the disc |s| <= 2 and is evaluated by direct summation on whole arrays of s,
+The transform g(s) = sum_m c_m / s^{m+1} (c_m = m! * a_m) converges for
+|s| > 4/e = 1.4715, the exponential type of the product (limsup of
+|c_m|^{1/m}), and is evaluated by direct summation on whole arrays of s,
 with an analytic envelope controlling truncation node by node.
 """
 from __future__ import annotations
@@ -19,8 +20,9 @@ import numpy as np
 
 from .lognum import LN2
 
-#: g is evaluated only at |s| >= MIN_MODULUS, clear of the singular radius 2;
-#: contour paths must keep to the same region
+#: g is evaluated only at |s| >= MIN_MODULUS, a chosen floor well outside
+#: the radius of convergence 4/e, where the terms fall off fast enough for
+#: the term budget; contour paths must keep to the same region
 MIN_MODULUS = 2.5
 
 #: summation stops once the envelope of every remaining term falls below

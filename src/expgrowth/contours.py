@@ -4,15 +4,18 @@ Every integral here is (1/(2*pi*i)) * int g(s) e^{zs} ds over some path kept
 outside modulus 2.5, where the transform g is analytic.  Full circles use the
 periodic trapezoid rule (spectrally accurate); open arcs and segments use
 composite Gauss-Legendre panels; each refinement level doubles the nodes or
-panels.  Only e^{zs} depends on z: the nodes of a path and level (with
-their Dekker split for the doubled-precision exponent), g there, the path
-derivative and the weights form one read-only table, built once per
-process (levels 0 and 1, which every z needs, share one).  Per z, a level's
-terms are summed by math.fsum, exactly rounded, so its value does not
-depend on node order.  The rule is fixed and a QuadratureSpec is only a
-tolerance.  Each named integral runs its one segment through one batch
-engine, _integrate_batch: a scalar z is a batch of one, and each entry of a
-1-D batch keeps its own refinement and has the bits of the scalar call.
+panels.  Only e^{zs} depends on z: the nodes of a path and level, as
+stacked real rows with their Dekker heads for the doubled-precision
+exponent, g there, the path derivative and the weights form one read-only
+table, built once per process.  Levels 0 and 1, which every z needs, share
+one; a circle's levels nest, so its shared table holds level 1's nodes and
+reads level 0 as every other one.  Per z, the terms g e^{zs} ds are formed
+once over a table, and a level's are summed by math.fsum, exactly rounded,
+so its value does not depend on node order.  The rule is fixed and a
+QuadratureSpec is only a tolerance.  Each named integral runs its one
+segment through one batch engine, _integrate_batch: a scalar z is a batch
+of one, and each entry of a 1-D batch keeps its own refinement and has the
+bits of the scalar call.  A non-finite z is refused before any quadrature.
 
 The named integrals (borel_inversion, u_eval, F_eval) split g into 1/s plus
 a smooth tail: the 1/s channel integrates in closed form (residue on closed
@@ -218,21 +221,35 @@ def _exp_zs(z: complex, rows: np.ndarray, heads: np.ndarray) -> np.ndarray:
     and heads its Dekker heads; against the column (z.real, z.imag) one set
     of whole-array calls forms the four products of y + ix = z*s, their
     exact errors (Dekker's two-product; no fma on 3.10), then y and x and
-    their two-sum tails.
+    their exact two-sum tails.
     """
     zr, zi = z.real, z.imag
     zrh, zrl = _split(zr)
     zih, zil = _split(zi)
     a, ah, al = np.array((zr, zi, zrh, zih, zrl, zil)).reshape(3, 2, 1, 1)
-    tails = rows - heads
     p = a * rows  # [[zr si, zr sr], [zi sr, -zi si]]
+    # e = ((ah bh - p) + ah bl + al bh) + al bl with the tails bl of the
+    # rows; in place, so that few (2, 2, n) arrays are alive at once
     e = ah * heads
     e -= p
-    e += ah * tails
-    e += al * heads
-    e += al * tails
+    tails = rows - heads
+    t = ah * tails
+    e += t
+    np.multiply(al, heads, out=t)
+    e += t
+    tails *= al
+    e += tails
+    del t, tails
+    # y + ix = p[0] + p[1], and its exact tail by Knuth's branch-free
+    # two-sum, whichever addend is larger, plus e[0] + e[1]
     yx = p[0] + p[1]
-    ye, xe = ((p[0] - yx) + p[1]) + (e[0] + e[1])
+    bb = yx - p[0]
+    p[0] -= yx - bb
+    p[1] -= bb
+    p[0] += p[1]
+    e[0] += e[1]
+    p[0] += e[0]
+    ye, xe = p[0]
     mag = np.exp(yx[1]) * (1.0 + xe)
     c = np.cos(yx[0])
     sn = np.sin(yx[0])
@@ -330,6 +347,7 @@ def _level_table(g_eval, seg, levels: tuple) -> tuple:
             cuts.append((slice(start, start + t[-1].size), weights))
         t = np.concatenate(t)
     s, dpoint = seg.point(t), seg.dpoint(t)
+    g = np.broadcast_to(g_eval(s), s.shape)
     rows = np.stack([s.imag, s.real, -s.imag])
     stride, step = rows.strides
 
@@ -341,8 +359,7 @@ def _level_table(g_eval, seg, levels: tuple) -> tuple:
                           writeable=False)
 
     dpoint.flags.writeable = False
-    return (pairs(rows), pairs(_split(rows)[0]),
-            np.broadcast_to(g_eval(s), s.shape), dpoint, tuple(cuts))
+    return pairs(rows), pairs(_split(rows)[0]), g, dpoint, tuple(cuts)
 
 
 def _refinement_values(g_eval, seg, zs, levels: tuple) -> list:

@@ -209,9 +209,10 @@ class ProductEvaluator:
 
         The real part is -inf at lattice zeros, where the imaginary part is
         0; elsewhere the imaginary part lies in (-pi, pi].  Blocks of _BLOCK
-        points are evaluated as (circles x points) arrays; circles past a
-        point's own cutoff contribute exactly 0 and circles are summed in the
-        order k = 1, 2, ..., so no value depends on its batch.  ValueError
+        points, taken in order of |z| when there are several, are evaluated
+        as (circles x points) arrays; circles past a point's own cutoff
+        contribute exactly 0 and circles are summed in the order k = 1, 2,
+        ..., so no value depends on its batch.  ValueError
         for a non-finite z or a cutoff circle beyond binary64.
 
         The real part keeps ~3e-16 relative accuracy, the imaginary part
@@ -237,11 +238,17 @@ class ProductEvaluator:
                              "exceeds binary64" % (r_max, self.cutoff(r_max)))
         cutoffs = self._cutoffs(radii)
         phi = np.arctan2(zs.imag, zs.real) - self.lattice.rotation
+        # a block costs what its largest point needs, so several blocks take
+        # the points in order of |z| (profile_on's radii already are)
+        order = None
+        if zs.size > _BLOCK and np.any(radii[1:] < radii[:-1]):
+            order = np.argsort(radii, kind="stable")
         out = np.empty(zs.size, dtype=complex if with_arg else float)
         mag = out.real if with_arg else out
         with np.errstate(divide="ignore"):
             for lo in range(0, zs.size, _BLOCK):
-                rows = slice(lo, lo + _BLOCK)
+                rows = (slice(lo, lo + _BLOCK) if order is None
+                        else order[lo:lo + _BLOCK])
                 mag[rows], arg = _log_f_block(
                     radii[rows], phi[rows], cutoffs[rows], with_arg)
                 if with_arg:

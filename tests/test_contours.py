@@ -26,6 +26,7 @@ from expgrowth.contours import (
     _SHARED_TAIL,
     _endpoint_channels,
     _endpoint_channels_of,
+    _exp_zs,
     _gauss_rule,
     _integrate_batch,
     _level_table,
@@ -481,6 +482,33 @@ class TestLevelTable:
         for array in arrays:
             with pytest.raises(ValueError):
                 array[0] = 0.0
+
+
+class TestExponent:
+    @pytest.mark.parametrize("seg, moduli", [
+        (CirclePath(4.0), (2.0, 8.0)), (spiral_arc(), (2.0, 8.0, 20.0, 40.0)),
+        (closing_segment(), (2.0, 8.0, 20.0, 40.0)),
+    ], ids=["circle", "arc", "segment"])
+    def test_matches_mpmath(self, seg, moduli):
+        # e^{zs} at every node of the (0, 1) table, against 30 digits: a
+        # two-sum tail that assumed its first addend the larger left up to
+        # 56 eps on the arc
+        mpmath = pytest.importorskip("mpmath")
+        rows, heads = _level_table(_SHARED_TAIL.at, seg, (0, 1))[:2]
+        eps = math.ulp(1.0)
+        worst = 0.0
+        with mpmath.workdps(30):
+            nodes = [mpmath.mpc(v) for v in
+                     (rows[0, 1] + 1j * rows[0, 0]).tolist()]
+            for r in moduli:
+                for k in range(6):
+                    z = r * cmath.exp(1j * (math.tau * k / 6 + 0.3))
+                    got = _exp_zs(z, rows, heads).tolist()
+                    for s, value in zip(nodes, got):
+                        want = mpmath.exp(mpmath.mpc(z) * s)
+                        worst = max(worst, float(
+                            abs(mpmath.mpc(value) - want) / abs(want)))
+        assert worst <= 4.0 * eps, worst / eps
 
 
 class TestGaussRule:

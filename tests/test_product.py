@@ -200,6 +200,18 @@ class TestBatchInvariance:
             assert batch.imag.tobytes() == np.array(
                 [lf.arg for lf in scalar]).tobytes()
 
+    def test_shuffled_blocks_keep_their_bits(self):
+        # a multi-block batch runs in order of |z|: shuffled moduli from
+        # 2^-40 to 2^500 give each point the bits of its own scalar call
+        rng = np.random.default_rng(16)
+        zs = np.exp2(rng.uniform(-40.0, 500.0, 700)) * np.exp(
+            1j * rng.uniform(-4, 4, 700))
+        zs[::100] = ZeroLattice(k_max=14).zero(5, 7)
+        ev = ProductEvaluator(ZeroLattice(k_max=14))
+        scalar = np.array([ev.log_f(zs[i:i + 1])[0] for i in range(zs.size)])
+        assert ev.log_f(zs).tobytes() == scalar.tobytes()
+        assert ev.log_abs_f(zs).tobytes() == scalar.real.tobytes()
+
     @pytest.mark.parametrize("size", [1, 127, 128, 129, 1537])
     def test_log_abs_f_is_log_f_real_bitwise(self, size):
         # moduli from 2^-3 to 2^300, so some blocks have deep circles and
