@@ -349,17 +349,13 @@ def _level_table(g_eval, seg, levels: tuple) -> tuple:
     s, dpoint = seg.point(t), seg.dpoint(t)
     g = np.broadcast_to(g_eval(s), s.shape)
     rows = np.stack([s.imag, s.real, -s.imag])
-    stride, step = rows.strides
-
-    def pairs(a):
-        # [[a0, a1], [a1, a2]]: the rows [0:2] and [1:3], overlapping; with
-        # the tails formed per z, s and its heads take 6 floats a node, as
-        # the complex s and the split of its parts did
-        return as_strided(a, (2, 2, s.size), (stride, stride, step),
-                          writeable=False)
-
+    # views [a[0:2], a[1:3]], overlapping: with the tails formed per z, s and
+    # its heads take 6 floats a node, as the complex s and its split did
+    shape, strides = (2, 2, s.size), (rows.strides[0],) + rows.strides
+    pairs = [as_strided(a, shape, strides, writeable=False)
+             for a in (rows, _split(rows)[0])]
     dpoint.flags.writeable = False
-    return pairs(rows), pairs(_split(rows)[0]), g, dpoint, tuple(cuts)
+    return (*pairs, g, dpoint, tuple(cuts))
 
 
 def _refinement_values(g_eval, seg, zs, levels: tuple) -> list:

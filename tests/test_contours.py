@@ -492,7 +492,7 @@ class TestExponent:
     def test_matches_mpmath(self, seg, moduli):
         # e^{zs} at every node of the (0, 1) table, against 30 digits: a
         # two-sum tail that assumed its first addend the larger left up to
-        # 56 eps on the arc
+        # 64 eps on the arc
         mpmath = pytest.importorskip("mpmath")
         rows, heads = _level_table(_SHARED_TAIL.at, seg, (0, 1))[:2]
         eps = math.ulp(1.0)
