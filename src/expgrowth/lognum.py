@@ -6,6 +6,8 @@ whose true magnitudes span roughly e^{-3000} .. e^{+3000} without ever
 leaving IEEE binary64.  An exact zero is encoded as log magnitude -inf with
 argument 0.  Every helper here works elementwise on arrays;
 ProductEvaluator.log_f produces such arrays and `exp` turns them into f.
+`exp` of a single value (a Python complex or a 0-d array) in binary64
+range skips the array scaffolding, with the bits the array path gives it.
 """
 from __future__ import annotations
 
@@ -46,6 +48,13 @@ def exp(log_f):
     CLI writes keep libm's bits.
     """
     log_f = np.asarray(log_f, dtype=complex)
+    if log_f.ndim == 0:
+        mag = float(log_f.real)
+        if -math.inf < mag <= _EXP_MAX:
+            # an array multiply, as below: a scalar one (Python's or
+            # numpy's) gives an underflowing exp(mag) * sin(arg) the other
+            # zero sign
+            return (math.exp(mag) * cis(log_f.imag))[()]
     mag = log_f.real.ravel()
     c = cis(log_f.imag.ravel())
     out = np.fromiter(map(math.exp, np.minimum(mag, _EXP_MAX).tolist()),

@@ -10,7 +10,10 @@ i arg f as a complex array for a whole array of z, and log_abs_f its real
 part alone, bit for bit; eval_log_f is a call of the one, profile_on and
 max_modulus of the other.  Both skip the full factor on deep circles, where
 (|z|/2^k)^{2^k} >= e^40: there the factor's log modulus is exactly
-2^k log(|z|/2^k), and log_abs_f spends nothing else on them.
+2^k log(|z|/2^k), and log_abs_f spends nothing else on them.  A single
+point below |z| = 100, where no circle is deep, skips the block scaffolding
+and runs the same factor formula on its circles as one column, so a
+one-point call costs one point and keeps the bits it has in any batch.
 """
 from __future__ import annotations
 
@@ -87,7 +90,8 @@ _POW2 = np.ldexp(1.0, _KS)
 _DEEP = 40.0
 
 #: no circle is deep below |z| = 32 e^{40/32} = 111.7, where circle 5 is
-#: the first to reach _DEEP: blocks below this radius skip the deep test
+#: the first to reach _DEEP: blocks below this radius skip the deep test,
+#: and a single point below it skips the blocks
 _DEEP_RADIUS = 100.0
 
 
@@ -96,6 +100,32 @@ def _reduce(phi, n):
     y = np.fmod(phi * n, TAU)
     y -= TAU * np.rint(y / TAU)
     return y
+
+
+def _factor(x, y, with_arg):
+    """log|1 - e^{x+iy}| and, with_arg, its argument in half turns (else
+    None), elementwise.
+
+    1 - e^{x+iy} (divided by e^x when x > 0) is formed from expm1(-|x|) and
+    2 sin^2(y/2), which do not cancel near zeros.
+    """
+    em1 = np.expm1(-np.abs(x))
+    scale = np.exp(np.minimum(x, 0.0))
+    s = np.sin(0.5 * y)
+    re = 2.0 * scale * s * s - np.copysign(em1, x)
+    im = -scale * np.sin(y)
+    log_mod = np.maximum(x, 0.0) + np.log(np.hypot(re, im))
+    return log_mod, np.arctan2(im, re) / math.pi if with_arg else None
+
+
+def _arg(half):
+    """arg f in (-pi, pi] from its circles' half turns (rows k = 1, 2, ...).
+
+    Arguments are summed in half turns, so a real f keeps an exact sign.
+    """
+    turns = np.add.accumulate(half, axis=0)[-1]
+    t = (turns - 2.0 * np.rint(0.5 * turns)) * math.pi
+    return np.where(t == -math.pi, math.pi, t)
 
 
 def _log_f_block(radii, phi, cutoffs, with_arg):
@@ -114,12 +144,12 @@ def _log_f_block(radii, phi, cutoffs, with_arg):
     n = _POW2[:int(cutoffs.max())]
     n = n[:max(1, int(np.count_nonzero(np.log(r_top / n) * n > -750.0)))]
     x = np.where(_KS[:n.size] <= cutoffs, np.log(radii / n) * n, -math.inf)
-    # at a deep point expm1(-x) is -1 and exp(min(x, 0)) is 1, so the
-    # formula below gives log|1 - e^{x+iy}| = x + log|2 sin^2(y/2) - 1 -
-    # i sin y|, whose second term (under 1e-15) is below half an ulp of x:
-    # the log modulus is x bit for bit, and the argument is y + pi.  The
-    # formula runs only on the circles with a point below _DEEP, on views
-    # while that is every circle
+    # at a deep point expm1(-x) is -1 and exp(min(x, 0)) is 1, so _factor
+    # gives log|1 - e^{x+iy}| = x + log|2 sin^2(y/2) - 1 - i sin y|, whose
+    # second term (under 1e-15) is below half an ulp of x: the log modulus
+    # is x bit for bit, and the argument is y + pi.  _factor runs only on
+    # the circles with a point below _DEEP, on views while that is every
+    # circle
     some_deep = r_top >= _DEEP_RADIUS and x.max() >= _DEEP
     every = True
     if some_deep:
@@ -132,15 +162,7 @@ def _log_f_block(radii, phi, cutoffs, with_arg):
         ys = y[rows]
     else:
         ys = _reduce(phi, n[rows])
-    xs = x[rows]
-    # 1 - e^{x+iy} (divided by e^x when x > 0) from expm1(-|x|) and
-    # 2 sin^2(y/2), which do not cancel near zeros
-    em1 = np.expm1(-np.abs(xs))
-    scale = np.exp(np.minimum(xs, 0.0))
-    s = np.sin(0.5 * ys)
-    re = 2.0 * scale * s * s - np.copysign(em1, xs)
-    im = -scale * np.sin(ys)
-    log_mod = np.maximum(xs, 0.0) + np.log(np.hypot(re, im))
+    log_mod, half = _factor(x[rows], ys, with_arg)
     if every:
         x = log_mod
     else:
@@ -150,17 +172,13 @@ def _log_f_block(radii, phi, cutoffs, with_arg):
     mag = np.add.accumulate(x, axis=0)[-1]
     if not with_arg:
         return mag, None
-    # arguments are summed in half turns, so a real f keeps an exact sign;
     # a deep point takes the closed form y/pi - 1 (or + 1) whatever its
     # row, with the signs arctan2 gives at y = +-0
-    half = np.arctan2(im, re) / math.pi
     if some_deep:
         turns = y / math.pi - np.copysign(1.0, y)
         turns[rows] = np.where(deep[rows], turns[rows], half)
         half = turns
-    turns = np.add.accumulate(half, axis=0)[-1]
-    t = (turns - 2.0 * np.rint(0.5 * turns)) * math.pi
-    return mag, np.where(t == -math.pi, math.pi, t)
+    return mag, _arg(half)
 
 
 @dataclass(frozen=True)
@@ -213,7 +231,8 @@ class ProductEvaluator:
         as (circles x points) arrays; circles past a point's own cutoff
         contribute exactly 0 and circles are summed in the order k = 1, 2,
         ..., so no value depends on its batch.  ValueError
-        for a non-finite z or a cutoff circle beyond binary64.
+        for input that is not 1-d, a non-finite z or a cutoff circle beyond
+        binary64.
 
         The real part keeps ~3e-16 relative accuracy, the imaginary part
         drifts by up to ~|z| * 1e-16 rad: f is within 1e-10 relative out to
@@ -229,34 +248,55 @@ class ProductEvaluator:
 
     def _log_f(self, zs, with_arg: bool) -> np.ndarray:
         zs = np.asarray(zs, dtype=complex)
+        if zs.ndim != 1:
+            raise ValueError("zs must be a 1-d array")
         radii = np.abs(zs)
-        r_max = float(radii.max(initial=0.0))
-        if not math.isfinite(r_max):
-            raise ValueError("f is evaluated only at finite z")
-        if r_max > _MAX_RADIUS:
-            raise ValueError("|z| = %r is too large: the cutoff circle 2^%d "
-                             "exceeds binary64" % (r_max, self.cutoff(r_max)))
-        cutoffs = self._cutoffs(radii)
         phi = np.arctan2(zs.imag, zs.real) - self.lattice.rotation
-        # a block costs what its largest point needs, so several blocks take
-        # the points in order of |z| (profile_on's radii already are)
-        order = None
-        if zs.size > _BLOCK and np.any(radii[1:] < radii[:-1]):
-            order = np.argsort(radii, kind="stable")
         out = np.empty(zs.size, dtype=complex if with_arg else float)
         mag = out.real if with_arg else out
         with np.errstate(divide="ignore"):
-            for lo in range(0, zs.size, _BLOCK):
-                rows = (slice(lo, lo + _BLOCK) if order is None
-                        else order[lo:lo + _BLOCK])
-                mag[rows], arg = _log_f_block(
-                    radii[rows], phi[rows], cutoffs[rows], with_arg)
+            if zs.size == 1 and radii[0] < _DEEP_RADIUS:
+                # one point below _DEEP_RADIUS: no circle is deep or past
+                # the cutoff, so circles 1..K run _factor as one column with
+                # no mask or test.  The dead circles a block would cut have
+                # factors exactly 1, so the bits are the block's.  One frexp
+                # gives the cutoff (as _cutoffs) and the near-dyadic test
+                frac, e = math.frexp(radii[0])
+                n = _POW2[:max(e - (frac == 0.5), 0) + 2 + _TAIL_MARGIN, 0]
+                log_mod, half = _factor(np.log(radii[0] / n) * n,
+                                        _reduce(phi[0], n), with_arg)
+                mag[:] = np.add.accumulate(log_mod)[-1]
                 if with_arg:
-                    out.imag[rows] = arg
-        # only points within a few ulps of a dyadic radius can be lattice
-        # zeros, so the scalar membership test runs on those alone
-        near = np.abs(np.frexp(radii)[0] - 0.75) >= 0.25 - 2.0**-49
-        for i in np.flatnonzero(near):
+                    out.imag = _arg(half)
+                near = (0,) if abs(frac - 0.75) >= 0.25 - 2.0**-49 else ()
+            else:
+                r_max = float(radii.max(initial=0.0))
+                if not math.isfinite(r_max):
+                    raise ValueError("f is evaluated only at finite z")
+                if r_max > _MAX_RADIUS:
+                    raise ValueError(
+                        "|z| = %r is too large: the cutoff circle 2^%d "
+                        "exceeds binary64" % (r_max, self.cutoff(r_max)))
+                cutoffs = self._cutoffs(radii)
+                # a block costs what its largest point needs, so several
+                # blocks take the points in order of |z| (profile_on's
+                # radii already are)
+                order = None
+                if zs.size > _BLOCK and np.any(radii[1:] < radii[:-1]):
+                    order = np.argsort(radii, kind="stable")
+                for lo in range(0, zs.size, _BLOCK):
+                    rows = (slice(lo, lo + _BLOCK) if order is None
+                            else order[lo:lo + _BLOCK])
+                    mag[rows], arg = _log_f_block(
+                        radii[rows], phi[rows], cutoffs[rows], with_arg)
+                    if with_arg:
+                        out.imag[rows] = arg
+                # only points within a few ulps of a dyadic radius can be
+                # lattice zeros, so the scalar membership test runs on
+                # those alone
+                near = np.flatnonzero(
+                    np.abs(np.frexp(radii)[0] - 0.75) >= 0.25 - 2.0**-49)
+        for i in near:
             if self._is_lattice_zero(complex(zs[i])):
                 out[i] = -math.inf
         if with_arg:

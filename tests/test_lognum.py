@@ -52,6 +52,26 @@ class TestLogComplexBasics:
         w = exp(np.array([complex(1e300, arg), 0.0]))[0]
         assert (w.real, w.imag) == want
 
+    def test_scalar_exp_matches_array_bitwise(self):
+        # a Python complex and a 0-d array take a scalar path: random draws,
+        # the underflow edge where exp(mag) * sin(arg) rounds to a signed
+        # zero, saturation, -inf and args +-0 must keep the array's bits
+        rng = np.random.default_rng(17)
+        lf = polar(rng.uniform(-760.0, 720.0, 300),
+                   rng.uniform(-math.pi, math.pi, 300))
+        edge = [complex(m, a)
+                for m in (1e300, 710.0, -math.inf, 0.0, -744.4476693676693, -800.0)
+                for a in (0.0, -0.0, 0.5 * math.pi, -0.5 * math.pi, math.pi,
+                          1.0, -0.4104531258621025)]
+        lf = np.concatenate([lf, edge])
+        want = exp(lf)
+        for v, w in zip(lf.tolist(), want.tolist()):
+            for got in (exp(v), exp(np.array(v)), exp(np.array([v]))[0]):
+                assert type(got) is np.complex128
+                assert np.array(got).tobytes() == np.array(w).tobytes()
+            to_complex = LogComplex(v.real, v.imag).to_complex()
+            assert np.array(to_complex).tobytes() == np.array(w).tobytes()
+
     def test_cis_exact_at_cardinal_angles(self):
         half = 0.5 * math.pi
         got = cis(np.array([0.0, half, -half, math.pi, -math.pi]))

@@ -11,6 +11,7 @@ from expgrowth.csvio import fmt
 from expgrowth.lattice import LatticeExhaustedError, ZeroLattice
 from expgrowth.lognum import TAU, LogComplex, cis
 from expgrowth.product import (
+    _DEEP_RADIUS,
     GrowthProfile,
     ProductEvaluator,
     dyadic_radii,
@@ -164,6 +165,12 @@ class TestDomain:
         with pytest.raises(ValueError):
             ev.profile_on(0.0, np.array([1.0, math.nan]))
 
+    @pytest.mark.parametrize("zs", [3 + 2j, np.array(3 + 2j), np.ones((2, 3))])
+    @pytest.mark.parametrize("method", ["log_f", "log_abs_f"])
+    def test_rejects_input_not_1d(self, ev, method, zs):
+        with pytest.raises(ValueError, match="1-d"):
+            getattr(ev, method)(zs)
+
     def test_large_finite_modulus_accepted(self, ev):
         assert math.isfinite(ev.eval_log_f(1e300).log_mag)
 
@@ -199,6 +206,50 @@ class TestBatchInvariance:
                 [lf.log_mag for lf in scalar]).tobytes()
             assert batch.imag.tobytes() == np.array(
                 [lf.arg for lf in scalar]).tobytes()
+
+    @pytest.mark.parametrize("rotation", [0.0, 0.3])
+    def test_one_point_calls_match_a_batch_bitwise(self, rotation):
+        # one point below _DEEP_RADIUS takes its own short path: it must give
+        # the bits of the same point inside a 1537-point batch, on both
+        # sides of that bound, near 0, at dyadic radii, at lattice zeros,
+        # on the axes, and beside a zero where the phase underflows
+        lattice = ZeroLattice(k_max=14, rotation=rotation)
+        ev = ProductEvaluator(lattice)
+        rng = np.random.default_rng(17)
+        axes = np.array([1, 1j, -1, -1j])
+        bound = np.concatenate([np.linspace(99.0, 113.0, 57), np.nextafter(
+            _DEEP_RADIUS, [0.0, math.inf]), [_DEEP_RADIUS]])
+        dyadic = np.exp2(np.arange(-3.0, 12.0))
+        dyadic = np.concatenate([dyadic, np.nextafter(dyadic, 0.0),
+                                 np.nextafter(dyadic, math.inf)])
+        small = rng.uniform(0.0, 1.0, 60)
+        zeros = [lattice.zero(k, j) for k in range(1, 12)
+                 for j in range(0, 2**k, max(1, 2**k // 16))]
+        zs = np.concatenate([
+            (bound[:, None] * axes).ravel(), bound * cis(rng.uniform(-4, 4, bound.size)),
+            (dyadic[:, None] * axes).ravel(), dyadic * cis(rotation + 0.5),
+            small * cis(rng.uniform(-4, 4, small.size)), (small[:, None] * axes).ravel(),
+            [complex(a, b) for a in (0.0, -0.0, 0.5) for b in (0.0, -0.0, -0.7)],
+            zeros, [2 - 5e-324j, 2 + 5e-324j, 2 - 1e-300j],
+            np.linspace(-8, 8, 41) * cis(0.3),
+        ])
+        rest = 1537 - zs.size
+        zs = np.concatenate([zs, np.exp2(rng.uniform(-3.0, 20.0, rest)) * cis(
+            rng.uniform(-4, 4, rest))])
+        assert zs.size == 1537
+        batch, batch_abs = ev.log_f(zs), ev.log_abs_f(zs)
+        one = np.array([ev.log_f(zs[i:i + 1])[0] for i in range(zs.size)])
+        one_abs = np.array([ev.log_abs_f(zs[i:i + 1])[0] for i in range(zs.size)])
+        one_eval = [ev.eval_log_f(z) for z in zs]
+        assert one.tobytes() == batch.tobytes()
+        assert one_abs.tobytes() == batch_abs.tobytes()
+        assert np.array([complex(lf.log_mag, lf.arg) for lf in one_eval]
+                        ).tobytes() == batch.tobytes()
+        assert np.all(one.real[np.isin(zs, zeros)] == -math.inf)
+        if rotation == 0.0:
+            # the known defect beside circle 1's zero stays as it is
+            assert ev.log_f([2 - 5e-324j]).tobytes() == np.array(
+                [complex(-math.inf, 0.0)]).tobytes()
 
     def test_shuffled_blocks_keep_their_bits(self):
         # a multi-block batch runs in order of |z|: shuffled moduli from
