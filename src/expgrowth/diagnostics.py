@@ -73,14 +73,15 @@ def _window_groups(profile: GrowthProfile):
     must not disqualify an adequately sampled window (at theta = 0 every
     window opens on one).
     """
-    # frexp is exact, so dyadic radii land in the window they open
+    # frexp is exact, so a dyadic radius opens its window's slice of radii
     ks = np.frexp(profile.radii)[1] - 1
+    cuts = [0, *(np.flatnonzero(np.diff(ks)) + 1).tolist(), ks.size]
     out = []
-    for k in range(int(ks[0]), int(ks[-1]) + 1):
-        vals = profile.values[ks == k]
+    for lo, hi in zip(cuts[:-1], cuts[1:]):
+        vals = profile.values[lo:hi]
         finite = vals[np.isfinite(vals)]
         if finite.size:
-            out.append((k, vals.size, finite))
+            out.append((int(ks[lo]), vals.size, finite))
     return out
 
 

@@ -67,9 +67,9 @@ def dyadic_radii(k_lo: int, k_hi: int, per_window: int = 256) -> np.ndarray:
     return np.exp2(exps)
 
 
-#: points per block of the array core: bounds the (circles x points)
-#: temporaries to a few hundred kB whatever the batch size
-_BLOCK = 128
+#: most points per block of the array core, the fastest measured on rays:
+#: a (circles x points) temporary is at most 1021 x 384 x 8 B = 3.1 MB
+_BLOCK = 384
 
 #: largest cutoff K with 2^K * tau finite in binary64
 _MAX_CUTOFF = 1021
@@ -118,12 +118,20 @@ def _factor(x, y, with_arg):
     return log_mod, np.arctan2(im, re) / math.pi if with_arg else None
 
 
+def _sum_rows(x):
+    """Rows k = 1, 2, ... of x added in turn: numpy reduces a fresh C-ordered
+    block row by row but a lone column pairwise, so a column accumulates."""
+    if x.ndim == 2 and x.shape[1] > 1:
+        return np.add.reduce(x, axis=0)
+    return np.add.accumulate(x, axis=0)[-1]
+
+
 def _arg(half):
     """arg f in (-pi, pi] from its circles' half turns (rows k = 1, 2, ...).
 
     Arguments are summed in half turns, so a real f keeps an exact sign.
     """
-    turns = np.add.accumulate(half, axis=0)[-1]
+    turns = _sum_rows(half)
     t = (turns - 2.0 * np.rint(0.5 * turns)) * math.pi
     return np.where(t == -math.pi, math.pi, t)
 
@@ -139,11 +147,14 @@ def _log_f_block(radii, phi, cutoffs, with_arg):
     # once 2^k > |z| and grows with |z|, so the circles dead at the block's
     # largest radius are a suffix dead at every point and are cut (circle 1
     # stays, so no sum is empty).  Circles past a point's own cutoff get
-    # x = -inf, which makes their factor exactly 1
+    # x = -inf, which makes their factor exactly 1 (a block spanning less
+    # than a factor 2^6 in |z|, as a sorted ray's do, has none live)
     r_top = radii.max()
     n = _POW2[:int(cutoffs.max())]
     n = n[:max(1, int(np.count_nonzero(np.log(r_top / n) * n > -750.0)))]
-    x = np.where(_KS[:n.size] <= cutoffs, np.log(radii / n) * n, -math.inf)
+    x = np.log(radii / n) * n
+    if cutoffs.min() < n.size:
+        x = np.where(_KS[:n.size] <= cutoffs, x, -math.inf)
     # at a deep point expm1(-x) is -1 and exp(min(x, 0)) is 1, so _factor
     # gives log|1 - e^{x+iy}| = x + log|2 sin^2(y/2) - 1 - i sin y|, whose
     # second term (under 1e-15) is below half an ulp of x: the log modulus
@@ -157,19 +168,13 @@ def _log_f_block(radii, phi, cutoffs, with_arg):
         shallow = ~deep.all(axis=1)
         every = shallow.all()
     rows = slice(None) if every else np.flatnonzero(shallow)
-    if with_arg:
-        y = _reduce(phi, n)
-        ys = y[rows]
-    else:
-        ys = _reduce(phi, n[rows])
-    log_mod, half = _factor(x[rows], ys, with_arg)
-    if every:
-        x = log_mod
-    else:
+    y = _reduce(phi, n if with_arg else n[rows])
+    log_mod, half = _factor(x[rows], y[rows] if with_arg else y, with_arg)
+    if not every:
         x[rows] = log_mod
-    # accumulate, unlike sum, adds in the order k = 1, 2, ... whatever the
-    # array shape, which keeps every value independent of its batch
-    mag = np.add.accumulate(x, axis=0)[-1]
+    # circles are added in the order k = 1, 2, ... whatever the block's
+    # width, which keeps every value independent of its batch
+    mag = _sum_rows(log_mod if every else x)
     if not with_arg:
         return mag, None
     # a deep point takes the closed form y/pi - 1 (or + 1) whatever its
@@ -193,7 +198,7 @@ class ProductEvaluator:
         Every omitted factor k > K satisfies |(z/2^k)^{2^k}| <= 2^{-8*2^k}, so
         the truncated tail is negligible relative to machine precision.
         """
-        return int(self._cutoffs(abs(complex(z))))
+        return int(self._cutoffs(np.abs([complex(z)]))[0])
 
     def _cutoffs(self, radii):
         """cutoff() of every radius, exact in binary64."""
@@ -226,13 +231,14 @@ class ProductEvaluator:
         """log f = log|f| + i arg f at every point of a 1-d complex array.
 
         The real part is -inf at lattice zeros, where the imaginary part is
-        0; elsewhere the imaginary part lies in (-pi, pi].  Blocks of _BLOCK
-        points, taken in order of |z| when there are several, are evaluated
-        as (circles x points) arrays; circles past a point's own cutoff
-        contribute exactly 0 and circles are summed in the order k = 1, 2,
-        ..., so no value depends on its batch.  ValueError
-        for input that is not 1-d, a non-finite z or a cutoff circle beyond
-        binary64.
+        0; elsewhere the imaginary part lies in (-pi, pi].  Near-equal
+        blocks of at most _BLOCK points, taken in order of |z| when there
+        are several, are evaluated as (circles x points) arrays; circles
+        past a point's own cutoff contribute exactly 0 and circles are
+        summed in the order k = 1, 2, ... (a reduce over the rows of a
+        block, an accumulate down a single column), so no value depends on
+        its batch.  ValueError for input that is not 1-d, a non-finite z or
+        a cutoff circle beyond binary64.
 
         The real part keeps ~3e-16 relative accuracy, the imaginary part
         drifts by up to ~|z| * 1e-16 rad: f is within 1e-10 relative out to
@@ -265,7 +271,7 @@ class ProductEvaluator:
                 n = _POW2[:max(e - (frac == 0.5), 0) + 2 + _TAIL_MARGIN, 0]
                 log_mod, half = _factor(np.log(radii[0] / n) * n,
                                         _reduce(phi[0], n), with_arg)
-                mag[:] = np.add.accumulate(log_mod)[-1]
+                mag[:] = _sum_rows(log_mod)
                 if with_arg:
                     out.imag = _arg(half)
                 near = (0,) if abs(frac - 0.75) >= 0.25 - 2.0**-49 else ()
@@ -284,9 +290,11 @@ class ProductEvaluator:
                 order = None
                 if zs.size > _BLOCK and np.any(radii[1:] < radii[:-1]):
                     order = np.argsort(radii, kind="stable")
-                for lo in range(0, zs.size, _BLOCK):
-                    rows = (slice(lo, lo + _BLOCK) if order is None
-                            else order[lo:lo + _BLOCK])
+                # near-equal blocks of at most _BLOCK points (ceil divisions)
+                step = -(-zs.size // max(1, -(-zs.size // _BLOCK))) or 1
+                for lo in range(0, zs.size, step):
+                    rows = (slice(lo, lo + step) if order is None
+                            else order[lo:lo + step])
                     mag[rows], arg = _log_f_block(
                         radii[rows], phi[rows], cutoffs[rows], with_arg)
                     if with_arg:

@@ -109,6 +109,42 @@ class TestWindowGroups:
         for k, _, finite in groups:
             assert np.all(finite == k)
 
+    @staticmethod
+    def masked_groups(profile):
+        # the reference: one boolean mask of the radii per window
+        ks = np.frexp(profile.radii)[1] - 1
+        out = []
+        for k in range(int(ks[0]), int(ks[-1]) + 1):
+            vals = profile.values[ks == k]
+            finite = vals[np.isfinite(vals)]
+            if finite.size:
+                out.append((k, vals.size, finite))
+        return out
+
+    @pytest.mark.parametrize("case", ["skipped", "all_minus_inf", "single"])
+    def test_slices_match_per_window_masks(self, case):
+        radii = dyadic_radii(-2, 9, 16)
+        values = np.sin(radii)
+        values[::16] = -math.inf  # every window opens on a zero, as at theta = 0
+        ks = np.frexp(radii)[1] - 1
+        if case == "skipped":
+            radii, values = radii[ks != 4], values[ks != 4]
+        elif case == "all_minus_inf":
+            values[ks == 4] = -math.inf
+        else:
+            # window 4 keeps one finite sample from inside it
+            keep = (ks != 4) | (radii == radii[ks == 4][5])
+            radii, values = radii[keep], values[keep]
+        prof = GrowthProfile("t", 0.0, radii, values)
+        got, want = _window_groups(prof), self.masked_groups(prof)
+        assert [(k, n) for k, n, _ in got] == [(k, n) for k, n, _ in want]
+        assert [(k, n) for k, n, _ in got if k == 4] == (
+            [(4, 1)] if case == "single" else [])
+        assert len(got) == 10 + (case == "single")
+        assert all(type(k) is int for k, _, _ in got)
+        for (_, _, a), (_, _, b) in zip(got, want):
+            assert a.tobytes() == b.tobytes()
+
 
 class TestQuantilePair:
     @pytest.mark.parametrize("q", [0.01, 0.1, 0.25, 0.4999])

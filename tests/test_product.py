@@ -62,6 +62,18 @@ class TestClosedForm:
         for z in zs:
             assert math.ldexp(1.0, ev.cutoff(z)) >= 4.0 * max(abs(z), 1.0)
 
+    def test_cutoff_counts_the_circles_log_f_uses(self, ev):
+        # cutoff() takes |z| as log_f does: np.abs and Python's abs can
+        # differ in the last bit, which at a dyadic radius moves the cutoff
+        z = 1.9910626124760726 + 0.1888641660028625j
+        assert ev.cutoff(z) == 10
+        rng = np.random.default_rng(18)
+        k = np.repeat(np.arange(1, 30), 100)
+        ulps = rng.integers(-4, 5, k.size) * 2.0**-52
+        zs = np.ldexp(1.0 + ulps, k) * cis(rng.uniform(-4, 4, k.size))
+        zs = np.append(zs, z)
+        assert [ev.cutoff(w) for w in zs] == ev._cutoffs(np.abs(zs)).tolist()
+
 
 class TestZeroSet:
     def test_exact_minus_inf_on_lattice(self, ev):
@@ -315,6 +327,44 @@ class TestBatchInvariance:
         assert np.all(values[dyadic] == -math.inf)
         assert np.all(np.isfinite(values[~dyadic]))
         assert ev.eval_log_f(radii[-1] * cis(rotation)).is_zero
+
+
+class TestCircleSum:
+    @pytest.mark.parametrize("width", [2, 3, 8, 9, product._BLOCK,
+                                       product._BLOCK + 1])
+    def test_reduce_adds_rows_in_order(self, width):
+        # numpy reduces a fresh C-ordered (circles x points) array over
+        # axis 0 row by row, in the order accumulate adds them
+        rng = np.random.default_rng(width)
+        for k in range(1, 61):
+            x = rng.standard_normal((k, width)) * np.exp2(
+                rng.uniform(-60.0, 60.0, (k, width)))
+            want = np.add.accumulate(x, axis=0)[-1]
+            assert np.add.reduce(x, axis=0).tobytes() == want.tobytes()
+            assert product._sum_rows(x).tobytes() == want.tobytes()
+
+    def test_a_single_column_accumulates(self):
+        rng = np.random.default_rng(19)
+        for k in range(1, 61):
+            x = rng.standard_normal(k) * np.exp2(rng.uniform(-60.0, 60.0, k))
+            want = np.add.accumulate(x)[-1]
+            assert product._sum_rows(x) == want
+            assert product._sum_rows(x[:, None]).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("theta", [0.0, 0.7])
+    @pytest.mark.parametrize("k_lo", [8, 16, 24])
+    def test_ray_bits_do_not_depend_on_batching(self, ev, k_lo, theta):
+        # a growth-path ray: the whole ray, its one-point calls (which take
+        # the block path, as |z| >= _DEEP_RADIUS) and batches of any size
+        # around _BLOCK give the same bits
+        zs = dyadic_radii(k_lo, k_lo + 6, 256) * cis(theta)
+        assert zs.size == 1537 and np.abs(zs).min() >= _DEEP_RADIUS
+        for method in (ev.log_f, ev.log_abs_f):
+            whole = method(zs)
+            for size in (1, 2, 7, product._BLOCK, product._BLOCK + 1):
+                parts = np.concatenate([method(zs[lo:lo + size])
+                                        for lo in range(0, zs.size, size)])
+                assert parts.tobytes() == whole.tobytes(), size
 
 
 class TestDirectOracle:
