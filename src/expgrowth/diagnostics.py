@@ -73,15 +73,22 @@ def _window_groups(profile: GrowthProfile):
     must not disqualify an adequately sampled window (at theta = 0 every
     window opens on one).
     """
+    radii, values = profile.radii, profile.values
+    if not radii.size:
+        return []
     # frexp is exact, so a dyadic radius opens its window's slice of radii
-    ks = np.frexp(profile.radii)[1] - 1
-    cuts = [0, *(np.flatnonzero(np.diff(ks)) + 1).tolist(), ks.size]
+    k_lo, k_hi = (math.frexp(r)[1] - 1 for r in (radii[0], radii[-1]))
+    cuts = np.searchsorted(radii, np.ldexp(1.0, np.arange(k_lo, k_hi + 2)))
+    # non-finite samples before each cut: a window without any is a view
+    bad = np.searchsorted(np.flatnonzero(~np.isfinite(values)), cuts).tolist()
+    cuts = cuts.tolist()
     out = []
-    for lo, hi in zip(cuts[:-1], cuts[1:]):
-        vals = profile.values[lo:hi]
-        finite = vals[np.isfinite(vals)]
+    for k, lo, hi, bad_lo, bad_hi in zip(range(k_lo, k_hi + 1), cuts,
+                                         cuts[1:], bad, bad[1:]):
+        vals = values[lo:hi]
+        finite = vals if bad_lo == bad_hi else vals[np.isfinite(vals)]
         if finite.size:
-            out.append((int(ks[lo]), vals.size, finite))
+            out.append((k, vals.size, finite))
     return out
 
 
@@ -115,9 +122,13 @@ def window_stats(profile: GrowthProfile, q: float = 0.1) -> tuple:
     are taken.  Windows holding fewer than MIN_WINDOW_SAMPLES samples, or
     none finite at all, are skipped; if fewer than three windows survive the
     profile cannot support a verdict and InsufficientSamplesError is raised.
+    The result is stored on the (read-only) profile by q, so classify and
+    later calls with the same q take it from there.
     """
     if not 0.0 < q < 0.5:
         raise ValueError("q must lie in (0, 0.5)")
+    if q in profile._window_stats:
+        return profile._window_stats[q]
     stats = []
     for k, count, finite in _window_groups(profile):
         if count < MIN_WINDOW_SAMPLES:
@@ -139,7 +150,7 @@ def window_stats(profile: GrowthProfile, q: float = 0.1) -> tuple:
             "need >= 3 dyadic windows with >= %d finite samples, got %d"
             % (MIN_WINDOW_SAMPLES, len(stats))
         )
-    return tuple(stats)
+    return profile._window_stats.setdefault(q, tuple(stats))
 
 
 @dataclass(frozen=True)

@@ -28,8 +28,16 @@ def cis(a):
     """exp(i*a) on an array of angles, exact at 0, +-pi/2 and +-pi.
 
     cos(pi/2) and sin(pi) leak ~1e-16; real-negative values are too common
-    here (every odd power of -1) to tolerate that.
+    here (every odd power of -1) to tolerate that.  One finite angle (a
+    number or a 0-d array) takes libm's cos and sin, which numpy's are for
+    binary64, and gives the 0-d array the array path would.
     """
+    if isinstance(a, (int, float)) or getattr(a, "ndim", None) == 0:
+        a = float(a)
+        if math.isfinite(a):
+            c = 0.0 if abs(a) == 0.5 * math.pi else math.cos(a)
+            s = 0.0 if abs(a) == math.pi else math.sin(a)
+            return np.array(complex(c, s))
     a = np.asarray(a, dtype=float)
     size = np.abs(a)
     out = np.empty(a.shape, dtype=complex)

@@ -10,15 +10,16 @@ i arg f as a complex array for a whole array of z, and log_abs_f its real
 part alone, bit for bit; eval_log_f is a call of the one, profile_on and
 max_modulus of the other.  Both skip the full factor on deep circles, where
 (|z|/2^k)^{2^k} >= e^40: there the factor's log modulus is exactly
-2^k log(|z|/2^k), and log_abs_f spends nothing else on them.  A single
-point below |z| = 100, where no circle is deep, skips the block scaffolding
-and runs the same factor formula on its circles as one column, so a
-one-point call costs one point and keeps the bits it has in any batch.
+2^k log(|z|/2^k), and log_abs_f spends nothing else on them.  A block
+forms the angle terms once per distinct phase (a ray's share a few).  A
+single point below |z| = 100, where no circle is deep, skips the block
+scaffolding and runs the same factor formula on its circles as one column,
+so a one-point call costs one point and keeps the bits it has in any batch.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import repeat
 
 import numpy as np
@@ -33,17 +34,22 @@ class GrowthProfile:
     """Samples of log|f(r e^{i theta})|/r along one ray.
 
     values may contain -inf where the ray hits an exact zero; consumers are
-    expected to treat those samples as an exceptional set.
+    expected to treat those samples as an exceptional set.  radii and
+    values are read-only copies, so the window statistics stored here (by
+    diagnostics.window_stats) stay those of the samples.
     """
 
     function_id: str
     theta: float
     radii: np.ndarray
     values: np.ndarray
+    _window_stats: dict = field(default_factory=dict, init=False,
+                                repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        radii = np.asarray(self.radii, dtype=float)
-        values = np.asarray(self.values, dtype=float)
+        radii = np.array(self.radii, dtype=float)
+        values = np.array(self.values, dtype=float)
+        radii.flags.writeable = values.flags.writeable = False
         object.__setattr__(self, "radii", radii)
         object.__setattr__(self, "values", values)
         if radii.ndim != 1 or radii.shape != values.shape:
@@ -102,20 +108,35 @@ def _reduce(phi, n):
     return y
 
 
-def _factor(x, y, with_arg):
+def _factor(x, s, sin_y, with_arg):
     """log|1 - e^{x+iy}| and, with_arg, its argument in half turns (else
-    None), elementwise.
+    None), elementwise, from x, s = sin(y/2) and sin(y).
 
     1 - e^{x+iy} (divided by e^x when x > 0) is formed from expm1(-|x|) and
     2 sin^2(y/2), which do not cancel near zeros.
     """
     em1 = np.expm1(-np.abs(x))
     scale = np.exp(np.minimum(x, 0.0))
-    s = np.sin(0.5 * y)
     re = 2.0 * scale * s * s - np.copysign(em1, x)
-    im = -scale * np.sin(y)
+    im = -scale * sin_y
     log_mod = np.maximum(x, 0.0) + np.log(np.hypot(re, im))
     return log_mod, np.arctan2(im, re) / math.pi if with_arg else None
+
+
+def _phases(phi):
+    """phi's distinct values by their bits (+0 apart from -0), and a map
+    from (circles x phases) to (circles x points): one phase stays a column,
+    which broadcasts, and all distinct stay as they are; otherwise they are
+    gathered with take, which keeps the C order _sum_rows needs (a fancy
+    index [:, inv] gives F order)."""
+    keys = np.sort(phi.view(np.int64))
+    new = keys[1:] != keys[:-1]
+    count = 1 + np.count_nonzero(new)
+    if count in (1, phi.size):
+        return phi[:count], lambda a: a
+    keys = np.concatenate((keys[:1], keys[1:][new]))
+    inv = np.searchsorted(keys, phi.view(np.int64))
+    return keys.view(float), lambda a: a.take(inv, axis=1)
 
 
 def _sum_rows(x):
@@ -168,8 +189,12 @@ def _log_f_block(radii, phi, cutoffs, with_arg):
         shallow = ~deep.all(axis=1)
         every = shallow.all()
     rows = slice(None) if every else np.flatnonzero(shallow)
-    y = _reduce(phi, n if with_arg else n[rows])
-    log_mod, half = _factor(x[rows], y[rows] if with_arg else y, with_arg)
+    # the angle terms are formed once per phase (a ray's block has a few)
+    phases, spread = _phases(phi)
+    y = _reduce(phases, n if with_arg else n[rows])
+    y_rows = y[rows] if with_arg else y
+    log_mod, half = _factor(x[rows], spread(np.sin(0.5 * y_rows)),
+                            spread(np.sin(y_rows)), with_arg)
     if not every:
         x[rows] = log_mod
     # circles are added in the order k = 1, 2, ... whatever the block's
@@ -180,7 +205,7 @@ def _log_f_block(radii, phi, cutoffs, with_arg):
     # a deep point takes the closed form y/pi - 1 (or + 1) whatever its
     # row, with the signs arctan2 gives at y = +-0
     if some_deep:
-        turns = y / math.pi - np.copysign(1.0, y)
+        turns = np.where(deep, spread(y / math.pi - np.copysign(1.0, y)), 0.0)
         turns[rows] = np.where(deep[rows], turns[rows], half)
         half = turns
     return mag, _arg(half)
@@ -269,8 +294,9 @@ class ProductEvaluator:
                 # gives the cutoff (as _cutoffs) and the near-dyadic test
                 frac, e = math.frexp(radii[0])
                 n = _POW2[:max(e - (frac == 0.5), 0) + 2 + _TAIL_MARGIN, 0]
+                y = _reduce(phi[0], n)
                 log_mod, half = _factor(np.log(radii[0] / n) * n,
-                                        _reduce(phi[0], n), with_arg)
+                                        np.sin(0.5 * y), np.sin(y), with_arg)
                 mag[:] = _sum_rows(log_mod)
                 if with_arg:
                     out.imag = _arg(half)
@@ -299,11 +325,16 @@ class ProductEvaluator:
                         radii[rows], phi[rows], cutoffs[rows], with_arg)
                     if with_arg:
                         out.imag[rows] = arg
-                # only points within a few ulps of a dyadic radius can be
-                # lattice zeros, so the scalar membership test runs on
-                # those alone
-                near = np.flatnonzero(
-                    np.abs(np.frexp(radii)[0] - 0.75) >= 0.25 - 2.0**-49)
+                # the scalar membership test runs only on points within a
+                # few ulps of a dyadic radius n = 2^k whose phase is within
+                # rounding (under 2^-50 n turns) of some j/n turns; the
+                # 2^-40 n allowed here passes every phase from n = 2^39 on
+                frac, e = np.frexp(radii)
+                near = np.flatnonzero(np.abs(frac - 0.75) >= 0.25 - 2.0**-49)
+                if near.size:
+                    n = np.ldexp(1.0, e[near] - (frac[near] < 0.75))
+                    turns = phi[near] * n / TAU
+                    near = near[np.abs(turns - np.rint(turns)) <= n * 2.0**-40]
         for i in near:
             if self._is_lattice_zero(complex(zs[i])):
                 out[i] = -math.inf

@@ -7,7 +7,9 @@ import sys
 import numpy as np
 import pytest
 
+from expgrowth import diagnostics
 from expgrowth.diagnostics import (
+    TRAILING_WINDOWS,
     InsufficientSamplesError,
     RegularityVerdict,
     _quantile_pair,
@@ -76,6 +78,36 @@ class TestWindowStats:
         poked = GrowthProfile("const", 0.0, prof.radii, values)
         for s in window_stats(poked, 0.1):
             assert s.inf == s.q_low == s.q_high == s.sup == 2.0
+
+    def test_profile_arrays_are_read_only_copies(self):
+        radii = dyadic_radii(4, 8, 64)
+        values = np.full(radii.size, 2.0)
+        prof = GrowthProfile("const", 0.0, radii, values)
+        for arr in (prof.values, prof.radii):
+            with pytest.raises(ValueError):
+                arr[0] = 1.0
+        # the caller's arrays stay writable, and writing them leaves the
+        # profile as it was
+        radii[0], values[0] = 1.0, -math.inf
+        assert prof.radii[0] == 16.0 and prof.values[0] == 2.0
+
+    def test_stats_are_computed_once_per_q(self, ev, monkeypatch):
+        calls = []
+
+        def counting(values, q):
+            calls.append(q)
+            return _quantile_pair(values, q)
+
+        monkeypatch.setattr(diagnostics, "_quantile_pair", counting)
+        prof = ev.profile_on(0.0, dyadic_radii(8, 14, 128))
+        stats = window_stats(prof, 0.1)
+        verdict = classify(prof, 0.1, 0.02)
+        assert calls == [0.1] * 6
+        assert window_stats(prof, 0.1) is stats
+        assert verdict.windows == stats[-TRAILING_WINDOWS:]
+        other = window_stats(prof, 0.2)
+        assert calls == [0.1] * 6 + [0.2] * 6
+        assert other != stats
 
     def test_all_inf_window_dropped(self):
         prof = constant_profile(k_lo=4, k_hi=8)

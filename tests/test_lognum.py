@@ -78,6 +78,23 @@ class TestLogComplexBasics:
         want = np.array([1.0, 1.0j, complex(0.0, -1.0), -1.0, -1.0], dtype=complex)
         assert got.tobytes() == want.tobytes()
 
+    def test_cis_of_one_angle_matches_array_bitwise(self):
+        # a number or a 0-d array takes a scalar path; it must give the 0-d
+        # array of the array path's bits, exact zeros included
+        rng = np.random.default_rng(29)
+        half = 0.5 * math.pi
+        angles = np.concatenate([
+            rng.uniform(-4.0, 4.0, 100_000), rng.uniform(-1e4, 1e4, 2_000),
+            [0.0, -0.0, half, -half, math.pi, -math.pi, 2.0 * math.pi,
+             np.nextafter(half, 0.0), np.nextafter(math.pi, 4.0)]])
+        want = cis(angles)
+        for a, w in zip(angles.tolist(), want):
+            for got in (cis(a), cis(np.array(a))):
+                assert type(got) is np.ndarray and got.shape == ()
+                assert got.tobytes() == w.tobytes()
+        for a in (np.float64(-0.0), 1, np.float32(0.5)):
+            assert cis(a).tobytes() == cis(np.array([a], float)).tobytes()
+
     def test_exp_matches_libm_bitwise(self):
         rng = np.random.default_rng(9)
         lf = polar(rng.uniform(-700, 700, 300), rng.uniform(-math.pi, math.pi, 300))

@@ -105,6 +105,33 @@ class TestZeroSet:
         # the unrotated zero is no longer a zero
         assert math.isfinite(rot.eval_log_f(8.0 + 0.0j).log_mag)
 
+    @pytest.mark.parametrize("rotation", [0.0, 0.3])
+    @pytest.mark.parametrize("k_lo", [1, 20, 40])
+    def test_screened_zero_set_matches_the_scalar_test(self, rotation, k_lo,
+                                                       monkeypatch):
+        # the whole-array phase screen in front of _is_lattice_zero drops
+        # only points that cannot be zeros: on the cardinal rays, those
+        # turned by the rotation, and one ulp beside each dyadic radius,
+        # -inf falls exactly where the scalar test alone finds a zero
+        ev = ProductEvaluator(ZeroLattice(k_max=8, rotation=rotation))
+        radii = dyadic_radii(k_lo, k_lo + 4, 8)
+        radii = np.concatenate([radii, np.nextafter(radii[::8], 0.0),
+                                np.nextafter(radii[::8], math.inf)])
+        cardinal = np.array([0.0, 0.5, 1.0, -0.5]) * math.pi
+        zs = np.concatenate([np.outer(cis(theta), radii).ravel()
+                             for theta in (cardinal, cardinal + rotation)])
+        want = [ev._is_lattice_zero(complex(z)) for z in zs]
+        assert sum(want) >= 10
+        for method in (ev.log_f, ev.log_abs_f):
+            assert np.array_equal(method(zs).real == -math.inf, want)
+        # off the lattice directions no point reaches it below n = 2^39,
+        # and from there on every near-dyadic one does
+        calls = []
+        monkeypatch.setattr(ProductEvaluator, "_is_lattice_zero",
+                            lambda self, z: calls.append(z))
+        ev.log_abs_f(radii * cis(1.234))
+        assert len(calls) == (0 if k_lo < 39 else 3 * 5)
+
 
 def mp_log_f(z: complex, k_cut: int):
     """50-digit (log|f(z)|, arg f(z)) over circles 1..k_cut, at the exact
@@ -365,6 +392,45 @@ class TestCircleSum:
                 parts = np.concatenate([method(zs[lo:lo + size])
                                         for lo in range(0, zs.size, size)])
                 assert parts.tobytes() == whole.tobytes(), size
+
+    @staticmethod
+    def block_phase_counts(zs):
+        # the distinct phases of each block log_f forms from zs
+        phi = np.arctan2(zs.imag, zs.real)
+        step = -(-zs.size // -(-zs.size // product._BLOCK))
+        return {product._phases(phi[lo:lo + step])[0].size
+                for lo in range(0, zs.size, step)}
+
+    def test_bits_do_not_depend_on_phase_grouping(self, ev):
+        # a ray's blocks share one to a few phases, whose angle terms are
+        # formed once each; rays whose blocks have 1, 2, 3 and 4 of them
+        # (theta from a seeded draw) and a random batch, all of whose
+        # phases differ, keep their bits in one-point calls and in batches
+        # of any size
+        rng = np.random.default_rng(23)
+        radii = dyadic_radii(24, 30, 256)
+        rays = {}
+        for theta in rng.uniform(-math.pi, math.pi, 40):
+            zs = radii * cis(theta)
+            for count in self.block_phase_counts(zs):
+                rays.setdefault(count, zs)
+        assert {1, 2, 3, 4} <= rays.keys()
+        zs = np.exp2(rng.uniform(-3.0, 40.0, 3000)) * cis(
+            rng.uniform(-math.pi, math.pi, 3000))
+        assert self.block_phase_counts(zs) == {375}
+        # several phases are spread back C-ordered, as the circle sums need
+        phases, spread = product._phases(np.angle(zs[:8]))
+        assert spread(np.ones((5, phases.size))).flags.c_contiguous
+        for zs in [rays[count] for count in (1, 2, 3, 4)] + [zs]:
+            for method in (ev.log_f, ev.log_abs_f):
+                whole = method(zs)
+                one = np.concatenate([method(zs[i:i + 1])
+                                      for i in range(zs.size)])
+                assert one.tobytes() == whole.tobytes()
+                for size in (7, product._BLOCK, product._BLOCK + 1):
+                    parts = np.concatenate([method(zs[lo:lo + size])
+                                            for lo in range(0, zs.size, size)])
+                    assert parts.tobytes() == whole.tobytes(), size
 
 
 class TestDirectOracle:
