@@ -193,7 +193,7 @@ class BorelEvaluator:
         raise ArithmeticError(f"series did not settle within {_MAX_TERMS} terms")
 
 
-def write_coeffs_csv(stream: CoefficientStream, m_max: int, path) -> None:
+def write_coeffs_csv(m_max: int, path) -> None:
     """Export columns m, sign, log2_abs_a, log_abs_c for m = 0..m_max.
 
     Zero coefficients are written only up to m = 64; beyond that the zero
@@ -201,6 +201,7 @@ def write_coeffs_csv(stream: CoefficientStream, m_max: int, path) -> None:
     """
     from .csvio import fmt, write_rows
 
+    stream = CoefficientStream()
     rows = []
     for m in range(m_max + 1):
         sign, log2_a = stream.taylor_coefficient(m)

@@ -358,7 +358,7 @@ def cmd_borel(cfg: RunConfig, args) -> int:
         if not 0 <= args.max_index <= _MAX_INDEX:
             raise UsageError("max_index must lie in [0, %d]" % _MAX_INDEX)
         out = _out_dir(cfg)
-        write_coeffs_csv(CoefficientStream(), args.max_index, out / "coeffs.csv")
+        write_coeffs_csv(args.max_index, out / "coeffs.csv")
         print("wrote %s (m <= %d)" % (out / "coeffs.csv", args.max_index))
         return EXIT_OK
     if args.action == "eval":
@@ -456,7 +456,7 @@ def _check_lattice(run: _Run) -> list:
          % (float(report.sup_normalized), report.sup_at_k)),
         ("upper-band density <= 4/3", band_worst <= 4.0 / 3.0,
          "worst flagged n(r)/r = %s" % fmt(band_worst)),
-        ("reciprocal sums bounded", report.reciprocal_bounded(1e-12),
+        ("reciprocal sums bounded", report.reciprocal_bounded,
          "max |sum 1/a| = %s at r = %s"
          % (fmt(report.max_reciprocal), fmt(report.max_reciprocal_at_r))),
     ]
@@ -481,7 +481,7 @@ def _check_coefficients(run: _Run) -> list:
     stream = CoefficientStream()
     expected = {2: (-1, -2.0), 4: (-1, -8.0), 6: (1, -10.0)}
     expected.update({m: (0, -math.inf) for m in (1, 3, 5, 7)})
-    write_coeffs_csv(stream, 256, run.out / "coeffs.csv")
+    write_coeffs_csv(256, run.out / "coeffs.csv")
     return [("series coefficients (binary support, exact dyadic sizes)",
              all(stream.taylor_coefficient(m) == sv
                  for m, sv in expected.items()),

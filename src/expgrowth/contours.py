@@ -616,8 +616,7 @@ def F_eval(z, spec: QuadratureSpec = None):
     return _tail_plus_channel(_ARC, z, spec, _F_channel, _CANCELLATION_CAP)
 
 
-def splitting_profile(ev, theta: float, radii, spec: QuadratureSpec = None,
-                      function_id: str = "F") -> GrowthProfile:
+def splitting_profile(ev, theta: float, radii) -> GrowthProfile:
     """Growth profile of the arc transform computed as f - u.
 
     Both pieces are evaluated independently of the cancellation-limited
@@ -632,9 +631,9 @@ def splitting_profile(ev, theta: float, radii, spec: QuadratureSpec = None,
     radii = np.asarray(radii, float)
     zs = radii * cis(theta)
     with np.errstate(divide="ignore"):
-        log_u = np.log(u_eval(zs, spec))
+        log_u = np.log(u_eval(zs))
     log_F = log_sub(ev.log_f(zs), log_u)
-    return GrowthProfile(function_id, theta, radii, log_F.real / radii)
+    return GrowthProfile("F", theta, radii, log_F.real / radii)
 
 
 def u_decay_bound(x: float) -> float:

@@ -1,10 +1,10 @@
 """Dyadic root-of-unity zero lattice.
 
 Circle k (radius 2^k, k = 1, 2, ...) carries the 2^k-th roots of unity
-scaled by 2^k, optionally rotated as a whole.  Counting queries are answered
-in exact integer arithmetic; zero coordinates are materialized lazily, one
-circle at a time.  An unrotated circle is built from its first octant by
-exact reflections, so its reciprocal sum is exactly 0.
+scaled by 2^k.  Counting queries are answered in exact integer arithmetic;
+zero coordinates are materialized lazily, one circle at a time.  A circle is
+built from its first octant by exact reflections, so its reciprocal sum is
+exactly 0.
 """
 from __future__ import annotations
 
@@ -24,10 +24,9 @@ class LatticeExhaustedError(ValueError):
 
 @dataclass(frozen=True)
 class ZeroLattice:
-    """Zeros a_{kj} = 2^k * exp(i*(2*pi*j/2^k + rotation)), k = 1..k_max."""
+    """Zeros a_{kj} = 2^k * exp(2*pi*i*j/2^k), k = 1..k_max."""
 
     k_max: int = 20
-    rotation: float = 0.0
     _circles: dict = field(default_factory=dict, repr=False, compare=False)
     _recip: dict = field(default_factory=dict, repr=False, compare=False)
 
@@ -38,11 +37,7 @@ class ZeroLattice:
     def zero(self, k: int, j: int) -> complex:
         """Single lattice point, bit for bit as circle(k)[j]."""
         n = 1 << k
-        j %= n
-        if self.rotation != 0.0:
-            phi = TAU * j / n + self.rotation
-            return float(n) * complex(math.cos(phi), math.sin(phi))
-        turns, rem = divmod(4 * j, n)  # j = turns quarters + rem/4
+        turns, rem = divmod(4 * (j % n), n)  # j = turns quarters + rem/4
         i = min(rem, n - rem) // 4  # the first-octant point or its mirror
         x = math.cos(TAU * i / n)
         y = x if 8 * i == n else math.sin(TAU * i / n)
@@ -55,20 +50,16 @@ class ZeroLattice:
     def circle(self, k: int) -> np.ndarray:
         """All 2^k zeros on circle k, ordered by j (memoized).
 
-        Unrotated, cos and sin are taken for 0 <= j <= 2^k/8 only (x = y on
-        the diagonal); x <-> y fills the first quarter and the exact quarter
-        turn x, y -> 0.0 - y, x the others, with no -0.0."""
+        cos and sin are taken for 0 <= j <= 2^k/8 only (x = y on the
+        diagonal); x <-> y fills the first quarter and the exact quarter turn
+        x, y -> 0.0 - y, x the others, with no -0.0."""
         if not 1 <= k <= self.k_max:
             raise LatticeExhaustedError(f"circle {k} outside 1..{self.k_max}")
         cached = self._circles.get(k)
         if cached is None:
             n = 1 << k
             cached = np.empty(n, dtype=complex)
-            if self.rotation != 0.0:
-                phi = TAU * np.arange(n) / n + self.rotation
-                cached.real = float(n) * np.cos(phi)
-                cached.imag = float(n) * np.sin(phi)
-            elif k < 3:
+            if k < 3:
                 cached[:] = [self.zero(k, j) for j in range(n)]
             else:
                 m = n // 8
@@ -81,26 +72,33 @@ class ZeroLattice:
             self._circles[k] = cached
         return cached
 
-    def _k_of_radius(self, r: float) -> int:
-        """Largest k with 2^k <= r, or 0; exact for dyadic r."""
-        if r < 2.0:
-            return 0
-        k = int(math.floor(math.log2(r)))
-        while 2.0 ** (k + 1) <= r:
-            k += 1
-        while 2.0 ** k > r:
-            k -= 1
-        return k
+    def _nearest_zero(self, z: complex):
+        """(k, a): the zero a of circle k nearest to z, where |z| is within
+        4 ulps of 2^k (a zero's modulus is rounded), on any circle k >= 1,
+        materialized or not; None where |z| is no such radius."""
+        r = abs(z)
+        if not 1.0 < r < math.inf:
+            return None
+        frac, e = math.frexp(r)
+        k = e - (frac < 0.75)
+        if not 1 <= k <= 1023 or abs(r - 2.0 ** k) > 4.0 * math.ulp(2.0 ** k):
+            return None
+        j = round(math.atan2(z.imag, z.real) * (1 << k) / TAU)
+        a = self.zero(k, j)
+        if a != z:  # the rounded angle index can be off by one
+            a = min((a, self.zero(k, j - 1), self.zero(k, j + 1)),
+                    key=lambda b: abs(b - z))
+        return k, a
 
     def _check_range(self, r: float) -> int:
-        if r < 0:
-            raise ValueError("radius must be nonnegative")
-        k = self._k_of_radius(r)
+        """Largest k with 2^k <= r, or 0, exact; r in [0, 2^k_max] only."""
+        if not r >= 0.0:
+            raise ValueError("radius must be a nonnegative number, not %r" % r)
         if r > 2.0 ** self.k_max:
             raise LatticeExhaustedError(
                 f"r={r} exceeds 2^k_max={2.0 ** self.k_max}; increase k_max"
             )
-        return k
+        return math.frexp(r)[1] - 1 if r >= 2.0 else 0
 
     def counting(self, r: float) -> int:
         """n(r): number of zeros with modulus <= r (ties included)."""
@@ -128,6 +126,10 @@ class ZeroLattice:
         )
 
 
+#: the largest |sum 1/a| over a cutoff radius that counts as bounded
+RECIPROCAL_BOUND = 1e-12
+
+
 @dataclass(frozen=True)
 class CountingReport:
     """Boundedness diagnostics for the counting and reciprocal-sum laws."""
@@ -142,8 +144,9 @@ class CountingReport:
     def density_bounded_by_two(self) -> bool:
         return self.sup_normalized <= 2
 
-    def reciprocal_bounded(self, bound: float = 1e-10) -> bool:
-        return self.max_reciprocal <= bound
+    @property
+    def reciprocal_bounded(self) -> bool:
+        return self.max_reciprocal <= RECIPROCAL_BOUND
 
 
 def verify_counting_bounds(lattice: ZeroLattice) -> CountingReport:
@@ -179,18 +182,14 @@ def verify_counting_bounds(lattice: ZeroLattice) -> CountingReport:
 
 def write_zeros_csv(lattice: ZeroLattice, path) -> None:
     """Export the lattice as columns k, j, re, im (17 significant digits),
-    written circle by circle in blocks of rows.  Unrotated, up to 8
-    coordinates of a circle share a magnitude: each distinct one is
-    formatted once, and a set sign bit puts "-" before it."""
+    written circle by circle in blocks of rows.  Up to 8 coordinates of a
+    circle share a magnitude: each distinct one is formatted once, and a set
+    sign bit puts "-" before it."""
     minus = np.array(["", "-"], dtype=object)
     with open(path, "w", encoding="ascii") as out:
         out.write("k,j,re,im\n")
         for k in range(1, lattice.k_max + 1):
             a = lattice.circle(k)
-            if lattice.rotation != 0.0:
-                out.writelines(row_blocks("%d,%%d,%%.17g,%%.17g\n" % k,
-                                          range(a.size), a.real, a.imag))
-                continue
             xy = a.view(float).reshape(-1, 2)  # rows re, im
             # the distinct magnitudes, merged over at most 16 slices of rows
             # so that no temporary is nearly as large as the circle

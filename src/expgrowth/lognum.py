@@ -109,7 +109,3 @@ class LogComplex:
 
     def to_complex(self) -> complex:
         return complex(exp(complex(self.log_mag, self.arg)))
-
-    @property
-    def is_zero(self) -> bool:
-        return self.log_mag == -math.inf

@@ -18,6 +18,7 @@ so a one-point call costs one point and keeps the bits it has in any batch.
 """
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, field
 from itertools import repeat
@@ -121,6 +122,12 @@ def _factor(x, s, sin_y, with_arg):
     im = -scale * sin_y
     log_mod = np.maximum(x, 0.0) + np.log(np.hypot(re, im))
     return log_mod, np.arctan2(im, re) / math.pi if with_arg else None
+
+
+def _column(r, phi, n, with_arg):
+    """_factor of one point r e^{i phi} on the circles n = 2^k, as a column."""
+    y = _reduce(phi, n)
+    return _factor(np.log(r / n) * n, np.sin(0.5 * y), np.sin(y), with_arg)
 
 
 def _phases(phi):
@@ -231,43 +238,40 @@ class ProductEvaluator:
         return exps - (frac == 0.5) + (2 + _TAIL_MARGIN)
 
     def _is_lattice_zero(self, z: complex) -> bool:
-        """Bit-exact membership test against the (possibly rotated) lattice."""
-        r = abs(z)
-        # a zero of circle 1 may have |z| one ulp below 2
-        if not 1.0 < r < math.inf:
-            return False
-        _, e = math.frexp(r)
-        for k in (e - 1, e):
-            if k < 1 or k > 1023:
-                continue
-            rk = math.ldexp(1.0, k)
-            if abs(r - rk) > 4.0 * math.ulp(rk):
-                continue
-            n = 1 << k
-            phi = math.atan2(z.imag, z.real) - self.lattice.rotation
-            j = round(phi * n / TAU)
-            # the rounded angle index can be off by one near cell boundaries
-            for jj in (j - 1, j, j + 1):
-                if z == self.lattice.zero(k, jj % n):
-                    return True
-        return False
+        """Bit-exact membership test against the lattice."""
+        near = self.lattice._nearest_zero(z)
+        return near is not None and z == near[1]
+
+    def _beside_zero(self, z: complex) -> complex:
+        """log f at a z that is not a lattice zero but whose factor on the
+        circle k of its nearest zero a rounds to 0 (the phase of z rounds
+        onto a's, so y is 0): that factor is taken as 2^k (a - z)/a, its
+        first order at a, and the other circles as _column forms them."""
+        k, a = self.lattice._nearest_zero(z)
+        log_mod, half = _column(abs(z), math.atan2(z.imag, z.real),
+                                _POW2[:self.cutoff(z), 0], True)
+        log_mod[k - 1] = math.log(2.0 ** k / abs(a)) + math.log(abs(a - z))
+        half[k - 1] = (cmath.phase(a - z) - cmath.phase(a)) / math.pi
+        return complex(_sum_rows(log_mod), _arg(half))
 
     def log_f(self, zs) -> np.ndarray:
         """log f = log|f| + i arg f at every point of a 1-d complex array.
 
         The real part is -inf at lattice zeros, where the imaginary part is
-        0; elsewhere the imaginary part lies in (-pi, pi].  Near-equal
-        blocks of at most _BLOCK points, taken in order of |z| when there
-        are several, are evaluated as (circles x points) arrays; circles
-        past a point's own cutoff contribute exactly 0 and circles are
-        summed in the order k = 1, 2, ... (a reduce over the rows of a
-        block, an accumulate down a single column), so no value depends on
-        its batch.  ValueError for input that is not 1-d, a non-finite z or
-        a cutoff circle beyond binary64.
+        0, and finite elsewhere, beside a zero too (see _beside_zero); the
+        imaginary part lies in (-pi, pi].  Near-equal blocks of at most
+        _BLOCK points, taken in order of |z| when there are several, are
+        evaluated as (circles x points) arrays; circles past a point's own
+        cutoff contribute exactly 0 and circles are summed in the order
+        k = 1, 2, ... (a reduce over the rows of a block, an accumulate down
+        a single column), so no value depends on its batch.  ValueError for
+        input that is not 1-d, a non-finite z or a cutoff circle beyond
+        binary64.
 
         The real part keeps ~3e-16 relative accuracy, the imaginary part
         drifts by up to ~|z| * 1e-16 rad: f is within 1e-10 relative out to
-        |z| = 2^18, and its argument is noise beyond ~2^50.
+        |z| = 2^18 (but for a few ulps around a zero off the axes), and its
+        argument is noise beyond ~2^50.
         """
         return self._log_f(zs, with_arg=True)
 
@@ -282,7 +286,7 @@ class ProductEvaluator:
         if zs.ndim != 1:
             raise ValueError("zs must be a 1-d array")
         radii = np.abs(zs)
-        phi = np.arctan2(zs.imag, zs.real) - self.lattice.rotation
+        phi = np.arctan2(zs.imag, zs.real)
         out = np.empty(zs.size, dtype=complex if with_arg else float)
         mag = out.real if with_arg else out
         with np.errstate(divide="ignore"):
@@ -294,9 +298,7 @@ class ProductEvaluator:
                 # gives the cutoff (as _cutoffs) and the near-dyadic test
                 frac, e = math.frexp(radii[0])
                 n = _POW2[:max(e - (frac == 0.5), 0) + 2 + _TAIL_MARGIN, 0]
-                y = _reduce(phi[0], n)
-                log_mod, half = _factor(np.log(radii[0] / n) * n,
-                                        np.sin(0.5 * y), np.sin(y), with_arg)
+                log_mod, half = _column(radii[0], phi[0], n, with_arg)
                 mag[:] = _sum_rows(log_mod)
                 if with_arg:
                     out.imag = _arg(half)
@@ -335,9 +337,13 @@ class ProductEvaluator:
                     n = np.ldexp(1.0, e[near] - (frac[near] < 0.75))
                     turns = phi[near] * n / TAU
                     near = near[np.abs(turns - np.rint(turns)) <= n * 2.0**-40]
-        for i in near:
-            if self._is_lattice_zero(complex(zs[i])):
-                out[i] = -math.inf
+            for i in near:
+                z = complex(zs[i])
+                if self._is_lattice_zero(z):
+                    out[i] = -math.inf
+                elif mag[i] == -math.inf:
+                    lf = self._beside_zero(z)
+                    out[i] = lf if with_arg else lf.real
         if with_arg:
             out.imag[out.real == -math.inf] = 0.0
         return out
@@ -370,9 +376,7 @@ class ProductEvaluator:
         arg = math.remainder(math.fsum(arg_parts), TAU)
         return LogComplex(math.fsum(mag_parts), arg + TAU if arg <= -math.pi else arg)
 
-    def profile_on(
-        self, theta: float, radii: np.ndarray, *, function_id: str = "f"
-    ) -> GrowthProfile:
+    def profile_on(self, theta: float, radii: np.ndarray) -> GrowthProfile:
         """Profile on a caller-supplied radius grid (e.g. dyadic_radii).
 
         One log_abs_f call on the points r e^{i theta}; exact lattice zeros
@@ -380,7 +384,7 @@ class ProductEvaluator:
         """
         radii = np.asarray(radii, float)
         log_mag = self.log_abs_f(radii * cis(theta))
-        return GrowthProfile(function_id, theta, radii, log_mag / radii)
+        return GrowthProfile("f", theta, radii, log_mag / radii)
 
     def max_modulus(self, r: float, n_theta: int) -> float:
         """log M_f(r)/r estimated over n_theta equally spaced angles.

@@ -193,9 +193,9 @@ class TestEvaluator:
 
 
 class TestCsvExport:
-    def test_zero_rows_trimmed_above_64(self, stream, tmp_path):
+    def test_zero_rows_trimmed_above_64(self, tmp_path):
         path = tmp_path / "coeffs.csv"
-        write_coeffs_csv(stream, 80, path)
+        write_coeffs_csv(80, path)
         lines = path.read_text().splitlines()
         assert lines[0] == "m,sign,log2_abs_a,log_abs_c"
         ms = [int(line.split(",")[0]) for line in lines[1:]]

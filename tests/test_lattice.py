@@ -59,12 +59,10 @@ class TestEnumeration:
         for k in (1, 2, 5, 9):
             assert lattice.circle(k).size == 1 << k
 
-    @pytest.mark.parametrize("rotation", [0.0, 0.7, -1e-9])
-    def test_circle_is_zero_bitwise(self, rotation):
-        lat = ZeroLattice(k_max=14, rotation=rotation)
+    def test_circle_is_zero_bitwise(self, lattice):
         for k in range(1, 15):
-            ref = np.array([lat.zero(k, j) for j in range(1 << k)])
-            assert lat.circle(k).tobytes() == ref.tobytes(), k
+            ref = np.array([lattice.zero(k, j) for j in range(1 << k)])
+            assert lattice.circle(k).tobytes() == ref.tobytes(), k
 
     def test_octant_cos_sin_match_math(self):
         # circle() takes numpy cos/sin of the first-octant angles, zero()
@@ -136,16 +134,6 @@ class TestEnumeration:
         with pytest.raises(LatticeExhaustedError):
             small.circle(4)
 
-    def test_rotation_rotates_every_zero(self):
-        theta = 0.7
-        base = ZeroLattice(k_max=5)
-        rot = ZeroLattice(k_max=5, rotation=theta)
-        w = complex(math.cos(theta), math.sin(theta))
-        for k in (1, 3, 5):
-            np.testing.assert_allclose(
-                rot.circle(k), base.circle(k) * w, rtol=1e-14, atol=1e-12
-            )
-
     def test_rejects_bad_k_max(self):
         with pytest.raises(ValueError):
             ZeroLattice(k_max=0)
@@ -186,6 +174,28 @@ class TestCounting:
         with pytest.raises(ValueError):
             lattice.counting(-1.0)
 
+    @pytest.mark.parametrize("query", ["counting", "reciprocal_sum"])
+    def test_nan_refused(self, lattice, query):
+        with pytest.raises(ValueError, match="nonnegative number, not nan"):
+            getattr(lattice, query)(math.nan)
+
+    @pytest.mark.parametrize("query", ["counting", "reciprocal_sum"])
+    def test_infinite_radius_exhausts_the_lattice(self, lattice, query):
+        with pytest.raises(LatticeExhaustedError):
+            getattr(lattice, query)(math.inf)
+
+    def test_k_exact_at_every_dyadic_radius(self):
+        # n(r) is exact on every circle of binary64 and one ulp to either
+        # side of it
+        lat = ZeroLattice(k_max=1023)
+        for k in range(1, 1024):
+            r = math.ldexp(1.0, k)
+            assert lat.counting(r) == (1 << (k + 1)) - 2, k
+            assert lat.counting(math.nextafter(r, 0.0)) == (1 << k) - 2, k
+            if k < 1023:
+                assert lat.counting(math.nextafter(r, math.inf)) == (
+                    (1 << (k + 1)) - 2), k
+
     def test_decreasing_within_band(self, lattice):
         rng = np.random.default_rng(4)
         for k in (2, 7, 12):
@@ -223,10 +233,6 @@ class TestReciprocalSums:
             assert lattice._circle_recip(k) == 0j, k
         assert lattice.reciprocal_sum(2.0**14) == 0j
 
-    def test_rotation_still_cancels(self):
-        rot = ZeroLattice(k_max=8, rotation=1.2345)
-        assert abs(rot.reciprocal_sum(2.0**8)) <= 1e-12
-
 
 class TestVerification:
     def test_k10_report(self):
@@ -235,7 +241,7 @@ class TestVerification:
         assert float(report.sup_normalized) == 1.998046875
         assert report.sup_at_k == 10
         assert report.density_bounded_by_two
-        assert report.reciprocal_bounded(1e-12)
+        assert report.reciprocal_bounded
 
     def test_k1_report(self):
         report = verify_counting_bounds(ZeroLattice(k_max=1))
@@ -281,16 +287,9 @@ class TestCsvExport:
                                                        a.imag.tolist())))
         return "".join(text).encode("ascii")
 
-    def test_matches_per_row_writer(self, tmp_path):
-        # circles 11 and 12 span several blocks, and a rotation leaves no
-        # value cardinal; a rotated lattice is formatted value by value
-        lat = ZeroLattice(k_max=12, rotation=0.3)
-        path = tmp_path / "zeros.csv"
-        write_zeros_csv(lat, path)
-        assert path.read_bytes() == self.per_row_writer(lat)
-
     def test_unrotated_matches_per_row_writer(self, tmp_path):
-        # up to 8 coordinates of a circle share a magnitude, formatted once
+        # circles 11 and 12 span several blocks, and up to 8 coordinates of
+        # a circle share a magnitude, formatted once
         lat = ZeroLattice(k_max=12)
         path = tmp_path / "zeros.csv"
         write_zeros_csv(lat, path)

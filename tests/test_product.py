@@ -92,38 +92,49 @@ class TestZeroSet:
         assert math.isfinite(out.log_mag)
 
     def test_subnormal_phase_beside_a_zero(self, ev):
-        # the phase of 2 - 5e-324j underflows to -0: the membership test
-        # must not raise on it (cmath.phase does), and f there is about
-        # 5e-324, so log|f| is below -700 (-inf once the phase is 0)
-        out = ev.log_f([2.0 - 5e-324j, 2.0 + 5e-324j, 2.0 - 1e-300j])
-        assert np.all(out.real < -680.0) and np.all(np.isfinite(out.imag))
-        assert math.isfinite(out[2].real)
+        # the phase of 2 - 5e-324j underflows to -0, so y on circle 1 is 0
+        # and the kernel's factor there is exactly 0; the membership test
+        # must not raise on it (cmath.phase does), and circle 1 takes the
+        # factor's first order at the zero: log|f| about -744.5, arg pi/2
+        # (50-digit values -744.50462570142432, -743.34537353226712 and
+        # -744.50462570142432 at the first three points)
+        zs = [2.0 - 5e-324j, 4.0 + 5e-324j, -2.0 + 5e-324j, 2.0 + 5e-324j,
+              16.0 - 5e-324j, 2.0 - 1e-300j]
+        batch = ev.log_f(zs)
+        for i, z in enumerate(zs):
+            want_abs, want_arg = mp_log_f(z, ev.cutoff(z) + 4)
+            for got in (batch[i], ev.log_f([z])[0]):
+                assert abs(got.real - want_abs) <= 1e-12 * abs(want_abs)
+                assert abs(got.imag - want_arg) <= 1e-12
+        assert np.all(np.abs(batch[:3].imag - math.pi / 2) <= 1e-12)
+        assert ev.log_abs_f(zs).tobytes() == batch.real.tobytes()
 
-    def test_rotated_lattice(self):
-        rot = ProductEvaluator(ZeroLattice(k_max=8, rotation=0.3))
-        assert rot.eval_log_f(rot.lattice.zero(3, 2)).log_mag == -math.inf
-        # the unrotated zero is no longer a zero
-        assert math.isfinite(rot.eval_log_f(8.0 + 0.0j).log_mag)
-
-    @pytest.mark.parametrize("rotation", [0.0, 0.3])
+    @pytest.mark.parametrize("theta", [0.0, 0.3, TAU / 8, 3 * TAU / 16,
+                                       5 * TAU / 64])
     @pytest.mark.parametrize("k_lo", [1, 20, 40])
-    def test_screened_zero_set_matches_the_scalar_test(self, rotation, k_lo,
+    def test_screened_zero_set_matches_the_scalar_test(self, theta, k_lo,
                                                        monkeypatch):
         # the whole-array phase screen in front of _is_lattice_zero drops
-        # only points that cannot be zeros: on the cardinal rays, those
-        # turned by the rotation, and one ulp beside each dyadic radius,
-        # -inf falls exactly where the scalar test alone finds a zero
-        ev = ProductEvaluator(ZeroLattice(k_max=8, rotation=rotation))
+        # only points that cannot be zeros: on the cardinal rays turned by
+        # theta, a lattice direction (0, 1/8, 3/16 or 5/64 turn) or 0.3 rad,
+        # which is none, one ulp beside each dyadic radius, and at the
+        # lattice zeros on those rays, -inf falls exactly where the scalar
+        # test alone finds a zero; the rest is finite
+        ev = ProductEvaluator(ZeroLattice(k_max=8))
         radii = dyadic_radii(k_lo, k_lo + 4, 8)
         radii = np.concatenate([radii, np.nextafter(radii[::8], 0.0),
                                 np.nextafter(radii[::8], math.inf)])
         cardinal = np.array([0.0, 0.5, 1.0, -0.5]) * math.pi
-        zs = np.concatenate([np.outer(cis(theta), radii).ravel()
-                             for theta in (cardinal, cardinal + rotation)])
+        turns = [theta / TAU + q / 4 for q in range(4)]
+        zeros = [ev.lattice.zero(k, round(t * 2**k)) for t in turns
+                 for k in range(k_lo, k_lo + 5) if (t * 2**k).is_integer()]
+        zs = np.append(np.outer(cis(cardinal + theta), radii), zeros)
         want = [ev._is_lattice_zero(complex(z)) for z in zs]
-        assert sum(want) >= 10
+        assert sum(want) >= len(zeros)
         for method in (ev.log_f, ev.log_abs_f):
-            assert np.array_equal(method(zs).real == -math.inf, want)
+            got = method(zs).real
+            assert np.array_equal(got == -math.inf, want)
+            assert not np.isnan(got).any()
         # off the lattice directions no point reaches it below n = 2^39,
         # and from there on every near-dyadic one does
         calls = []
@@ -217,15 +228,14 @@ class TestDomain:
 class TestBatchInvariance:
     @pytest.mark.parametrize("size", [1, 127, 128, 129, 1537])
     def test_profile_matches_scalar_bitwise(self, size):
-        for lattice in (ZeroLattice(k_max=14), ZeroLattice(k_max=8, rotation=0.3)):
-            ev = ProductEvaluator(lattice)
-            # radii spread over many cutoffs, so blocks mix circle counts
-            radii = np.geomspace(0.7, 3.0e6, size) if size > 1 else np.array([77.7])
-            theta = 2.1
-            prof = ev.profile_on(theta, radii)
-            direction = cis(theta)
-            for r, v in zip(radii, prof.values):
-                assert ev.eval_log_f(r * direction).log_mag / r == v
+        ev = ProductEvaluator(ZeroLattice(k_max=14))
+        # radii spread over many cutoffs, so blocks mix circle counts
+        radii = np.geomspace(0.7, 3.0e6, size) if size > 1 else np.array([77.7])
+        theta = 2.1
+        prof = ev.profile_on(theta, radii)
+        direction = cis(theta)
+        for r, v in zip(radii, prof.values):
+            assert ev.eval_log_f(r * direction).log_mag / r == v
 
     @pytest.mark.parametrize("size", [1, 127, 128, 129, 1537])
     def test_log_f_matches_scalar_bitwise(self, size):
@@ -236,23 +246,22 @@ class TestBatchInvariance:
         mods = np.geomspace(0.7, 2.0**500, size)
         zs = mods * np.exp(1j * rng.uniform(-4, 4, size))
         zs[1::7] = mods[1::7] * np.resize([1, 1j, -1, -1j], zs[1::7].size)
-        for lattice in (ZeroLattice(k_max=14), ZeroLattice(k_max=8, rotation=0.3)):
-            ev = ProductEvaluator(lattice)
-            zs[::50] = lattice.zero(3, 5)
-            batch = ev.log_f(zs)
-            scalar = [ev.eval_log_f(z) for z in zs]
-            assert batch.real.tobytes() == np.array(
-                [lf.log_mag for lf in scalar]).tobytes()
-            assert batch.imag.tobytes() == np.array(
-                [lf.arg for lf in scalar]).tobytes()
+        ev = ProductEvaluator(ZeroLattice(k_max=14))
+        zs[::50] = ev.lattice.zero(3, 5)
+        batch = ev.log_f(zs)
+        scalar = [ev.eval_log_f(z) for z in zs]
+        assert batch.real.tobytes() == np.array(
+            [lf.log_mag for lf in scalar]).tobytes()
+        assert batch.imag.tobytes() == np.array(
+            [lf.arg for lf in scalar]).tobytes()
 
-    @pytest.mark.parametrize("rotation", [0.0, 0.3])
-    def test_one_point_calls_match_a_batch_bitwise(self, rotation):
+    def test_one_point_calls_match_a_batch_bitwise(self):
         # one point below _DEEP_RADIUS takes its own short path: it must give
         # the bits of the same point inside a 1537-point batch, on both
         # sides of that bound, near 0, at dyadic radii, at lattice zeros,
-        # on the axes, and beside a zero where the phase underflows
-        lattice = ZeroLattice(k_max=14, rotation=rotation)
+        # on the axes and the diagonals, and beside a zero where the phase
+        # underflows or rounds onto the zero's
+        lattice = ZeroLattice(k_max=14)
         ev = ProductEvaluator(lattice)
         rng = np.random.default_rng(17)
         axes = np.array([1, 1j, -1, -1j])
@@ -266,7 +275,8 @@ class TestBatchInvariance:
                  for j in range(0, 2**k, max(1, 2**k // 16))]
         zs = np.concatenate([
             (bound[:, None] * axes).ravel(), bound * cis(rng.uniform(-4, 4, bound.size)),
-            (dyadic[:, None] * axes).ravel(), dyadic * cis(rotation + 0.5),
+            (dyadic[:, None] * axes).ravel(), dyadic * cis(0.5),
+            (dyadic[:, None] * cis(TAU / 8) * axes).ravel(),
             small * cis(rng.uniform(-4, 4, small.size)), (small[:, None] * axes).ravel(),
             [complex(a, b) for a in (0.0, -0.0, 0.5) for b in (0.0, -0.0, -0.7)],
             zeros, [2 - 5e-324j, 2 + 5e-324j, 2 - 1e-300j],
@@ -285,10 +295,9 @@ class TestBatchInvariance:
         assert np.array([complex(lf.log_mag, lf.arg) for lf in one_eval]
                         ).tobytes() == batch.tobytes()
         assert np.all(one.real[np.isin(zs, zeros)] == -math.inf)
-        if rotation == 0.0:
-            # the known defect beside circle 1's zero stays as it is
-            assert ev.log_f([2 - 5e-324j]).tobytes() == np.array(
-                [complex(-math.inf, 0.0)]).tobytes()
+        # only the lattice zeros: a point beside one is finite
+        assert np.array_equal(one.real == -math.inf,
+                              [ev._is_lattice_zero(complex(z)) for z in zs])
 
     def test_shuffled_blocks_keep_their_bits(self):
         # a multi-block batch runs in order of |z|: shuffled moduli from
@@ -309,14 +318,13 @@ class TestBatchInvariance:
         rng = np.random.default_rng(size + 7)
         mods = np.exp2(rng.uniform(-3.0, 300.0, size))
         zs = mods * np.exp(1j * rng.uniform(-4, 4, size))
-        for lattice in (ZeroLattice(k_max=14), ZeroLattice(k_max=8, rotation=0.3)):
-            ev = ProductEvaluator(lattice)
-            zs[::9] = [lattice.zero(k % 20 + 1, 3 * k) for k in range(zs[::9].size)]
-            got = ev.log_abs_f(zs)
-            assert got.dtype == np.float64
-            assert got.tobytes() == ev.log_f(zs).real.tobytes()
-            assert np.all(got[::9] == -math.inf)
-            assert np.all(np.isfinite(np.delete(got, np.s_[::9])))
+        ev = ProductEvaluator(ZeroLattice(k_max=14))
+        zs[::9] = [ev.lattice.zero(k % 20 + 1, 3 * k) for k in range(zs[::9].size)]
+        got = ev.log_abs_f(zs)
+        assert got.dtype == np.float64
+        assert got.tobytes() == ev.log_f(zs).real.tobytes()
+        assert np.all(got[::9] == -math.inf)
+        assert np.all(np.isfinite(np.delete(got, np.s_[::9])))
 
     def test_deep_circles_match_the_full_formula(self, ev, monkeypatch):
         # with _DEEP = inf every circle runs the full formula: the closed
@@ -343,17 +351,17 @@ class TestBatchInvariance:
                        for m in range(n)]
             assert ev.max_modulus(r, n) == max(samples) / r
 
-    @pytest.mark.parametrize("rotation", [0.0, 0.3])
-    def test_dyadic_radii_on_lattice_ray_are_zeros(self, rotation):
-        # every dyadic radius of the theta = rotation ray is a lattice zero,
-        # including circles past k_max = 8
-        ev = ProductEvaluator(ZeroLattice(k_max=8, rotation=rotation))
+    @pytest.mark.parametrize("theta", [0.0, math.pi])
+    def test_dyadic_radii_on_lattice_ray_are_zeros(self, theta):
+        # every dyadic radius of the theta = 0 and theta = pi rays is a
+        # lattice zero, including circles past k_max = 8
+        ev = ProductEvaluator(ZeroLattice(k_max=8))
         radii = dyadic_radii(1, 24, 4)
-        values = ev.profile_on(rotation, radii).values
+        values = ev.profile_on(theta, radii).values
         dyadic = np.arange(radii.size) % 4 == 0
         assert np.all(values[dyadic] == -math.inf)
         assert np.all(np.isfinite(values[~dyadic]))
-        assert ev.eval_log_f(radii[-1] * cis(rotation)).is_zero
+        assert ev.eval_log_f(radii[-1] * cis(theta)).log_mag == -math.inf
 
 
 class TestCircleSum:
@@ -444,8 +452,8 @@ class TestDirectOracle:
         assert got == pytest.approx(float(want), rel=1e-12)
 
     def test_lattice_points_vanish(self, ev):
-        assert ev.eval_log_f_direct(-2.0, 1).is_zero
-        assert ev.eval_log_f_direct(4j, 2).is_zero
+        assert ev.eval_log_f_direct(-2.0, 1).log_mag == -math.inf
+        assert ev.eval_log_f_direct(4j, 2).log_mag == -math.inf
 
     def test_exhausted(self, ev):
         with pytest.raises(LatticeExhaustedError):
@@ -556,6 +564,12 @@ class TestMaxModulus:
             ev.max_modulus(0.0, 8)
 
 
+def relabel(profile, function_id):
+    """The same samples under another function_id."""
+    return GrowthProfile(function_id, profile.theta, profile.radii,
+                         profile.values)
+
+
 class TestCsvExport:
     def test_schema_and_inf_literal(self, ev, tmp_path):
         p = ev.profile_on(0.0, np.geomspace(4.0, 8.0, 5))
@@ -568,7 +582,7 @@ class TestCsvExport:
         assert lines[-1] == "f,0,8,-inf"
 
     def test_matches_per_value_formatting(self, ev, tmp_path):
-        # -inf samples (lattice zeros on the ray) and a rotated ray
+        # -inf samples (lattice zeros on the ray) and a ray off the axes
         profiles = [ev.profile_on(0.0, np.geomspace(4.0, 64.0, 37)),
                     ev.profile_on(0.3, np.geomspace(3.0, 900.0, 51))]
         lines = ["function_id,theta,r,value"]
@@ -585,8 +599,8 @@ class TestCsvExport:
         # the per-row writer the blocks replaced, on two profiles with -inf
         # samples, one with a "%" in its function_id
         profiles = [ev.profile_on(0.0, dyadic_radii(2, 13, 256)),
-                    ev.profile_on(0.3, np.geomspace(4.0, 64.0, 37),
-                                  function_id="f%s%%d")]
+                    relabel(ev.profile_on(0.3, np.geomspace(4.0, 64.0, 37)),
+                            "f%s%%d")]
         text = ["function_id,theta,r,value\n"]
         for p in profiles:
             text.extend("%s,%.17g,%.17g,%.17g\n" % (p.function_id, p.theta, r, v)
@@ -602,7 +616,7 @@ class TestCsvExport:
         # it), then another grid and the first again
         grid, other = dyadic_radii(2, 6, 64), np.geomspace(3.0, 900.0, 51)
         profiles = [ev.profile_on(0.0, grid),
-                    ev.profile_on(1.0, grid.copy(), function_id="g"),
+                    relabel(ev.profile_on(1.0, grid.copy()), "g"),
                     ev.profile_on(0.3, other), ev.profile_on(-2.0, grid)]
         text = ["function_id,theta,r,value\n"]
         for p in profiles:
