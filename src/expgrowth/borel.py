@@ -41,7 +41,7 @@ _STOP_STRIDE = 4
 
 class BorelDomainError(ValueError):
     """Evaluation requested at a non-finite s or inside the refused disc
-    |s| < MIN_MODULUS around the singularities."""
+    |s| < MIN_MODULUS, a floor chosen outside the convergence radius 4/e."""
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,8 @@
 """Contour quadrature for the inversion, splitting, and arc transforms.
 
 Every integral here is (1/(2*pi*i)) * int g(s) e^{zs} ds over some path kept
-outside modulus 2.5, where the transform g is analytic.  Full circles use the
+outside modulus 2.5, where the transform g is analytic; paths are plain
+geometry, and g refuses a node inside that floor.  Full circles use the
 periodic trapezoid rule (spectrally accurate); open arcs and segments use
 composite Gauss-Legendre panels; each refinement level doubles the nodes or
 panels.  Only e^{zs} depends on z: the nodes of a path and level, as
@@ -89,15 +90,6 @@ class CancellationCapError(ValueError):
     """Arc-transform evaluation refused beyond the cancellation cap |z| = 40."""
 
 
-def _require_outside(lo: float, what: str) -> None:
-    # paths must stay at or outside the evaluation domain of g
-    if lo < MIN_MODULUS - 1e-12:
-        raise ValueError(
-            f"{what} dips to modulus {lo:.6g}, inside the domain floor "
-            f"{MIN_MODULUS}"
-        )
-
-
 @dataclass(frozen=True)
 class CirclePath:
     """Origin-centered circle, traversed once counterclockwise.
@@ -107,12 +99,6 @@ class CirclePath:
     """
 
     radius: float
-
-    def __post_init__(self) -> None:
-        _require_outside(self.radius, "circle")
-
-    def modulus_range(self) -> tuple:
-        return (self.radius, self.radius)
 
     def point(self, t):
         return self.radius * cis(TAU * t)
@@ -129,14 +115,6 @@ class SpiralArc:
     r_end: float
     angle_start: float
     angle_end: float
-
-    def __post_init__(self) -> None:
-        if min(self.r_start, self.r_end) <= 0.0:
-            raise ValueError("radii must be positive")
-        _require_outside(self.modulus_range()[0], "spiral arc")
-
-    def modulus_range(self) -> tuple:
-        return (min(self.r_start, self.r_end), max(self.r_start, self.r_end))
 
     def _radius(self, t):
         return self.r_start + (self.r_end - self.r_start) * t
@@ -161,13 +139,6 @@ class LineSegment:
     def __post_init__(self) -> None:
         if self.a == self.b:
             raise ValueError("degenerate segment")
-        _require_outside(self.modulus_range()[0], "segment")
-
-    def modulus_range(self) -> tuple:
-        d = self.b - self.a
-        t = -((self.a.real * d.real) + (self.a.imag * d.imag)) / abs(d) ** 2
-        t = min(1.0, max(0.0, t))
-        return (abs(self.a + d * t), max(abs(self.a), abs(self.b)))
 
     def point(self, t):
         return self.a + (self.b - self.a) * t
@@ -474,17 +445,6 @@ def _on_series_route(w: complex) -> bool:
 def _asymptotic_tail(w: complex) -> complex:
     """e^w S(w) / w, with S the asymptotic series of E(w) cut at its
     smallest term; off the series route E(w) = -gamma - log(-w) + this."""
-    if w.imag == 0.0 and w.real > 0.0:
-        # E is real on the positive axis: sum in real arithmetic
-        x = w.real
-        t = s = 1.0
-        for k in range(1, 300):
-            nxt = t * k / x
-            if abs(nxt) >= abs(t):
-                break
-            t = nxt
-            s += t
-        return complex(math.exp(x) * s / x, 0.0)
     t = s = 1.0 + 0.0j
     for k in range(1, 300):
         nxt = t * k / w

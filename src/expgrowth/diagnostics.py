@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, astuple, dataclass, fields
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -265,51 +265,15 @@ def sin2_profile(theta: float, radii: np.ndarray) -> GrowthProfile:
 
 
 def write_windows_csv(entries: Iterable, path) -> None:
-    """entries: (profile, window stats sequence) pairs, one CSV row per window."""
-    header = (
-        "function_id", "theta", "k", "r_lo", "r_hi",
-        "inf", "q_low", "q_high", "sup",
-    )
-    rows = []
-    for profile, stats in entries:
-        for s in stats:
-            rows.append(
-                (
-                    profile.function_id,
-                    fmt(profile.theta),
-                    str(s.k),
-                    fmt(s.r_lo),
-                    fmt(s.r_hi),
-                    fmt(s.inf),
-                    fmt(s.q_low),
-                    fmt(s.q_high),
-                    fmt(s.sup),
-                )
-            )
+    """entries: (profile, window stats sequence) pairs, one CSV row per window,
+    its columns the profile's function_id and theta, then WindowStats' fields."""
+    header = ("function_id", "theta", *(f.name for f in fields(WindowStats)))
+    rows = [(profile.function_id, fmt(profile.theta), *map(fmt, astuple(s)))
+            for profile, stats in entries for s in stats]
     write_rows(path, header, rows)
 
 
 def write_verdict_json(verdict: RegularityVerdict, path) -> None:
-    """Verdict as a small JSON record with the windows it was based on."""
-    record = {
-        "function_id": verdict.function_id,
-        "theta": verdict.theta,
-        "verdict": verdict.verdict,
-        "limit_or_gap": verdict.limit_or_gap,
-        "windows": [
-            {
-                "k": s.k,
-                "r_lo": s.r_lo,
-                "r_hi": s.r_hi,
-                "inf": s.inf,
-                "q_low": s.q_low,
-                "q_high": s.q_high,
-                "sup": s.sup,
-            }
-            for s in verdict.windows
-        ],
-        "q": verdict.q,
-        "gap_tol": verdict.gap_tol,
-        "drift_tol": verdict.drift_tol,
-    }
-    Path(path).write_text(json.dumps(record, indent=2) + "\n", encoding="ascii")
+    """Verdict as a small JSON record of its fields, windows included."""
+    Path(path).write_text(json.dumps(asdict(verdict), indent=2) + "\n",
+                          encoding="ascii")

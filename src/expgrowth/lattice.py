@@ -75,7 +75,11 @@ class ZeroLattice:
     def _nearest_zero(self, z: complex):
         """(k, a): the zero a of circle k nearest to z, where |z| is within
         4 ulps of 2^k (a zero's modulus is rounded), on any circle k >= 1,
-        materialized or not; None where |z| is no such radius."""
+        materialized or not; None where |z| is no such radius.
+
+        Every exact zero is its own nearest zero on circles 1-54.  From
+        k = 55 the rounded angle index can miss by more than the +-1 tried,
+        and some exact zeros are not recognised."""
         r = abs(z)
         if not 1.0 < r < math.inf:
             return None
@@ -94,11 +98,13 @@ class ZeroLattice:
         """Largest k with 2^k <= r, or 0, exact; r in [0, 2^k_max] only."""
         if not r >= 0.0:
             raise ValueError("radius must be a nonnegative number, not %r" % r)
-        if r > 2.0 ** self.k_max:
+        # r = frac 2^e with frac in [0.5, 1), so r <= 2^k_max unless e passes
+        # k_max, or k_max + 1 with frac above 0.5; frexp(inf) has e = 0
+        frac, e = math.frexp(r)
+        if r == math.inf or e - (frac == 0.5) > self.k_max:
             raise LatticeExhaustedError(
-                f"r={r} exceeds 2^k_max={2.0 ** self.k_max}; increase k_max"
-            )
-        return math.frexp(r)[1] - 1 if r >= 2.0 else 0
+                f"r={r} exceeds 2^{self.k_max}; increase k_max")
+        return e - 1 if r >= 2.0 else 0
 
     def counting(self, r: float) -> int:
         """n(r): number of zeros with modulus <= r (ties included)."""
@@ -160,7 +166,7 @@ def verify_counting_bounds(lattice: ZeroLattice) -> CountingReport:
     sup = Fraction(0)
     sup_k = 0
     for k in range(1, lattice.k_max + 1):
-        val = Fraction((1 << (k + 1)) - 2, 1 << k)
+        val = Fraction(lattice.counting(2.0 ** k), 1 << k)
         if val > sup:
             sup, sup_k = val, k
     worst = 0.0

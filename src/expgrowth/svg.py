@@ -20,7 +20,6 @@ HEIGHT = 420
 _ML, _MR, _MT, _MB = 64, 20, 28, 48
 
 _AXIS = "#444444"
-_GRID = "#cccccc"
 _LINE = "#1f4e9c"
 _BAND = "#b8ccec"
 _GUIDE = "#b03030"

@@ -1,0 +1,41 @@
+"""Every module-level private name in the package is read somewhere in it."""
+import ast
+from pathlib import Path
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "expgrowth"
+
+
+def _defined(tree: ast.Module):
+    """Module-level names bound by def, class or assignment."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name
+        targets = (node.targets if isinstance(node, ast.Assign)
+                   else [node.target] if isinstance(node, ast.AnnAssign)
+                   else [])
+        for target in targets:
+            for name in ast.walk(target):
+                if isinstance(name, ast.Name):
+                    yield name.id
+
+
+def _read(tree: ast.Module):
+    """Names read: loaded names, attributes and names imported from."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.ImportFrom):
+            yield from (alias.name for alias in node.names)
+
+
+def test_no_unread_private_module_names():
+    trees = {p.name: ast.parse(p.read_text(encoding="utf-8"))
+             for p in sorted(PACKAGE.glob("*.py"))}
+    read = {name for tree in trees.values() for name in _read(tree)}
+    dead = [f"{module}:{name}" for module, tree in trees.items()
+            for name in _defined(tree)
+            if name.startswith("_") and not name.startswith("__")
+            and name not in read]
+    assert dead == []

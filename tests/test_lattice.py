@@ -129,8 +129,11 @@ class TestEnumeration:
 
     def test_exhausted(self):
         small = ZeroLattice(k_max=3)
+        assert small.counting(8.0) == 14
         with pytest.raises(LatticeExhaustedError):
             small.counting(8.001)
+        with pytest.raises(LatticeExhaustedError):
+            small.counting(math.nextafter(8.0, math.inf))
         with pytest.raises(LatticeExhaustedError):
             small.circle(4)
 
@@ -183,6 +186,16 @@ class TestCounting:
     def test_infinite_radius_exhausts_the_lattice(self, lattice, query):
         with pytest.raises(LatticeExhaustedError):
             getattr(lattice, query)(math.inf)
+
+    def test_k_max_past_binary64(self):
+        # no power 2^k_max is formed, so k_max may pass 1023
+        lat = ZeroLattice(k_max=2000)
+        assert lat.counting(5.0) == 6
+        assert lat.counting(1e308) == (1 << 1024) - 2
+        with pytest.raises(LatticeExhaustedError, match=r"exceeds 2\^2000"):
+            lat.counting(math.inf)
+        with pytest.raises(ValueError, match="not nan"):
+            lat.counting(math.nan)
 
     def test_k_exact_at_every_dyadic_radius(self):
         # n(r) is exact on every circle of binary64 and one ulp to either
@@ -246,6 +259,14 @@ class TestVerification:
     def test_k1_report(self):
         report = verify_counting_bounds(ZeroLattice(k_max=1))
         assert report.sup_normalized == 1
+
+    def test_density_read_from_the_lattice(self, monkeypatch):
+        # n(2^k) comes from counting, so a wrong count shows in the report
+        lat = ZeroLattice(k_max=6)
+        monkeypatch.setattr(ZeroLattice, "counting", lambda self, r: 3 * int(r))
+        report = verify_counting_bounds(lat)
+        assert report.sup_normalized == 3
+        assert not report.density_bounded_by_two
 
     def test_worst_radius_recorded(self):
         report = verify_counting_bounds(ZeroLattice(k_max=6))

@@ -87,6 +87,18 @@ class TestZeroSet:
         out = ev.eval_log_f(ev.lattice.zero(16, 3))
         assert out.log_mag == -math.inf
 
+    def test_exact_zeros_recognised_through_circle_54(self, ev):
+        # random and octant angle indices (with their neighbours) on the
+        # deepest circles where every exact zero is recognised
+        rng = np.random.default_rng(54)
+        for k in range(40, 55):
+            n = 1 << k
+            js = [int(j) for j in rng.integers(0, n, size=64, dtype=np.int64)]
+            js += [m * n // 8 + d for m in range(8) for d in (-1, 0, 1)]
+            js.append(n // 3)
+            zs = np.array([ev.lattice.zero(k, j) for j in js])
+            assert (ev.log_abs_f(zs) == -math.inf).all(), k
+
     def test_near_zero_is_finite(self, ev):
         out = ev.eval_log_f(2.0 + 1e-9)
         assert math.isfinite(out.log_mag)
