@@ -11,10 +11,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import islice
 
 import numpy as np
 
-from .csvio import _CHUNK, row_blocks
+from .csvio import row_blocks
 from .lognum import TAU
 
 
@@ -187,30 +188,27 @@ def verify_counting_bounds(lattice: ZeroLattice) -> CountingReport:
 
 
 def write_zeros_csv(lattice: ZeroLattice, path) -> None:
-    """Export the lattice as columns k, j, re, im (17 significant digits),
-    written circle by circle in blocks of rows.  Up to 8 coordinates of a
-    circle share a magnitude: each distinct one is formatted once, and a set
-    sign bit puts "-" before it."""
-    minus = np.array(["", "-"], dtype=object)
+    """Export the lattice as columns k, j, re, im (17 significant digits) in
+    blocks of rows.  Circles 1-2 go row by row.  A larger circle relies on the
+    reflections circle() documents: its first octant is formatted once and
+    mirrored to the texts of j = 0..2^k/4, and quarter t takes the row template
+    of its turn (x, y), (-y, x), (-x, -y) or (y, -x), cut so that no "-" goes
+    before the 0 of y at j = 0 or of x at j = 2^k/4 (0.0 - y is +0.0)."""
     with open(path, "w", encoding="ascii") as out:
         out.write("k,j,re,im\n")
         for k in range(1, lattice.k_max + 1):
-            a = lattice.circle(k)
-            xy = a.view(float).reshape(-1, 2)  # rows re, im
-            # the distinct magnitudes, merged over at most 16 slices of rows
-            # so that no temporary is nearly as large as the circle
-            mags, step = np.empty(0), max(_CHUNK, a.size // 16)
-            for j in range(0, a.size, step):
-                mags = np.sort(np.append(mags, np.abs(xy[j:j + step])))
-                mags = mags[np.append(True, mags[1:] != mags[:-1])]
-            text = np.array("".join(row_blocks("%.17g\n", mags)).splitlines(),
-                            dtype=object)
-            row = "%d,%%d,%%s%%s,%%s%%s\n" % k
-            for j in range(0, a.size, _CHUNK):
-                b = xy[j:j + _CHUNK]
-                cells = np.empty((len(b), 5), dtype=object)
-                cells[:, 0] = range(j, j + len(b))
-                cells[:, 1::2] = minus[np.signbit(b).view(np.uint8)]
-                # one column at a time: searchsorted is fast on ordered keys
-                cells[:, 2::2] = text[np.searchsorted(mags, np.abs(b.T))].T
-                out.write(row * len(b) % tuple(cells.ravel().tolist()))
+            a, n = lattice.circle(k), 1 << k
+            if k < 3:
+                out.writelines(row_blocks(f"{k},%d,%.17g,%.17g\n", range(n),
+                                          a.real, a.imag))
+                continue
+            c, s = ("".join(row_blocks("%.17g\n", part[:n // 8 + 1])).split()
+                    for part in (a.real, a.imag))
+            x, y, q = c + s[-2::-1], s + c[-2::-1], n // 4  # j = 0..q
+            cuts = (0, q + 1, 2 * q + 1, 3 * q, n)  # quarter t from j = t q + i
+            for t, cells in enumerate(("%s,%s", "-%s,%s", "-%s,-%s", "%s,-%s")):
+                u, v = (x, y) if t % 2 == 0 else (y, x)
+                i = cuts[t] - t * q
+                out.writelines(row_blocks(f"{k},%d,{cells}\n",
+                                          range(cuts[t], cuts[t + 1]),
+                                          islice(u, i, None), islice(v, i, None)))
