@@ -268,10 +268,10 @@ class ProductEvaluator:
         input that is not 1-d, a non-finite z or a cutoff circle beyond
         binary64.
 
-        The real part keeps ~3e-16 relative accuracy, the imaginary part
-        drifts by up to ~|z| * 1e-16 rad: f is within 1e-10 relative out to
-        |z| = 2^18 (but for a few ulps around a zero off the axes), and its
-        argument is noise beyond ~2^50.
+        The real part keeps ~3e-16 relative accuracy, but at distance d from
+        zero j of circle k off the axes it is off by up to ~e/d, e = 2^(k-1)
+        ulp(phi) + 2^k 2.2e-16 + |j| 2.45e-16 (|j| <= 2^(k-1)); the imaginary
+        part drifts by up to ~|z| * 1e-16 rad and is noise beyond ~2^50.
         """
         return self._log_f(zs, with_arg=True)
 

@@ -181,6 +181,29 @@ class TestAccuracy:
         want, _ = mp_log_f(complex(z), ev.cutoff(z) + 4)
         assert abs(ev.eval_log_f(z).log_mag - want) <= 1e-12
 
+    @pytest.mark.parametrize("k, j, d", [
+        (3, 5, 1e-3), (5, 31, 1e-5), (8, 246, 1e-7), (11, 874, 1e-9),
+        (14, 5461, 1e-4), (14, 5608, 1e-10),
+    ])
+    def test_log_abs_near_a_rounded_zero(self, ev, k, j, d):
+        # at distance d from zero j of circle k, off the axes, log|f| is off
+        # by up to about e/d, e the error y of circle k carries: half an ulp
+        # of the phase and an ulp of the modulus times 2^k, and |j| turns of
+        # the rounding of 2 pi (README design notes)
+        mpmath = pytest.importorskip("mpmath")
+        n = 1 << k
+        for psi in (0.5, 2.0, 3.5, 5.0):
+            with mpmath.workdps(50):
+                a = n * mpmath.expjpi(mpmath.mpf(2 * j) / n)
+                w = a + d * mpmath.expj(psi)
+                z = complex(float(w.real), float(w.imag))
+                dist = float(abs(mpmath.mpc(z.real, z.imag) - a))
+            e = (n // 2 * math.ulp(math.atan2(z.imag, z.real)) + n * 2.2e-16
+                 + min(j, n - j) * 2.45e-16)
+            assert e / dist < 0.5
+            want, _ = mp_log_f(z, ev.cutoff(z) + 4)
+            assert abs(ev.log_abs_f(np.array([z]))[0] - want) <= e / dist
+
     @pytest.mark.parametrize("r", [150.0, 300.0, 1000.0, 4096.5])
     def test_log_f_matches_mpmath_with_deep_circles(self, ev, r):
         # from |z| = 112 on some circles are deep (x >= 40), and their
