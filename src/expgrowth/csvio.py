@@ -1,7 +1,7 @@
 """Deterministic text output helpers (17 significant digits, lowercase inf/nan)."""
 from __future__ import annotations
 
-from itertools import count, islice
+from itertools import chain, count, islice
 from pathlib import Path
 
 import numpy as np
@@ -26,17 +26,15 @@ def row_blocks(row: str, *columns):
     other iterables (lists, ranges, itertools.repeat); the rows stop at the
     shortest.  Text that may hold "%" goes in as a column, never into row.
     """
+    width = len(columns)
     sources = [c if isinstance(c, np.ndarray) else iter(c) for c in columns]
     for i in count(0, _CHUNK):
-        cells = [c[i:i + _CHUNK].tolist() if isinstance(c, np.ndarray)
-                 else list(islice(c, _CHUNK)) for c in sources]
-        rows = min(map(len, cells))
-        if not rows:
+        block = tuple(chain.from_iterable(zip(*[
+            c[i:i + _CHUNK].tolist() if isinstance(c, np.ndarray)
+            else islice(c, _CHUNK) for c in sources])))
+        if not block:
             return
-        block = [None] * (len(cells) * rows)  # a row's cells side by side
-        for t, column in enumerate(cells):
-            block[t::len(cells)] = column[:rows]
-        yield (row * rows) % tuple(block)
+        yield (row * (len(block) // width)) % block
 
 
 def write_rows(path, header, rows) -> None:

@@ -1,15 +1,17 @@
 """Record paired benchmark runs of one or more checkouts as BENCH_<workload>.json.
 
     python3 tools/bench_record.py --side parent=../parent --side change=. \
-        [--workload reproduce ...] [--seeds 5] [--seconds 8] [--out-dir .]
+        [--workload reproduce ...]
 
-Each side is a checkout holding perfbench/run.py.  For every workload and
-seed 1..N the sides run `perfbench/run.py --trace 0` one after the other,
-the first side alternating from seed to seed, so that the runs pair up.  A
-file holds, per side, the commit and the host (nproc, CPU, Python, numpy)
-from the runs' `env` lines, the median probe loop from their `wall clock`
-lines, the median and quartiles of every end-to-end metric, and every run's
-values.  A run that fails or reports "correct": false stops the recording.
+Each side is a git checkout holding perfbench/run.py.  For every workload
+and seed 1..10 the sides run `perfbench/run.py --trace 0` for the
+run_seconds of BENCHMARK.json one after the other, the first side
+alternating from seed to seed, so that the runs pair up; the files go to
+the root of this repository.  A file holds, per side, the commit and the
+host (nproc, CPU, Python, numpy) from the runs' `env` lines, the median
+probe loop from their `wall clock` lines, the median and quartiles of every
+end-to-end metric, and every run's values.  A run that fails, reports
+"correct": false or names no git commit stops the recording.
 """
 from __future__ import annotations
 
@@ -23,7 +25,9 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 PROBE = re.compile(r"probe loop ([0-9.eE+-]+) ms")
+COMMIT = re.compile(r"[0-9a-f]{40}")
 HOST = ("nproc", "cpu", "python", "numpy")
+SEEDS = 10  # alternating pairs a gain is judged on
 
 
 def run_once(checkout, workload, seed, seconds):
@@ -40,6 +44,9 @@ def run_once(checkout, workload, seed, seconds):
     if not result["correct"]:
         raise SystemExit("%s %s seed %d: not correct" % (checkout, workload, seed))
     env = json.loads(next(line for line in lines if line.startswith("env "))[4:])
+    if not COMMIT.fullmatch(env["git_commit"] or ""):
+        raise SystemExit("%s: no git commit (%r); record from a git checkout"
+                         % (checkout, env["git_commit"]))
     probe = float(PROBE.search(next(line for line in lines
                                     if line.startswith("wall clock"))).group(1))
     values = {name: m["value"] for name, m in result["metrics"].items()}
@@ -77,27 +84,23 @@ def main(argv=None):
     parser.add_argument("--side", action="append", required=True,
                         metavar="LABEL=CHECKOUT")
     parser.add_argument("--workload", action="append", choices=workloads)
-    parser.add_argument("--seeds", type=int, default=5)
-    parser.add_argument("--seconds", type=float, default=8.0)
-    parser.add_argument("--out-dir", type=Path, default=Path("."))
     args = parser.parse_args(argv)
-    if args.seeds < 5:
-        parser.error("--seeds must be at least 5")
+    seconds = spec["run_seconds"]
     sides = [tuple(side.split("=", 1)) for side in args.side]
     if any(len(side) != 2 for side in sides):
         parser.error("--side takes LABEL=CHECKOUT")
     for workload in args.workload or workloads:
         runs = {label: [] for label, _ in sides}
-        for seed in range(1, args.seeds + 1):
+        for seed in range(1, SEEDS + 1):
             order = sides if seed % 2 else sides[::-1]
             for label, checkout in order:
-                env, probe, values = run_once(checkout, workload, seed, args.seconds)
+                env, probe, values = run_once(checkout, workload, seed, seconds)
                 runs[label].append((seed, env, probe, values))
                 print("%s %s seed %d: op_p50_ms %.4g"
                       % (workload, label, seed, values["op_p50_ms"]), flush=True)
-        path = args.out_dir / ("BENCH_%s.json" % workload)
+        path = ROOT / ("BENCH_%s.json" % workload)
         path.write_text(json.dumps({
-            "workload": workload, "seconds": args.seconds,
+            "workload": workload, "seconds": seconds,
             "sides": [summarize(label, runs[label]) for label, _ in sides],
         }, indent=2) + "\n")
         print("wrote %s" % path)
