@@ -601,12 +601,26 @@ def cmd_reproduce(cfg: RunConfig, args) -> int:
     return EXIT_OK if all_ok else EXIT_VERIFY
 
 
+#: options whose value parse_complex reads, as in "--z -0.5i"
+_COMPLEX_OPTIONS = ("--z", "--s")
+
+
 class _Parser(argparse.ArgumentParser):
     """argparse exits 2 on bad usage; the contract here reserves 1 for that."""
 
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(EXIT_USAGE, "%s: error: %s\n" % (self.prog, message))
+
+    def parse_known_args(self, args=None, namespace=None):
+        # argparse reads "--z -3+2i" as two options; a complex value never
+        # starts with "--", so join it to its option as "--z=-3+2i"
+        args = list(sys.argv[1:] if args is None else args)
+        for i in range(len(args) - 1, 0, -1):
+            if (args[i - 1] in _COMPLEX_OPTIONS and args[i][:1] == "-"
+                    and args[i][:2] != "--"):
+                args[i - 1:i + 1] = ["%s=%s" % (args[i - 1], args[i])]
+        return super().parse_known_args(args, namespace)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -35,8 +35,11 @@ axis) its quadrature can stall and raise NonConvergenceError.  Path points
 use the array lognum.cis, exact at the cardinal angles.
 
 Refinement stops when successive values agree to the requested relative
-tolerance or hit the roundoff floor set by the accumulated absolute mass;
-anything else raises, carrying the last two values for post-mortems.
+tolerance or hit the roundoff floor set by the accumulated absolute mass,
+or when their difference stops shrinking within a few floors of it, where
+more levels only trade one rounding for another; IntegralResult's
+floor_limited says which of the floor stops ended it.  Anything else
+raises, carrying the last two values for post-mortems.
 """
 from __future__ import annotations
 
@@ -64,6 +67,12 @@ _INVERSION_RADII = (MIN_MODULUS, 8.0)
 _POINTS_PER_PANEL = 16
 _INITIAL_PANELS = 8
 _MAX_REFINEMENTS = 10
+
+#: a z whose level difference stops shrinking within this many roundoff
+#: floors has stalled: at z = -8j the arc's true error, swinging with no
+#: trend from level to level, reached 2.4 floors, and the difference
+#: first grew at 1.15 floors
+_STALL = 4.0
 
 #: largest |z| at which F_eval integrates the arc directly
 _CANCELLATION_CAP = 40.0
@@ -165,9 +174,14 @@ _DEFAULT_SPEC = QuadratureSpec()
 
 @dataclass(frozen=True)
 class IntegralResult:
+    """The value at the last level, the difference from the level before,
+    and that level; floor_limited when the difference met the roundoff
+    floor or stalled near it, not the relative tolerance."""
+
     value: complex
     error: float
     refinements: int
+    floor_limited: bool
 
 
 _SPLIT = 134217729.0  # 2^27 + 1, Dekker splitting constant
@@ -278,9 +292,9 @@ def _gauss_rule(n: int) -> tuple:
     return x, w
 
 
-#: keys (g, segment, levels) in use: 10 in a contour_solve round of the
+#: keys (g, segment, levels) in use: 7 in a contour_solve round of the
 #: benchmark (circles of radius 3, 4, 5 and the segment at levels (0, 1), the
-#: arc at (0, 1) and 2 to 6), 4 in reproduce (radius 4, segment, arc to 2)
+#: arc at (0, 1) and 2 to 3), 4 in reproduce (radius 4, segment, arc to 2)
 _TABLE_SIZE = 32
 
 
@@ -356,10 +370,15 @@ def _integrate_batch(g_eval, seg, zs, spec: QuadratureSpec = None) -> list:
     g_eval maps an array of nodes s to g(s); it must be pure and hashable,
     as its values on a segment and level serve every z for the process.
     Levels 0 and 1, which every z needs, share one table; each later level
-    has its own, for every z still refining.  A z leaves the batch once two
-    levels agree to the tolerance or to the roundoff floor 4 * eps * mass,
-    its bits those of a batch of one.  An overflowing integrand raises
-    FloatingPointError (an ArithmeticError) at once.
+    has its own, for every z still refining.  A z leaves the batch with the
+    value of level L once d_L = |v_L - v_{L-1}| meets the tolerance
+    tol * |v_L| or the roundoff floor 4 * eps * mass_L, or, from level 2,
+    once d_L >= d_{L-1} and d_L <= _STALL floors: the differences have
+    stalled at roundoff.  floor_limited is set when the floor or the stall
+    stopped it, not the tolerance.  Its bits are those of a batch of one.
+    A z whose differences stall far above the floor raises
+    NonConvergenceError after the last level; an overflowing integrand
+    raises FloatingPointError (an ArithmeticError) at once.
     """
     if spec is None:
         spec = _DEFAULT_SPEC
@@ -378,10 +397,15 @@ def _integrate_batch(g_eval, seg, zs, spec: QuadratureSpec = None) -> list:
                 refining = []
                 for i, (value, mass) in zip(active, values):
                     if prev[i] is not None:
-                        err[i] = abs(value - prev[i])
+                        diff = abs(value - prev[i])
+                        target = tol * abs(value)
                         floor = 4.0 * _EPS * mass
-                        if err[i] <= max(tol * abs(value), floor):
-                            results[i] = IntegralResult(value, err[i], level)
+                        # err[i] is the last difference, inf before level 2
+                        stalled = err[i] <= diff <= _STALL * floor
+                        err[i] = diff
+                        if diff <= max(target, floor) or stalled:
+                            results[i] = IntegralResult(
+                                value, diff, level, diff > target)
                             continue
                     older[i] = prev[i]
                     prev[i] = value

@@ -137,6 +137,18 @@ class TestEval:
         )
         assert len(lines) == 2
 
+    @pytest.mark.parametrize("argv", [
+        ("eval", "--z", "-3+2i"), ("borel", "eval", "--s", "-3+1i"),
+        ("contour", "identity", "--z", "-8j"), ("eval", "--z", "-0.5i"),
+    ])
+    def test_negative_value_after_a_space(self, argv):
+        # argparse would read "-3+2i" as an option and leave --z without one
+        code, out, err = run_main(list(argv))
+        assert code == EXIT_OK and err == ""
+        joined = run_main(list(argv[:-2]) + ["%s=%s" % argv[-2:]])
+        assert joined == (code, out, err)
+        assert len(out.splitlines()) == 2
+
     def test_borel_check_schema_and_zero_direct(self, capsys):
         # f(2) = 0 exactly, the circle integral only to roundoff
         assert main(["borel", "invert", "--z", "2"]) == EXIT_OK

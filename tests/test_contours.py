@@ -326,8 +326,53 @@ class TestRefinement:
         assert math.isfinite(err.error) and err.error > 0.0
 
 
-#: the five |z| = 8 points; on the circle and the arc they converge one to
-#: five levels later than the points of the unit disc
+def _noisy_exp(s):
+    """e^{s/4} / s with a deterministic relative noise of 1e-8 at each node."""
+    noise = np.modf(np.abs(np.sin(12.9898 * s.real + 78.233 * s.imag))
+                    * 43758.5453)[0]
+    return np.exp(s / 4.0) / s * (1.0 + 1e-8 * (2.0 * noise - 1.0))
+
+
+class TestFloorStop:
+    def test_lattice_zero_stalls_at_level_three(self):
+        # f(-8j) = 0, so F = -u there; the arc's levels miss it by up to
+        # 2.4 floors with no trend, and the difference grows at level 3
+        spec = QuadratureSpec(target_rel_tol=1e-13)
+        out = _integral(_SHARED_TAIL.at, spiral_arc(), -8j, spec)
+        assert out.refinements == 3 and out.floor_limited
+        assert abs(F_eval(-8j, spec) + u_eval(-8j, spec)) <= 2e-6
+
+    @pytest.mark.parametrize("path", [
+        CirclePath(4.0), spiral_arc(), closing_segment()],
+        ids=["circle", "arc", "segment"])
+    def test_tolerance_stop_is_not_floor_limited(self, path):
+        out = _integral(_SHARED_TAIL.at, path, 1 + 1j)
+        assert not out.floor_limited
+        assert out.error <= 1e-10 * abs(out.value)
+
+    def test_batch_flags_are_the_scalar_flags(self):
+        spec = QuadratureSpec(target_rel_tol=1e-13)
+        zs = _batch_points(41).tolist() + [-8j]
+        batch = _integrate_batch(_SHARED_TAIL.at, spiral_arc(), zs, spec)
+        assert batch == [_integral(_SHARED_TAIL.at, spiral_arc(), z, spec)
+                         for z in zs]
+        assert {r.floor_limited for r in batch} == {False, True}
+
+    def test_noise_far_above_the_floor_still_raises(self):
+        # the differences stop shrinking at the noise, 2e4 to 5e5 floors
+        # up (they grow at levels 3, 5, 6 and 10), so the stall rule must
+        # not take them for roundoff
+        g_eval, sizes = _counting(_noisy_exp)
+        with pytest.raises(NonConvergenceError):
+            _integral(g_eval, CirclePath(4.0), 0.0,
+                      QuadratureSpec(target_rel_tol=1e-13))
+        assert sizes[-1] == (_INITIAL_PANELS * _POINTS_PER_PANEL
+                             << _MAX_REFINEMENTS)
+
+
+#: the five |z| = 8 points; at tolerance 1e-13 they converge up to one
+#: level later than the points of the unit disc on the circle of radius 4,
+#: and one or two levels later on the arc
 EIGHT = (8.0, -8.0, 8j, -8j, 8.0 * complex(math.cos(math.pi / 4),
                                          math.sin(math.pi / 4)))
 
