@@ -19,12 +19,13 @@ of one, and each entry of a 1-D batch keeps its own refinement and has the
 bits of the scalar call.  A non-finite z is refused before any quadrature.
 
 The named integrals (borel_inversion, u_eval, F_eval) split g into 1/s plus
-a smooth tail: the 1/s channel integrates in closed form (residue on closed
-loops, continuous log plus an entire exponential-integral difference on open
-pieces), and only the tail, whose oscillatory mass is ~25x smaller, goes
-through quadrature.  That keeps the roundoff floor of the splitting identity
-an order of magnitude under its tolerance even at |z| = 8, where the raw
-integrand reaches e^{32}.
+a smooth tail, and only the tail, whose oscillatory mass is ~25x smaller,
+is refined.  The 1/s channel is its residue 1 on a circle; on the segment,
+a fixed Gauss rule below |z| = 16 and the exponential integral's asymptotic
+tails at the endpoints beyond (within 3e-14 of mpmath for |z| <= 40); on
+the arc, by Cauchy's theorem, 1 minus the segment's.  That keeps the
+roundoff floor of the splitting identity an order of magnitude under its
+tolerance even at |z| = 8, where the raw integrand reaches e^{32}.
 
 Past the cancellation cap of F_eval, F's growth comes from the splitting:
 splitting_profile forms log F = log(f - u) from one ProductEvaluator.log_f
@@ -45,7 +46,6 @@ from __future__ import annotations
 
 import cmath
 import math
-import struct
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -422,9 +422,9 @@ def _integrate_batch(g_eval, seg, zs, spec: QuadratureSpec = None) -> list:
 # the fixed geometry: an arc from -4 once around the origin to -3, closed by
 # a segment on the negative real axis
 
-#: g(s) - 1/s summed directly (c_1 = 0); the named integrals quadrature this
-#: smooth tail and add the 1/s channel in closed form, cutting the oscillatory
-#: mass (hence the roundoff floor) by the ratio |g| / |g - 1/s| ~ 25 on the
+#: g(s) - 1/s summed directly (c_1 = 0); the named integrals refine only
+#: this smooth tail and add the 1/s channel, cutting the oscillatory mass
+#: (hence the roundoff floor) by the ratio |g| / |g - 1/s| ~ 25 on the
 #: annulus
 _SHARED_TAIL = BorelEvaluator(min_index=2)
 
@@ -444,31 +444,20 @@ _ARC = spiral_arc()
 _SEGMENT = closing_segment()
 
 
-_EULER_GAMMA = float(np.euler_gamma)
-
-#: switch radius between the direct series and the asymptotic route
-_CHANNEL_RADIUS = 24.0
-
-#: left of this line the series alternates with mass e^{|w|} against a
-#: log-sized value and its roundoff would swamp u's e^{-3x} decay; the
-#: asymptotic route is good to ~3e-11 absolute once Re(-w) >= 12
-_CHANNEL_LEFT = -12.0
+#: from this |z| on, |w| >= 48 at both endpoints and the 1/s channel takes
+#: their asymptotic tails, whose cut-off terms are below 1e-19 relative;
+#: below it, one Gauss panel on [-3, -4] per 8 of |z|
+_CHANNEL_RADIUS = 16.0
 
 #: 2 pi i; dividing by it maps (x, y) to (y, -x) / tau with two exact
 #: component divisions, so negation symmetries survive to the last bit
 _DENOM = 1j * TAU
 
-#: log 4 - log 3, the real part of the continuous log increment on [-4, -3]
-_LOG_RATIO = math.log(4.0) - math.log(3.0)
-
-
-def _on_series_route(w: complex) -> bool:
-    return abs(w) <= _CHANNEL_RADIUS and w.real > _CHANNEL_LEFT
-
 
 def _asymptotic_tail(w: complex) -> complex:
-    """e^w S(w) / w, with S the asymptotic series of E(w) cut at its
-    smallest term; off the series route E(w) = -gamma - log(-w) + this."""
+    """e^w S(w) / w, with S the asymptotic series of the entire exponential
+    integral E(w) = int_0^1 (e^{wt} - 1)/t dt cut at its smallest term; for
+    large |w|, E(w) = -gamma - log(-w) + this."""
     t = s = 1.0 + 0.0j
     for k in range(1, 300):
         nxt = t * k / w
@@ -479,75 +468,46 @@ def _asymptotic_tail(w: complex) -> complex:
     return cmath.exp(w) * s / w
 
 
-def _entire_exp_integral(w: complex) -> complex:
-    """E(w) = sum_{k>=1} w^k / (k k!) = int_0^1 (e^{wt} - 1)/t dt, entire.
-
-    This is the antiderivative backbone of the 1/s channel: along any path
-    avoiding 0, int e^{zs}/s ds = [continuous log s] + E(z b) - E(z a).
-    The arc and segment channels at the same z take bit-identical endpoint
-    values from this deterministic function; their (mass-limited) errors
-    then cancel exactly when the two pieces are summed in the splitting
-    identity.
-    """
-    if w == 0.0:
-        return 0.0 + 0.0j
-    if _on_series_route(w):
-        term = complex(w)
-        total = term
-        size = abs(w)
-        k = 2
-        while k < 400:
-            term = term * w / k
-            contribution = term / k
-            total += contribution
-            if k > size and abs(contribution) <= 1e-20 * abs(total):
-                return total
-            k += 1
-        raise ArithmeticError("channel series failed to settle")
-    if w.imag == 0.0 and w.real > 0.0:
-        # on the axis the log channels of the two cut sides cancel
-        return -_EULER_GAMMA - math.log(w.real) + _asymptotic_tail(w)
-    return -_EULER_GAMMA - cmath.log(-w) + _asymptotic_tail(w)
-
-
-def _endpoint_channels(z: complex) -> tuple:
-    """(c, e3, e4) with c + e4 - e3 = log(4/3) + E(-4z) - E(-3z).
-
-    When both endpoints are off the series route, their -gamma - log(-w)
-    terms cancel log(4/3) exactly (log 4z - log 3z = log 4/3), so c = 0 and
-    e3, e4 are the asymptotic tails alone.  Summing the logs instead would
-    leave their roundoff, ~1e-16, in a u that decays like e^{-3x}.  F and u
-    share them through a memo keyed on the bits of z (0.0 is not -0.0).
-    """
-    return _endpoint_channels_of(struct.pack("<2d", z.real, z.imag))
-
-
-@lru_cache(maxsize=64)
-def _endpoint_channels_of(bits: bytes) -> tuple:
-    z = complex(*struct.unpack("<2d", bits))
-    w3, w4 = -3.0 * z, -4.0 * z
-    if not (_on_series_route(w3) or _on_series_route(w4)):
-        return 0.0, _asymptotic_tail(w3), _asymptotic_tail(w4)
-    return _LOG_RATIO, _entire_exp_integral(w3), _entire_exp_integral(w4)
+@lru_cache(maxsize=2)
+def _channel_panels(panels: int) -> tuple:
+    """Nodes s of that many Gauss panels on [-3, -4], weights * ds/s."""
+    x, w = _gauss_rule(_POINTS_PER_PANEL)
+    half = 0.5 / panels
+    s = -3.0 - ((np.arange(panels) + 0.5)[:, None] / panels + half * x).ravel()
+    weights = np.tile(w * half, panels) / -s  # ds = -dt
+    s.flags.writeable = weights.flags.writeable = False
+    return s, weights
 
 
 def _u_channel(z: complex) -> complex:
-    c, e3, e4 = _endpoint_channels(z)
-    return (complex(c, 0.0) + (e4 - e3)) / _DENOM
+    """(1/(2 pi i)) int_{-3}^{-4} e^{zs}/s ds, the 1/s part of u: Gauss
+    panels below |z| = 16, else E(-4z) - E(-3z) + log(4/3), whose -gamma and
+    log terms cancel exactly and leave the endpoint tails.  Its
+    OverflowError names z once e^{-4z} leaves binary64."""
+    r = abs(z)
+    if r < _CHANNEL_RADIUS:
+        s, weights = _channel_panels(1 if r <= _CHANNEL_RADIUS / 2 else 2)
+        return _value_and_mass(np.exp(z * s) * weights)[0]
+    try:
+        tails = _asymptotic_tail(-4.0 * z) - _asymptotic_tail(-3.0 * z)
+    except OverflowError:
+        raise OverflowError(f"u(z) at z = {z!r} leaves binary64: e^(-4z) "
+                            "overflows once Re z < -177.4") from None
+    return tails / _DENOM
 
 
 def _F_channel(z: complex) -> complex:
-    c, e3, e4 = _endpoint_channels(z)
-    # continuous log along the arc gains 2 pi i (one counterclockwise turn)
-    return (complex(-c, TAU) + (e3 - e4)) / _DENOM
+    """1 - the segment's channel: the arc and then the segment wind once
+    around the pole at 0, so by Cauchy's theorem the two channels sum to 1."""
+    return 1.0 - _u_channel(z)
 
 
 def _tail_plus_channel(seg, z, spec: QuadratureSpec, channel,
                        cap: float = math.inf):
-    """Quadrature of the tail g - 1/s on seg plus channel(z), the closed-form
-    1/s part, from one batch.  A scalar z is a batch of one and gives a
-    complex; a 1-D array of z gives a complex array, each entry bit for bit
-    the scalar value.  ValueError for a non-finite z, CancellationCapError
+    """Quadrature of the tail g - 1/s on seg, from one batch, plus
+    channel(z), the 1/s part, which needs no refinement.  A scalar z gives
+    a complex; a 1-D array of z gives a complex array, each entry bit for
+    bit the scalar value.  ValueError for a non-finite z, CancellationCapError
     for one with |z| > cap, before any quadrature."""
     ndim = np.ndim(z)
     if ndim > 1:

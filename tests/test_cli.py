@@ -343,6 +343,14 @@ class TestExitCodes:
             # a non-finite z or s is named as such, not as unparsable
             assert "finite" in err and "cannot parse" not in err
 
+    def test_u_overflow_names_z_and_the_bound(self):
+        # e^{-4z} leaves binary64 once Re z < -177.4
+        code, out, err = run("contour", "identity", "--z", "-200")
+        assert code == EXIT_NUMERIC
+        assert out == "" and "Traceback" not in err
+        assert err == ("numeric failure: u(z) at z = (-200+0j) leaves "
+                       "binary64: e^(-4z) overflows once Re z < -177.4\n")
+
     @pytest.mark.parametrize("text", [b"k-max = abc\n", b"k-max = \xff\n",
                                       b"gap-tol = nan\n"])
     def test_bad_config_value(self, tmp_path, text):

@@ -1,4 +1,5 @@
-"""Every module-level private name in the package is read somewhere in it."""
+"""Every module-level private name in the package is read somewhere in it,
+and every module-level import is read in its own module."""
 import ast
 from pathlib import Path
 
@@ -39,3 +40,36 @@ def test_no_unread_private_module_names():
             if name.startswith("_") and not name.startswith("__")
             and name not in read]
     assert dead == []
+
+
+def _imported(tree: ast.Module):
+    """Names bound by the module's top-level imports, __future__ aside."""
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            yield from (alias.asname or alias.name.partition(".")[0]
+                        for alias in node.names)
+        elif (isinstance(node, ast.ImportFrom)
+              and node.module != "__future__"):
+            yield from (alias.asname or alias.name for alias in node.names)
+
+
+def _exported(tree: ast.Module):
+    """The string entries of a module-level __all__."""
+    for node in tree.body:
+        if (isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "__all__"
+                        for t in node.targets)):
+            yield from ast.literal_eval(node.value)
+
+
+def test_no_unread_module_imports():
+    unread = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        loaded = {node.id for node in ast.walk(tree)
+                  if isinstance(node, ast.Name)
+                  and not isinstance(node.ctx, ast.Store)}
+        loaded.update(_exported(tree))
+        unread += [f"{path.name}:{name}" for name in _imported(tree)
+                   if name not in loaded]
+    assert unread == []
