@@ -1,22 +1,25 @@
 """Contour quadrature for the inversion, splitting, and arc transforms.
 
-Every integral here is (1/(2*pi*i)) * int g(s) e^{zs} ds over some path kept
-outside modulus 2.5, where the transform g is analytic; paths are plain
-geometry, and g refuses a node inside that floor.  Full circles use the
-periodic trapezoid rule (spectrally accurate); open arcs and segments use
-composite Gauss-Legendre panels; each refinement level doubles the nodes or
-panels.  Only e^{zs} depends on z: the nodes of a path and level, as
-stacked real rows with their Dekker heads for the doubled-precision
-exponent, g there, the path derivative and the weights form one read-only
-table, built once per process.  Levels 0 and 1, which every z needs, share
-one; a circle's levels nest, so its shared table holds level 1's nodes and
-reads level 0 as every other one.  Per z, the terms g e^{zs} ds are formed
-once over a table, and a level's are summed by math.fsum, exactly rounded,
-so its value does not depend on node order.  The rule is fixed and a
-QuadratureSpec is only a tolerance.  Each named integral runs its one
-segment through one batch engine, _integrate_batch: a scalar z is a batch
-of one, and each entry of a 1-D batch keeps its own refinement and has the
-bits of the scalar call.  A non-finite z is refused before any quadrature.
+Every integral here is (1/(2*pi*i)) * int g(s) e^{zs} ds over some path
+kept outside modulus 2.5, where the transform g is analytic; paths are
+plain geometry, and g refuses a node inside that floor.  Full circles use
+the periodic trapezoid rule (spectrally accurate); open arcs and segments
+use composite Gauss-Legendre panels.  Level 0 is sized to the path (one
+panel on the unit segment, 64 nodes on a circle, 8 panels on the arc), and
+each refinement level doubles the panels, up to the same finest level of
+131,072 nodes on every path.  Only e^{zs} depends on z: the nodes of a path
+and level, as stacked real rows with their Dekker heads for the
+doubled-precision exponent, g there, the path derivative and the weights
+form one read-only table, built once per process.  Levels 0 and 1, which
+every z needs, share one; a circle's levels nest, so its shared table holds
+level 1's nodes and reads level 0 as every other one.  Per z, the terms g
+e^{zs} ds are formed once over a table, and a level's are summed by
+math.fsum, exactly rounded, so its value does not depend on node order.
+The rule is fixed and a QuadratureSpec is only a tolerance.  Each named
+integral runs its one segment through one batch engine, _integrate_batch: a
+scalar z is a batch of one, and each entry of a 1-D batch keeps its own
+refinement and has the bits of the scalar call.  A non-finite z is refused
+before any quadrature.
 
 The named integrals (borel_inversion, u_eval, F_eval) split g into 1/s plus
 a smooth tail, and only the tail, whose oscillatory mass is ~25x smaller,
@@ -62,11 +65,11 @@ _EPS = math.ulp(1.0)
 #: circle radii accepted by borel_inversion and the CLI's --radius
 _INVERSION_RADII = (MIN_MODULUS, 8.0)
 
-#: the rule: level L = 0 .. _MAX_REFINEMENTS takes _INITIAL_PANELS * 2^L
-#: panels of _POINTS_PER_PANEL nodes, Gauss on open paths, trapezoid on circles
+#: the rule: level L of a path takes its first panel count (_FIRST_PANELS)
+#: times 2^L panels of _POINTS_PER_PANEL nodes, Gauss on open paths,
+#: trapezoid on circles, up to _FINEST_PANELS on every path
 _POINTS_PER_PANEL = 16
-_INITIAL_PANELS = 8
-_MAX_REFINEMENTS = 10
+_FINEST_PANELS = 8192
 
 #: a z whose level difference stops shrinking within this many roundoff
 #: floors has stalled: at z = -8j the arc's true error, swinging with no
@@ -156,6 +159,13 @@ class LineSegment:
         return np.full(np.shape(t), self.b - self.a)
 
 
+#: panels at level 0, sized to the path: one on the unit segment (the 1/s
+#: channel's own rule below |z| = 8, good to 3e-14 there), 4 (64 nodes) on
+#: a circle, where the trapezoid rule converges geometrically and meets
+#: 1e-10 for |z| * r up to about 16, and 8 on the arc, 22 times the segment
+_FIRST_PANELS = {LineSegment: 1, CirclePath: 4, SpiralArc: 8}
+
+
 @dataclass(frozen=True)
 class QuadratureSpec:
     """A tolerance only: refinement stops once successive levels agree to
@@ -175,8 +185,9 @@ _DEFAULT_SPEC = QuadratureSpec()
 @dataclass(frozen=True)
 class IntegralResult:
     """The value at the last level, the difference from the level before,
-    and that level; floor_limited when the difference met the roundoff
-    floor or stalled near it, not the relative tolerance."""
+    and that level, counted from the path's own first level;
+    floor_limited when the difference met the roundoff floor or stalled
+    near it, not the relative tolerance."""
 
     value: complex
     error: float
@@ -294,7 +305,8 @@ def _gauss_rule(n: int) -> tuple:
 
 #: keys (g, segment, levels) in use: 7 in a contour_solve round of the
 #: benchmark (circles of radius 3, 4, 5 and the segment at levels (0, 1), the
-#: arc at (0, 1) and 2 to 3), 4 in reproduce (radius 4, segment, arc to 2)
+#: arc at (0, 1) and 2 to 3), 8 in a round where an inversion needs circle
+#: level 2, 4 in reproduce (radius 4, segment, arc to 2)
 _TABLE_SIZE = 32
 
 
@@ -310,9 +322,10 @@ def _level_table(g_eval, seg, levels: tuple) -> tuple:
     lies on every finer level), so a circle's table holds the finest
     level's nodes alone and reads a coarser level as every 2^d-th node."""
     cuts = []
+    first = _FIRST_PANELS[type(seg)]
     if isinstance(seg, CirclePath):
         top = max(levels)
-        n = _INITIAL_PANELS * _POINTS_PER_PANEL << top
+        n = first * _POINTS_PER_PANEL << top
         t = np.arange(n) / n  # exact dyadic t for power-of-two n
         for level in levels:
             step = 1 << (top - level)
@@ -321,7 +334,7 @@ def _level_table(g_eval, seg, levels: tuple) -> tuple:
         x, w = _gauss_rule(_POINTS_PER_PANEL)
         t = []
         for level in levels:
-            panels = _INITIAL_PANELS * (1 << level)
+            panels = first << level
             width = 1.0 / panels
             half = 0.5 * width
             mid = (np.arange(panels) + 0.5) * width
@@ -389,8 +402,9 @@ def _integrate_batch(g_eval, seg, zs, spec: QuadratureSpec = None) -> list:
     err = [math.inf] * len(zs)
     active = list(range(len(zs)))
     tol, level = spec.target_rel_tol, 0
+    last = (_FINEST_PANELS // _FIRST_PANELS[type(seg)]).bit_length() - 1
     with np.errstate(over="raise", invalid="raise"):
-        while active and level <= _MAX_REFINEMENTS:
+        while active and level <= last:
             levels = (0, 1) if level == 0 else (level,)
             for values in _refinement_values(
                     g_eval, seg, [zs[i] for i in active], levels):

@@ -78,9 +78,12 @@ class ZeroLattice:
         4 ulps of 2^k (a zero's modulus is rounded), on any circle k >= 1,
         materialized or not; None where |z| is no such radius.
 
-        Every exact zero is its own nearest zero on circles 1-54.  From
-        k = 55 the rounded angle index can miss by more than the +-1 tried,
-        and some exact zeros are not recognised."""
+        Every exact zero is its own nearest zero on circles 1-60.  The
+        rounded angle index can miss by one; from k = 55, where its error
+        2^k ulp(pi) / tau passes 1 and binary64 lattice points alias, by
+        more, so a miss on circles 55-60 searches +-2 * 2^(k - 52) indices
+        (up to 1025 points, about 1.4 ms).  Beyond circle 60, where that
+        search would grow without bound, some exact zeros are missed."""
         r = abs(z)
         if not 1.0 < r < math.inf:
             return None
@@ -92,6 +95,10 @@ class ZeroLattice:
         a = self.zero(k, j)
         if a != z:  # the rounded angle index can be off by one
             a = min((a, self.zero(k, j - 1), self.zero(k, j + 1)),
+                    key=lambda b: abs(b - z))
+        if a != z and 55 <= k <= 60:
+            w = 1 << (k - 51)
+            a = min((self.zero(k, i) for i in range(j - w, j + w + 1)),
                     key=lambda b: abs(b - z))
         return k, a
 

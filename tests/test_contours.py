@@ -20,8 +20,8 @@ from expgrowth.contours import (
     NonConvergenceError,
     QuadratureSpec,
     SpiralArc,
-    _INITIAL_PANELS,
-    _MAX_REFINEMENTS,
+    _FINEST_PANELS,
+    _FIRST_PANELS,
     _POINTS_PER_PANEL,
     _SHARED_TAIL,
     _asymptotic_tail,
@@ -184,12 +184,25 @@ class TestBoundedPiece:
         (6.0, -1.2118294994814136022566932497407802e-10j),
         (8.25, -1.0462546512133320175225863023791476e-13j),
         (12.0, -9.4552749608754029628210007740453762e-19j),
+        # past |z| = 12 the segment refines beyond its one-panel level 0
+        (20.0, -2.16179217461386613326806659301997889579364414e-29j),
+        (-20.0, -1.08037826510324129173014339031084486870529999e+32j),
+        (40j, -1.96355585999742497435764665097283528028850731e-03
+         + 5.02670377962309439657484044226737574968900394e-04j),
+        (16 + 30j, -6.88014554440469585456844591395641525007582059e-26
+         + 2.08998635477994076535375453341949395751954238e-24j),
+        (-100 + 5j, -1.79560727786983063511363494315445518944428203e+170
+         - 9.13074310734484926204622995599625795973673599e+169j),
     ])
     def test_matches_mpmath(self, z, want):
         # frozen from a 50-digit mpmath quadrature (tanh-sinh and
         # Gauss-Legendre agreeing) of the series for g over [-4, -3], at
         # the binary64 z; the Taylor route of the exponential integral
-        # missed 3.6287689714046185 - 7.129658880491483j by 3.3e-2
+        # missed 3.6287689714046185 - 7.129658880491483j by 3.3e-2.  From
+        # 20 on: the 1/s part (Ei(-4z) - Ei(-3z)) / (2 pi i) by mpmath.ei,
+        # the tail g - 1/s by 48-node Gauss-Legendre on 64 and on 128
+        # subintervals at 60 digits, agreeing to 1e-61 (a plain 8-interval
+        # mp.quad is off by 5.6e-7 at z = 100)
         assert abs(u_eval(z) - want) <= 1e-13 * abs(want)
 
     def test_overflow_names_z_and_the_bound(self):
@@ -299,8 +312,8 @@ class TestRefinement:
     def test_trapezoid_geometric_decay(self):
         # a pole at distance 0.05 inside the circle: the periodic trapezoid
         # error falls like (2.45 / 2.5)^n in the node count n (Trefethen and
-        # Weideman, SIAM Review 56, 2014), from 8e-2 at level 0 to 1e-9 at
-        # level 3
+        # Weideman, SIAM Review 56, 2014), from 8e-2 at 128 nodes (level 1)
+        # to 1e-9 at 1024 (level 4)
         circ = CirclePath(2.5)
 
         def pole(s):
@@ -309,8 +322,8 @@ class TestRefinement:
         def level(n):
             return _refinement_values(pole, circ, [0.0], (n,))[0][0][0]
 
-        ref = level(6)
-        errs = [abs(level(n) - ref) for n in range(6)]
+        ref = level(7)
+        errs = [abs(level(n) - ref) for n in range(1, 7)]
         assert errs[0] > 1e-2
         for a, b in zip(errs, errs[1:]):
             if a <= 1e-12:
@@ -323,8 +336,7 @@ class TestRefinement:
         with pytest.raises(NonConvergenceError) as info:
             _integral(g_eval, CirclePath(4.0), 0.0)
         # it gives up only after the last level
-        per_level = _INITIAL_PANELS * _POINTS_PER_PANEL
-        assert sizes[-1] == per_level << _MAX_REFINEMENTS
+        assert sizes[-1] == _FINEST_PANELS * _POINTS_PER_PANEL
         err = info.value
         assert cmath.isfinite(err.value) and cmath.isfinite(err.previous)
         assert err.value != err.previous
@@ -371,8 +383,20 @@ class TestFloorStop:
         with pytest.raises(NonConvergenceError):
             _integral(g_eval, CirclePath(4.0), 0.0,
                       QuadratureSpec(target_rel_tol=1e-13))
-        assert sizes[-1] == (_INITIAL_PANELS * _POINTS_PER_PANEL
-                             << _MAX_REFINEMENTS)
+        assert sizes[-1] == _FINEST_PANELS * _POINTS_PER_PANEL
+
+
+class TestFinestLevel:
+    @pytest.mark.parametrize("path", [
+        closing_segment(), CirclePath(4.0), spiral_arc()],
+        ids=["segment", "circle", "arc"])
+    def test_every_path_refines_to_131072_nodes(self, path):
+        # the first level is sized to the path, the last is the same for
+        # all: noise 1e-8 keeps every level apart until it
+        g_eval, sizes = _counting(_noisy_exp)
+        with pytest.raises(NonConvergenceError):
+            _integral(g_eval, path, 0.5, QuadratureSpec(target_rel_tol=1e-13))
+        assert sizes[-1] == 131072
 
 
 #: the five |z| = 8 points; at tolerance 1e-13 they converge up to one
@@ -486,10 +510,11 @@ class TestLevelTable:
         for z in [0.5, 12j, -8.0, 0.5, 12j, 8.0]:
             fresh = dataclasses.replace(path)
             deepest = max(deepest, _integral(g_eval, fresh, z, spec).refinements)
-        assert deepest >= 2
         # levels (0, 1) share a table, then one table per level up to
-        # deepest; a circle's level 0 is every other node of its level 1
-        per_level = _INITIAL_PANELS * _POINTS_PER_PANEL
+        # deepest, which reaches 512 nodes; a circle's level 0 is every
+        # other node of its level 1
+        per_level = _FIRST_PANELS[type(path)] * _POINTS_PER_PANEL
+        assert per_level << deepest >= 512
         joint = 2 if isinstance(path, CirclePath) else 3
         assert sizes == [joint * per_level] + [
             per_level << level for level in range(2, deepest + 1)]
