@@ -4,17 +4,17 @@ Every integral here is (1/(2*pi*i)) * int g(s) e^{zs} ds over some path
 kept outside modulus 2.5, where the transform g is analytic; paths are
 plain geometry, and g refuses a node inside that floor.  Full circles use
 the periodic trapezoid rule (spectrally accurate); open arcs and segments
-use composite Gauss-Legendre panels.  Level 0 is sized to the path (one
-panel on the unit segment, 64 nodes on a circle, 8 panels on the arc), and
-each refinement level doubles the panels, up to the same finest level of
-131,072 nodes on every path.  Only e^{zs} depends on z: the nodes of a path
-and level, as stacked real rows with their Dekker heads for the
-doubled-precision exponent, g there, the path derivative and the weights
-form one read-only table, built once per process.  Levels 0 and 1, which
-every z needs, share one; a circle's levels nest, so its shared table holds
-level 1's nodes and reads level 0 as every other one.  Per z, the terms g
-e^{zs} ds are formed once over a table, and a level's are summed by
-math.fsum, exactly rounded, so its value does not depend on node order.
+use panels of a constant 16-point Gauss-Legendre rule.  Level 0 is sized
+to the path (one panel on the unit segment, 64 nodes on a circle, 8 panels
+on the arc), and each level doubles the panels, up to the same finest
+level of 131,072 nodes on every path.  Only e^{zs} depends on z: the nodes
+of a path and level, as stacked real rows with their Dekker heads for the
+doubled-precision exponent, and one weight per node, W = g(s) s'(t) times
+the rule's, form one read-only table, built once per process.  Levels 0
+and 1, which every z needs, share one; a circle's levels nest, so its
+shared table holds level 1's nodes and reads level 0 as every other one,
+at twice the weight.  Per z, one multiply forms the terms e^{zs} W over a
+table, and one math.fsum, exactly rounded, sums each level's.
 The rule is fixed and a QuadratureSpec is only a tolerance.  Each named
 integral runs its one segment through one batch engine, _integrate_batch: a
 scalar z is a batch of one, and each entry of a 1-D batch keeps its own
@@ -254,53 +254,31 @@ def _exp_zs(z: complex, rows: np.ndarray, heads: np.ndarray) -> np.ndarray:
     return out
 
 
-def _legval(x, c):
-    """sum_i c[i] P_i(x) by Clenshaw's recurrence, as numpy's legval does
-    it, for a float coefficient array c of length >= 2."""
-    nd = len(c)
-    c0, c1 = c[-2], c[-1]
-    for i in range(3, len(c) + 1):
-        tmp = c0
-        nd = nd - 1
-        c0 = c[-i] - c1 * ((nd - 1) / nd)
-        c1 = tmp + c1 * x * ((2 * nd - 1) / nd)
-    return c0 + c1 * x
+def _mirror(sign: float, *upper: str) -> np.ndarray:
+    """16 entries from the last 8, in hex; entry 15 - i is sign * entry i."""
+    half = np.array([float.fromhex(h) for h in upper])
+    return np.concatenate([sign * half[::-1], half])
 
 
-@lru_cache(maxsize=8)
-def _gauss_rule(n: int) -> tuple:
-    """The n-point Gauss-Legendre nodes and weights on [-1, 1], read-only.
+#: the 16-point Gauss-Legendre rule on [-1, 1], the panel rule of every
+#: open path: numpy's leggauss(16) bit for bit (odd nodes, even weights,
+#: both exactly), fixed here so that no LAPACK can move a node
+_GAUSS_X = _mirror(
+    -1.0, "0x1.852bd6676a9f9p-4", "0x1.205cae642337cp-2",
+    "0x1.d50259a43a772p-2", "0x1.3c5a466d5e8b8p-1", "0x1.82c45dda4726bp-1",
+    "0x1.bb3403514e483p-1", "0x1.e39f56616f9b0p-1", "0x1.fa92c264d787ep-1")
+_GAUSS_W = _mirror(
+    1.0, "0x1.83feae80e4e01p-3", "0x1.75f8c77e0c011p-3",
+    "0x1.5a6ebbb5a7600p-3", "0x1.325f61bca3cbep-3", "0x1.fe7af2bad3878p-4",
+    "0x1.85c4ee79cc24bp-4", "0x1.fdfb1a2c1261ep-5", "0x1.bcddab4b7c228p-6")
+_GAUSS_X.flags.writeable = _GAUSS_W.flags.writeable = False
 
-    A step-for-step copy of numpy.polynomial.legendre.leggauss, so the bits
-    are the same, but a cold run need not import numpy.polynomial for it:
-    the eigenvalues of the symmetric companion matrix of P_n, one Newton
-    step, then the weights from P_n' and P_{n-1}, symmetrised and scaled to
-    sum to 2.  Only legder's coefficients of P_n' are written in closed
-    form; they are small integers, exact either way.
-    """
-    c = np.zeros(n + 1)
-    c[-1] = 1.0
-    mat = np.zeros((n, n))
-    scl = 1. / np.sqrt(2 * np.arange(n) + 1)
-    top = mat.reshape(-1)[1::n + 1]
-    bot = mat.reshape(-1)[n::n + 1]
-    top[...] = np.arange(1, n) * scl[:n - 1] * scl[1:n]
-    bot[...] = top
-    x = np.linalg.eigvalsh(mat)
-    dy = _legval(x, c)
-    der = np.zeros(n)  # P_n' = sum of (2k + 1) P_k over k = n-1, n-3, ...
-    der[n - 1::-2] = 2.0 * np.arange(n - 1, -1, -2) + 1.0
-    df = _legval(x, der)
-    x -= dy / df
-    fm = _legval(x, c[1:])
-    fm /= np.abs(fm).max()
-    df /= np.abs(df).max()
-    w = 1 / (fm * df)
-    w = (w + w[::-1]) / 2
-    x = (x - x[::-1]) / 2
-    w *= 2. / w.sum()
-    x.flags.writeable = w.flags.writeable = False
-    return x, w
+
+def _gauss_panels(panels: int) -> tuple:
+    """Nodes t and weights of that many Gauss panels on [0, 1]."""
+    half = 0.5 / panels
+    t = (np.arange(panels) + 0.5)[:, None] / panels + half * _GAUSS_X
+    return t.ravel(), np.tile(_GAUSS_W * half, panels)
 
 
 #: keys (g, segment, levels) in use: 7 in a contour_solve round of the
@@ -315,65 +293,61 @@ def _level_table(g_eval, seg, levels: tuple) -> tuple:
     """The z-independent half of a pass, read-only so no caller can change
     what the next z reads: for the nodes s of levels on seg, the (2, 2, n)
     view rows = [[s.imag, s.real], [s.real, -s.imag]] and the same view of
-    its Dekker heads, g_eval(s), the path derivative at s, and per level its
-    (index into the nodes, weights).  The complex s itself is not kept.
+    its Dekker heads, one complex weight g(s) s'(t) w per node, with w the
+    rule's weight, and per level its (index into the nodes, scale).  The
+    complex s itself is not kept.
 
-    Open paths join each level's Gauss nodes.  Circle levels nest (t = j/n
-    lies on every finer level), so a circle's table holds the finest
-    level's nodes alone and reads a coarser level as every 2^d-th node."""
-    cuts = []
+    Open paths join each level's Gauss nodes, at scale 1.  Circle levels
+    nest (t = j/n lies on every finer level), so a circle's table holds the
+    finest level's n nodes alone, weighted 1/n, and reads a coarser level
+    as every 2^d-th node at scale 2^d, which is exact."""
     first = _FIRST_PANELS[type(seg)]
     if isinstance(seg, CirclePath):
         top = max(levels)
         n = first * _POINTS_PER_PANEL << top
         t = np.arange(n) / n  # exact dyadic t for power-of-two n
-        for level in levels:
-            step = 1 << (top - level)
-            cuts.append((slice(None, None, step), step / n))
+        w = 1.0 / n
+        steps = [1 << top - level for level in levels]
+        cuts = [(slice(None, None, step), float(step)) for step in steps]
     else:
-        x, w = _gauss_rule(_POINTS_PER_PANEL)
-        t = []
-        for level in levels:
-            panels = first << level
-            width = 1.0 / panels
-            half = 0.5 * width
-            mid = (np.arange(panels) + 0.5) * width
-            t.append((mid[:, None] + half * x).ravel())
-            weights = np.tile(w * half, panels)
-            weights.flags.writeable = False
-            start = cuts[-1][0].stop if cuts else 0
-            cuts.append((slice(start, start + t[-1].size), weights))
-        t = np.concatenate(t)
-    s, dpoint = seg.point(t), seg.dpoint(t)
-    g = np.broadcast_to(g_eval(s), s.shape)
+        t, w = zip(*(_gauss_panels(first << level) for level in levels))
+        stops = np.cumsum([a.size for a in t]).tolist()
+        cuts = [(slice(stop - a.size, stop), 1.0) for a, stop in zip(t, stops)]
+        t, w = np.concatenate(t), np.concatenate(w)
+    s = seg.point(t)
+    weights = g_eval(s) * seg.dpoint(t) * w
     rows = np.stack([s.imag, s.real, -s.imag])
     # views [a[0:2], a[1:3]], overlapping: with the tails formed per z, s and
     # its heads take 6 floats a node, as the complex s and its split did
     shape, strides = (2, 2, s.size), (rows.strides[0],) + rows.strides
     pairs = [as_strided(a, shape, strides, writeable=False)
              for a in (rows, _split(rows)[0])]
-    dpoint.flags.writeable = False
-    return (*pairs, g, dpoint, tuple(cuts))
+    weights.flags.writeable = False
+    return (*pairs, weights, tuple(cuts))
 
 
 def _refinement_values(g_eval, seg, zs, levels: tuple) -> list:
     """The rule at each of levels for every z of zs: per level, a list of
-    (value, absolute mass sum |term| / tau).  Only e^{zs} and the terms
-    g e^{zs} dpoint are formed per z, once over the table's nodes; the rest
-    comes from the segment's _level_table."""
-    rows, heads, g, dpoint, cuts = _level_table(g_eval, seg, levels)
+    (value, absolute mass sum |term| / tau).  Per z, one multiply forms the
+    terms e^{zs} W over the nodes of the segment's _level_table, and one
+    fsum sums each level's.  An overflow's FloatingPointError names z."""
+    rows, heads, weights, cuts = _level_table(g_eval, seg, levels)
     values = [[] for _ in cuts]
     for z in zs:
-        terms = g * _exp_zs(z, rows, heads) * dpoint
-        for level, (index, weights) in zip(values, cuts):
-            level.append(_value_and_mass(terms[index] * weights))
+        try:
+            terms = _exp_zs(z, rows, heads) * weights
+            for level, (index, scale) in zip(values, cuts):
+                level.append(_value_and_mass(terms[index], scale))
+        except FloatingPointError as exc:
+            raise FloatingPointError(
+                f"g(s) e^(zs) at z = {z!r} on {seg!r}: {exc}") from None
     return values
 
 
-def _value_and_mass(part: np.ndarray) -> tuple:
-    total = complex(math.fsum(memoryview(part.real)),
-                    math.fsum(memoryview(part.imag)))
-    return total / (1j * TAU), float(np.abs(part).sum()) / TAU
+def _value_and_mass(part: np.ndarray, scale: float = 1.0) -> tuple:
+    total = complex(math.fsum(memoryview(part.real)) * scale,
+                    math.fsum(memoryview(part.imag)) * scale)
+    return total / (1j * TAU), float(np.abs(part).sum()) * scale / TAU
 
 
 def _integrate_batch(g_eval, seg, zs, spec: QuadratureSpec = None) -> list:
@@ -485,10 +459,9 @@ def _asymptotic_tail(w: complex) -> complex:
 @lru_cache(maxsize=2)
 def _channel_panels(panels: int) -> tuple:
     """Nodes s of that many Gauss panels on [-3, -4], weights * ds/s."""
-    x, w = _gauss_rule(_POINTS_PER_PANEL)
-    half = 0.5 / panels
-    s = -3.0 - ((np.arange(panels) + 0.5)[:, None] / panels + half * x).ravel()
-    weights = np.tile(w * half, panels) / -s  # ds = -dt
+    t, w = _gauss_panels(panels)
+    s = -3.0 - t
+    weights = w / -s  # ds = -dt
     s.flags.writeable = weights.flags.writeable = False
     return s, weights
 

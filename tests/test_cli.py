@@ -351,6 +351,19 @@ class TestExitCodes:
         assert err == ("numeric failure: u(z) at z = (-200+0j) leaves "
                        "binary64: e^(-4z) overflows once Re z < -177.4\n")
 
+    @pytest.mark.parametrize("argv, where", [
+        (("--z", "200"), "(200+0j) on CirclePath(radius=4.0)"),
+        (("--z", "-180"), "(-180+0j) on CirclePath(radius=4.0)"),
+        (("--z", "1e6", "--radius", "2.5"),
+         "(1000000+0j) on CirclePath(radius=2.5)"),
+    ], ids=["200", "-180", "1e6-radius-2.5"])
+    def test_inversion_overflow_names_z_and_the_circle(self, argv, where):
+        code, out, err = run("borel", "invert", *argv)
+        assert code == EXIT_NUMERIC
+        assert out == "" and "Traceback" not in err
+        assert err == (f"numeric failure: g(s) e^(zs) at z = {where}: "
+                       "overflow encountered in exp\n")
+
     @pytest.mark.parametrize("text", [b"k-max = abc\n", b"k-max = \xff\n",
                                       b"gap-tol = nan\n"])
     def test_bad_config_value(self, tmp_path, text):

@@ -22,11 +22,12 @@ from expgrowth.contours import (
     SpiralArc,
     _FINEST_PANELS,
     _FIRST_PANELS,
+    _GAUSS_W,
+    _GAUSS_X,
     _POINTS_PER_PANEL,
     _SHARED_TAIL,
     _asymptotic_tail,
     _exp_zs,
-    _gauss_rule,
     _integrate_batch,
     _level_table,
     _refinement_values,
@@ -464,7 +465,10 @@ class TestBatch:
         assert u_eval(np.array([], dtype=complex)).shape == (0,)
 
     def test_overflow_stops_the_batch(self):
-        with pytest.raises(FloatingPointError):
+        # the message names the z that overflowed and the path
+        with pytest.raises(FloatingPointError, match=(
+                r"at z = \(200\+0j\) on CirclePath\(radius=4\.0\): "
+                "overflow encountered in exp")):
             borel_inversion(np.array([1.0, 200.0]))
 
     def test_non_convergence_stops_the_batch(self):
@@ -556,14 +560,38 @@ class TestLevelTable:
                                      closing_segment()],
                              ids=["circle", "arc", "segment"])
     def test_arrays_are_read_only(self, seg):
-        rows, heads, g, dpoint, cuts = _level_table(
+        rows, heads, weights, cuts = _level_table(
             _SHARED_TAIL.at, seg, (0, 1))
-        arrays = [rows, heads, g, dpoint] + [
-            w for _, w in cuts if isinstance(w, np.ndarray)]
-        assert len(arrays) == (4 if isinstance(seg, CirclePath) else 6)
-        for array in arrays:
+        assert len(cuts) == 2 and all(
+            type(scale) is float for _, scale in cuts)
+        for array in (rows, heads, weights):
             with pytest.raises(ValueError):
                 array[0] = 0.0
+
+    @pytest.mark.parametrize("seg", [CirclePath(3.0), spiral_arc(),
+                                     closing_segment()],
+                             ids=["circle", "arc", "segment"])
+    def test_weights_integrate_constants_at_every_level(self, seg):
+        # at z = 0 the weights alone sum: g = 1/s gives the residue 1 on a
+        # circle, g = 1 gives (end - start) / (2 pi i) on an open path; a
+        # circle's coarser levels read the finest one's weights, scaled
+        if isinstance(seg, CirclePath):
+            g_eval, want = _reciprocal, 1.0
+        else:
+            g_eval = _one
+            want = (seg.point(1.0) - seg.point(0.0)) / (2j * math.pi)
+        last = (_FINEST_PANELS // _FIRST_PANELS[type(seg)]).bit_length() - 1
+        for levels in [(0, 1)] + [(level,) for level in range(2, last + 1)]:
+            for [(value, _)] in _refinement_values(g_eval, seg, [0.0], levels):
+                assert abs(value - want) <= 4e-15, levels
+
+
+def _reciprocal(s):
+    return 1.0 / s
+
+
+def _one(s):
+    return np.ones(s.shape)
 
 
 class TestExponent:
@@ -595,32 +623,31 @@ class TestExponent:
 
 class TestGaussRule:
     def test_within_two_ulps_of_numpy(self):
+        # bit for bit numpy 2.4.6's leggauss(16); other numpy builds may
+        # differ from it in the last bits
         from numpy.polynomial.legendre import leggauss
-        for n in range(2, 65):
-            for ours, theirs in zip(_gauss_rule(n), leggauss(n)):
-                assert ours.shape == (n,)
-                assert np.all(np.abs(ours - theirs)
-                              <= 2.0 * np.spacing(np.abs(theirs))), n
+        for ours, theirs in zip((_GAUSS_X, _GAUSS_W), leggauss(16)):
+            assert ours.shape == (_POINTS_PER_PANEL,)
+            assert np.all(np.abs(ours - theirs)
+                          <= 2.0 * np.spacing(np.abs(theirs)))
 
-    @pytest.mark.parametrize("n", [2, 3, 4, 8, 16, 32])
-    def test_integrates_monomials_exactly(self, n):
-        # numpy's own rule misses by up to 1.3e-15 (n = 32, k = 6): a few
-        # ulps in the weights, not in the sum, which fsum rounds once
-        x, w = _gauss_rule(n)
-        for k in range(2 * n):
+    def test_integrates_monomials_exactly(self):
+        # a few ulps in the weights, not in the sum, which fsum rounds once
+        for k in range(2 * _POINTS_PER_PANEL):
             exact = 2.0 / (k + 1) if k % 2 == 0 else 0.0
-            assert abs(math.fsum((w * x ** k).tolist()) - exact) <= 2e-15, k
+            assert abs(math.fsum((_GAUSS_W * _GAUSS_X ** k).tolist())
+                       - exact) <= 2e-15, k
 
     def test_arrays_are_read_only(self):
-        for array in _gauss_rule(5):
+        for array in (_GAUSS_X, _GAUSS_W):
             with pytest.raises(ValueError):
                 array[0] = 0.0
 
     def test_default_rule_bytes_are_pinned(self):
         # sha256 of numpy 2.4.6's leggauss(16), the panel rule of every open
-        # path: no numpy version may move the quadrature's bits
-        x, w = _gauss_rule(_POINTS_PER_PANEL)
-        assert hashlib.sha256(x.tobytes() + w.tobytes()).hexdigest() == (
+        # path, which the constant reproduces on every platform
+        assert hashlib.sha256(_GAUSS_X.tobytes() + _GAUSS_W.tobytes()
+                              ).hexdigest() == (
             "cfbec389e51be570a7c11d417e51ddf7452b650090e96ceae2c5a91a93020864")
 
     def test_named_integrals_import_no_numpy_submodule(self):
