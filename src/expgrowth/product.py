@@ -10,17 +10,19 @@ i arg f as a complex array for a whole array of z, and log_abs_f its real
 part alone, bit for bit; eval_log_f is a call of the one, profile_on and
 max_modulus of the other.  Both skip the full factor on deep circles, where
 (|z|/2^k)^{2^k} >= e^40: there the factor's log modulus is exactly
-2^k log(|z|/2^k), and log_abs_f spends nothing else on them.  A block
-forms the angle terms once per distinct phase (a ray's share a few).  A
-single point below |z| = 100, where no circle is deep, skips the block
-scaffolding and runs the same factor formula on its circles as one column,
-so a one-point call costs one point and keeps the bits it has in any batch.
+2^k log(|z|/2^k), and log_abs_f spends nothing else on them.  The angle
+terms are formed once per distinct phase: once per call when it has fewer
+of them than blocks (a ray's few), else once per block.  A single point
+below |z| = 100, where no circle is deep, skips the block scaffolding and
+runs the same factor formula on its circles as one column, so a one-point
+call costs one point and keeps the bits it has in any batch.
 """
 from __future__ import annotations
 
 import cmath
 import math
 from dataclasses import dataclass, field
+from functools import partial
 from itertools import repeat
 
 import numpy as np
@@ -87,9 +89,8 @@ _TAIL_MARGIN = 6
 #: largest |z| whose cutoff circle is at most _MAX_CUTOFF: f's domain
 _MAX_RADIUS = math.ldexp(1.0, _MAX_CUTOFF - 2 - _TAIL_MARGIN)
 
-#: circle indices k and their exact powers n = 2^k, up to _MAX_CUTOFF
-_KS = np.arange(1, _MAX_CUTOFF + 1)[:, None]
-_POW2 = np.ldexp(1.0, _KS)
+#: the exact powers n = 2^k of circles k = 1 .. _MAX_CUTOFF, as a column
+_POW2 = np.ldexp(1.0, np.arange(1, _MAX_CUTOFF + 1))[:, None]
 
 
 #: x = n log(|z|/n) from which a circle is deep: e^{-x} < 2^-54, so its
@@ -135,7 +136,8 @@ def _phases(phi):
     from (circles x phases) to (circles x points): one phase stays a column,
     which broadcasts, and all distinct stay as they are; otherwise they are
     gathered with take, which keeps the C order _sum_rows needs (a fancy
-    index [:, inv] gives F order)."""
+    index [:, inv] gives F order), and spread(a, at) gathers the points at
+    (a slice or an index array) alone."""
     keys = np.sort(phi.view(np.int64))
     new = keys[1:] != keys[:-1]
     count = 1 + np.count_nonzero(new)
@@ -143,7 +145,7 @@ def _phases(phi):
         return phi[:count], lambda a: a
     keys = np.concatenate((keys[:1], keys[1:][new]))
     inv = np.searchsorted(keys, phi.view(np.int64))
-    return keys.view(float), lambda a: a.take(inv, axis=1)
+    return keys.view(float), lambda a, at=slice(None): a.take(inv[at], axis=1)
 
 
 def _sum_rows(x):
@@ -164,9 +166,11 @@ def _arg(half):
     return np.where(t == -math.pi, math.pi, t)
 
 
-def _log_f_block(radii, phi, cutoffs, with_arg):
+def _log_f_block(radii, phi, cutoffs, with_arg, terms=None):
     """log|f| and arg f (or None) for one block of points; see
-    ProductEvaluator.log_f."""
+    ProductEvaluator.log_f.  terms, if given, are the call's angle terms y,
+    sin(y/2) and sin(y) on circles 1..K of its largest cutoff, one column
+    per phase, and the map from those columns to the block's points."""
     # w^n = e^{x+iy} for w = z/n, x = n log(|z|/n): dividing |z| by n is
     # exact, so the huge power loses no accuracy to the base.  A circle with
     # x < -750 is dead: e^x is 0 and expm1(-|x|) is -1, so its factor is
@@ -174,34 +178,43 @@ def _log_f_block(radii, phi, cutoffs, with_arg):
     # turns, which changes no sum and no reduced argument.  x falls for good
     # once 2^k > |z| and grows with |z|, so the circles dead at the block's
     # largest radius are a suffix dead at every point and are cut (circle 1
-    # stays, so no sum is empty).  Circles past a point's own cutoff get
-    # x = -inf, which makes their factor exactly 1 (a block spanning less
-    # than a factor 2^6 in |z|, as a sorted ray's do, has none live)
+    # stays, so no sum is empty).  Circles past a point's own cutoff are
+    # dead at it too: there 2^k >= 512 max(|z|, 1) (see _cutoffs), so
+    # x <= 512 log(1/512) < -3194, and they need no mask
     r_top = radii.max()
     n = _POW2[:int(cutoffs.max())]
     n = n[:max(1, int(np.count_nonzero(np.log(r_top / n) * n > -750.0)))]
     x = np.log(radii / n) * n
-    if cutoffs.min() < n.size:
-        x = np.where(_KS[:n.size] <= cutoffs, x, -math.inf)
     # at a deep point expm1(-x) is -1 and exp(min(x, 0)) is 1, so _factor
     # gives log|1 - e^{x+iy}| = x + log|2 sin^2(y/2) - 1 - i sin y|, whose
     # second term (under 1e-15) is below half an ulp of x: the log modulus
     # is x bit for bit, and the argument is y + pi.  _factor runs only on
     # the circles with a point below _DEEP, on views while that is every
-    # circle
-    some_deep = r_top >= _DEEP_RADIUS and x.max() >= _DEEP
+    # circle.  x rises with |z| on every circle, so for the modulus alone
+    # the block's largest point says whether any circle is deep and its
+    # smallest which are deep at every point (a row misjudged within ulps
+    # of _DEEP keeps its bits, as the full formula gives x there too); an
+    # argument is taken per point, from the whole mask
+    some_deep = r_top >= _DEEP_RADIUS and (
+        x if with_arg else x[:, radii.argmax()]).max() >= _DEEP
     every = True
     if some_deep:
-        deep = x >= _DEEP
-        shallow = ~deep.all(axis=1)
+        if with_arg:
+            deep = x >= _DEEP
+            shallow = ~deep.all(axis=1)
+        else:
+            shallow = x[:, radii.argmin()] < _DEEP
         every = shallow.all()
     rows = slice(None) if every else np.flatnonzero(shallow)
-    # the angle terms are formed once per phase (a ray's block has a few)
-    phases, spread = _phases(phi)
-    y = _reduce(phases, n if with_arg else n[rows])
-    y_rows = y[rows] if with_arg else y
-    log_mod, half = _factor(x[rows], spread(np.sin(0.5 * y_rows)),
-                            spread(np.sin(y_rows)), with_arg)
+    if terms is None:
+        phases, spread = _phases(phi)
+        y = _reduce(phases, n if with_arg else n[rows])
+        y_rows = y[rows] if with_arg else y
+        s, sin_y = np.sin(0.5 * y_rows), np.sin(y_rows)
+    else:
+        y, s, sin_y, spread = terms
+        y, s, sin_y = y[:n.size], s[:n.size][rows], sin_y[:n.size][rows]
+    log_mod, half = _factor(x[rows], spread(s), spread(sin_y), with_arg)
     if not every:
         x[rows] = log_mod
     # circles are added in the order k = 1, 2, ... whatever the block's
@@ -293,7 +306,7 @@ class ProductEvaluator:
             if zs.size == 1 and radii[0] < _DEEP_RADIUS:
                 # one point below _DEEP_RADIUS: no circle is deep or past
                 # the cutoff, so circles 1..K run _factor as one column with
-                # no mask or test.  The dead circles a block would cut have
+                # no deep test.  The dead circles a block would cut have
                 # factors exactly 1, so the bits are the block's.  One frexp
                 # gives the cutoff (as _cutoffs) and the near-dyadic test
                 frac, e = math.frexp(radii[0])
@@ -319,12 +332,25 @@ class ProductEvaluator:
                 if zs.size > _BLOCK and np.any(radii[1:] < radii[:-1]):
                     order = np.argsort(radii, kind="stable")
                 # near-equal blocks of at most _BLOCK points (ceil divisions)
-                step = -(-zs.size // max(1, -(-zs.size // _BLOCK))) or 1
+                blocks = max(1, -(-zs.size // _BLOCK))
+                step = -(-zs.size // blocks) or 1
+                # a call with fewer distinct phases than blocks (a ray has
+                # one to a few) forms the angle terms once, on the circles
+                # of its largest cutoff; each block takes its rows and
+                # points.  Any other call forms them block by block
+                terms = None
+                if blocks > 1:
+                    phases, spread = _phases(phi)
+                    if phases.size < blocks:
+                        y = _reduce(phases, _POW2[:int(cutoffs.max())])
+                        terms = y, np.sin(0.5 * y), np.sin(y)
                 for lo in range(0, zs.size, step):
                     rows = (slice(lo, lo + step) if order is None
                             else order[lo:lo + step])
                     mag[rows], arg = _log_f_block(
-                        radii[rows], phi[rows], cutoffs[rows], with_arg)
+                        radii[rows], phi[rows], cutoffs[rows], with_arg,
+                        terms and (*terms, spread if phases.size == 1
+                                   else partial(spread, at=rows)))
                     if with_arg:
                         out.imag[rows] = arg
                 # the scalar membership test runs only on points within a
