@@ -163,6 +163,17 @@ class TestBoundedPiece:
         for x in (12.0, 16.0, 1000.0, 2048.0):
             assert abs(u_eval(x)) <= u_decay_bound(x)
 
+    def test_decay_bound_on_the_half_plane(self):
+        # |e^{zs}| <= e^{-3 Re z} on the segment and (1/2 pi) int |g| over
+        # [-4, -3] is at most 0.0478, so the bound holds on all of
+        # Re z >= 0: a grid with Re z in [0, 12] and |z| <= 40, whose
+        # largest ratio is 0.873, at z = 0
+        x, y = np.meshgrid(np.arange(0.0, 12.01, 0.25), np.arange(-40.0, 40.01, 0.5))
+        zs = (x + 1j * y).ravel()
+        zs = zs[np.abs(zs) <= 40.0]
+        ratio = np.abs(u_eval(zs)) / [u_decay_bound(z.real) for z in zs]
+        assert zs.size > 7000 and ratio.max() == ratio[zs == 0][0] < 0.874
+
     def test_positive_axis_oracle(self):
         # 40-digit mpmath quadrature of the series for g over [-4, -3];
         # measured worst 6.1e-16 relative

@@ -478,6 +478,60 @@ class TestCircleSum:
                     assert parts.tobytes() == whole.tobytes(), size
 
 
+class TestBlockShortcuts:
+    def test_one_unsorted_block_matches_one_point_calls(self, ev):
+        # one unsorted block with |z| from 2^-40 to 2^500: its small points'
+        # cutoffs fall far below the circles live at its largest, and those
+        # circles, with no mask, must leave every point its own bits
+        rng = np.random.default_rng(29)
+        mods = np.exp2(rng.uniform(-40.0, 500.0, product._BLOCK))
+        mods[:2] = 2.0**-40, 2.0**500
+        zs = mods * cis(rng.uniform(-4, 4, mods.size))
+        zs[1::5] = mods[1::5] * np.resize([1, 1j, -1, -1j], zs[1::5].size)
+        zs[::31] = [ev.lattice.zero(k % 20 + 1, 5 * k + 1)
+                    for k in range(zs[::31].size)]
+        radii = np.abs(zs)
+        assert np.any(np.diff(radii) < 0)
+        n = product._POW2[:ev.cutoff(radii.max()), 0]
+        live = np.count_nonzero(np.log(radii.max() / n) * n > -750.0)
+        assert np.count_nonzero(ev._cutoffs(radii) < live) > 100
+        for method in (ev.log_f, ev.log_abs_f):
+            one = np.concatenate([method(zs[i:i + 1]) for i in range(zs.size)])
+            assert method(zs).tobytes() == one.tobytes()
+        assert np.all(ev.log_abs_f(zs[::31]) == -math.inf)
+
+    def test_circles_past_the_cutoff_are_dead(self, ev):
+        # past its cutoff a point has 2^k >= 512 max(|z|, 1), so
+        # x = 2^k log(|z|/2^k) <= 512 log(1/512) < -3194: the factor is
+        # exactly 1, as at any x < -750, at, below and above every 2^k (on
+        # the largest circles x overflows to -inf)
+        radii = np.exp2(np.arange(-40.0, 1001.0))
+        radii = np.concatenate([radii, np.nextafter(radii, 0.0),
+                                np.nextafter(radii, math.inf)])
+        for r in radii:
+            n = product._POW2[ev.cutoff(r):, 0]
+            with np.errstate(over="ignore"):
+                assert n.size and np.max(np.log(r / n) * n) < -3194.0
+
+    @pytest.mark.parametrize("count", [5, 3])
+    def test_multi_block_calls_match_one_point_calls(self, ev, count):
+        # 1537 points run as five blocks: with five distinct phases each
+        # block forms its own angle terms, with three the call forms them
+        # once and each block gathers its points' columns.  The moduli are
+        # shuffled, so blocks take their points in order of |z|, and reach
+        # 2^60, where circles are deep; the phases are those of the axes
+        # and the diagonals, which arctan2 gives exactly at any modulus
+        rng = np.random.default_rng(31 + count)
+        mods = np.exp2(rng.uniform(-3.0, 60.0, 1537))
+        directions = np.array([1 + 1j, -1j, -1 + 1j, 1, 1j])[:count]
+        zs = mods * np.resize(directions, mods.size)
+        phases = product._phases(np.angle(zs))[0]
+        assert phases.size == count and -(-zs.size // product._BLOCK) == 5
+        for method in (ev.log_f, ev.log_abs_f):
+            one = np.concatenate([method(zs[i:i + 1]) for i in range(zs.size)])
+            assert method(zs).tobytes() == one.tobytes()
+
+
 class TestDirectOracle:
     def test_matches_three_circle_identity(self, ev):
         want = (

@@ -12,6 +12,12 @@ host (nproc, CPU, Python, numpy) from the runs' `env` lines, the median
 probe loop from their `wall clock` lines, the median and quartiles of every
 end-to-end metric, and every run's values.  A run that fails, reports
 "correct": false or names no git commit stops the recording.
+
+After each file, one line per end-to-end metric gives the gain rule of the
+last side against the first: each side's median [q1-q3], the pairs (runs of
+one seed) the last side won by the metric's `better` and the ties, and
+whether the gap between the medians, in the better direction, exceeds the
+first side's quartile spread q3 - q1.
 """
 from __future__ import annotations
 
@@ -56,6 +62,36 @@ def run_once(checkout, workload, seed, seconds):
 def quartiles(values):
     q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
     return {"median": median, "q1": q1, "q3": q3}
+
+
+def gain(better, first, last):
+    """The gain rule for one metric, from the values of two sides' runs
+    paired by position: each side's quartiles, the pairs the last side won
+    (lower or higher values, as better says) and the ties, the gap between
+    the medians in the better direction, and whether it exceeds the first
+    side's quartile spread."""
+    if better not in ("lower", "higher") or len(first) != len(last):
+        raise ValueError("need better lower or higher and paired runs")
+    lower = better == "lower"
+    a, b = quartiles(first), quartiles(last)
+    gap = a["median"] - b["median"] if lower else b["median"] - a["median"]
+    return {"first": a, "last": b, "pairs": len(first),
+            "won": sum(x > y if lower else x < y for x, y in zip(first, last)),
+            "ties": sum(x == y for x, y in zip(first, last)),
+            "gap": gap, "clears_spread": gap > a["q3"] - a["q1"]}
+
+
+def gain_line(name, labels, rule):
+    """gain()'s verdict on one metric as one line of text."""
+    first, last = labels
+    return ("%s: %s %.6g [%.6g-%.6g] -> %s %.6g [%.6g-%.6g]; %s won %d of %d "
+            "pairs, %d ties; median gap %.4g %s %s's spread %.4g"
+            % (name, first, rule["first"]["median"], rule["first"]["q1"],
+               rule["first"]["q3"], last, rule["last"]["median"],
+               rule["last"]["q1"], rule["last"]["q3"], last, rule["won"],
+               rule["pairs"], rule["ties"], rule["gap"],
+               ">" if rule["clears_spread"] else "<=", first,
+               rule["first"]["q3"] - rule["first"]["q1"]))
 
 
 def summarize(label, runs):
@@ -104,6 +140,14 @@ def main(argv=None):
             "sides": [summarize(label, runs[label]) for label, _ in sides],
         }, indent=2) + "\n")
         print("wrote %s" % path)
+        if len(sides) > 1:
+            labels = sides[0][0], sides[-1][0]
+            for metric in spec["end_to_end"]:
+                name = metric["name"]
+                rule = gain(metric["better"],
+                            *([values[name] for _, _, _, values in runs[label]]
+                              for label in labels))
+                print(gain_line(name, labels, rule))
     return 0
 
 
