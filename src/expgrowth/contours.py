@@ -16,10 +16,9 @@ shared table holds level 1's nodes and reads level 0 as every other one,
 at twice the weight.  Per z, one multiply forms the terms e^{zs} W over a
 table, and one math.fsum, exactly rounded, sums each level's.
 The rule is fixed and a QuadratureSpec is only a tolerance.  Each named
-integral runs its one segment through one batch engine, _integrate_batch: a
-scalar z is a batch of one, and each entry of a 1-D batch keeps its own
-refinement and has the bits of the scalar call.  A non-finite z is refused
-before any quadrature.
+integral runs its one segment through one engine, _integrate, one z at a
+time: each entry of a 1-D batch is the scalar call, bit for bit, and reads
+the same cached tables.  A non-finite z is refused before any quadrature.
 
 The named integrals (borel_inversion, u_eval, F_eval) split g into 1/s plus
 a smooth tail, and only the tail, whose oscillatory mass is ~25x smaller,
@@ -329,22 +328,18 @@ def _level_table(g_eval, seg, levels: tuple) -> tuple:
     return (*pairs, weights, tuple(cuts))
 
 
-def _refinement_values(g_eval, seg, zs, levels: tuple) -> list:
-    """The rule at each of levels for every z of zs: per level, a list of
-    (value, absolute mass sum |term| / tau).  Per z, one multiply forms the
-    terms e^{zs} W over the nodes of the segment's _level_table, and one
-    fsum sums each level's.  An overflow's FloatingPointError names z."""
+def _refinement_values(g_eval, seg, z: complex, levels: tuple) -> list:
+    """The rule at each of levels for z: per level, (value, absolute mass
+    sum |term| / tau).  One multiply forms the terms e^{zs} W over the nodes
+    of the segment's _level_table, and one fsum sums each level's.  An
+    overflow's FloatingPointError names z."""
     rows, heads, weights, cuts = _level_table(g_eval, seg, levels)
-    values = [[] for _ in cuts]
-    for z in zs:
-        try:
-            terms = _exp_zs(z, rows, heads) * weights
-            for level, (index, scale) in zip(values, cuts):
-                level.append(_value_and_mass(terms[index], scale))
-        except FloatingPointError as exc:
-            raise FloatingPointError(
-                f"g(s) e^(zs) at z = {z!r} on {seg!r}: {exc}") from None
-    return values
+    try:
+        terms = _exp_zs(z, rows, heads) * weights
+        return [_value_and_mass(terms[index], scale) for index, scale in cuts]
+    except FloatingPointError as exc:
+        raise FloatingPointError(
+            f"g(s) e^(zs) at z = {z!r} on {seg!r}: {exc}") from None
 
 
 def _value_and_mass(part: np.ndarray, scale: float = 1.0) -> tuple:
@@ -353,60 +348,42 @@ def _value_and_mass(part: np.ndarray, scale: float = 1.0) -> tuple:
     return total / (1j * TAU), float(np.abs(part).sum()) * scale / TAU
 
 
-def _integrate_batch(g_eval, seg, zs, spec: QuadratureSpec = None) -> list:
-    """(1/(2*pi*i)) * int_seg g(s) e^{zs} ds for every z of zs, one
-    IntegralResult each.
+def _integrate(g_eval, seg, z: complex,
+               spec: QuadratureSpec = None) -> IntegralResult:
+    """(1/(2*pi*i)) * int_seg g(s) e^{zs} ds at z.
 
     g_eval maps an array of nodes s to g(s); it must be pure and hashable,
     as its values on a segment and level serve every z for the process.
     Levels 0 and 1, which every z needs, share one table; each later level
-    has its own, for every z still refining.  A z leaves the batch with the
-    value of level L once d_L = |v_L - v_{L-1}| meets the tolerance
-    tol * |v_L| or the roundoff floor 4 * eps * mass_L, or, from level 2,
-    once d_L >= d_{L-1} and d_L <= _STALL floors: the differences have
-    stalled at roundoff.  floor_limited is set when the floor or the stall
-    stopped it, not the tolerance.  Its bits are those of a batch of one.
-    A z whose differences stall far above the floor raises
+    has its own.  The value of level L is returned once
+    d_L = |v_L - v_{L-1}| meets the tolerance tol * |v_L| or the roundoff
+    floor 4 * eps * mass_L, or, from level 2, once d_L >= d_{L-1} and
+    d_L <= _STALL floors: the differences have stalled at roundoff.
+    floor_limited is set when the floor or the stall stopped it, not the
+    tolerance.  Differences that stall far above the floor raise
     NonConvergenceError after the last level; an overflowing integrand
-    raises FloatingPointError (an ArithmeticError) at once.
+    raises FloatingPointError (an ArithmeticError) at once.  A 1-D batch
+    runs its z one at a time, so it raises the error of its first failing
+    z, in order.
     """
-    if spec is None:
-        spec = _DEFAULT_SPEC
-    zs = [complex(z) for z in zs]
-    results = [None] * len(zs)
-    prev = [None] * len(zs)
-    older = [None] * len(zs)
-    err = [math.inf] * len(zs)
-    active = list(range(len(zs)))
-    tol, level = spec.target_rel_tol, 0
+    tol = (spec or _DEFAULT_SPEC).target_rel_tol
     last = (_FINEST_PANELS // _FIRST_PANELS[type(seg)]).bit_length() - 1
+    prev = older = None
+    err = math.inf  # the last difference, inf before level 2
     with np.errstate(over="raise", invalid="raise"):
-        while active and level <= last:
-            levels = (0, 1) if level == 0 else (level,)
-            for values in _refinement_values(
-                    g_eval, seg, [zs[i] for i in active], levels):
-                refining = []
-                for i, (value, mass) in zip(active, values):
-                    if prev[i] is not None:
-                        diff = abs(value - prev[i])
-                        target = tol * abs(value)
-                        floor = 4.0 * _EPS * mass
-                        # err[i] is the last difference, inf before level 2
-                        stalled = err[i] <= diff <= _STALL * floor
-                        err[i] = diff
-                        if diff <= max(target, floor) or stalled:
-                            results[i] = IntegralResult(
-                                value, diff, level, diff > target)
-                            continue
-                    older[i] = prev[i]
-                    prev[i] = value
-                    refining.append(i)
-                active = refining
-                level += 1
-    if active:
-        i = active[0]
-        raise NonConvergenceError(prev[i], older[i], err[i])
-    return results
+        for levels in [(0, 1)] + [(level,) for level in range(2, last + 1)]:
+            values = _refinement_values(g_eval, seg, z, levels)
+            for level, (value, mass) in zip(levels, values):
+                if level:
+                    diff = abs(value - prev)
+                    target = tol * abs(value)
+                    floor = 4.0 * _EPS * mass
+                    stalled = err <= diff <= _STALL * floor
+                    err = diff
+                    if diff <= max(target, floor) or stalled:
+                        return IntegralResult(value, diff, level, diff > target)
+                older, prev = prev, value
+    raise NonConvergenceError(prev, older, err)
 
 
 # ---------------------------------------------------------------------------
@@ -494,11 +471,13 @@ def _F_channel(z: complex) -> complex:
 
 def _tail_plus_channel(seg, z, spec: QuadratureSpec, channel,
                        cap: float = math.inf):
-    """Quadrature of the tail g - 1/s on seg, from one batch, plus
-    channel(z), the 1/s part, which needs no refinement.  A scalar z gives
-    a complex; a 1-D array of z gives a complex array, each entry bit for
-    bit the scalar value.  ValueError for a non-finite z, CancellationCapError
-    for one with |z| > cap, before any quadrature."""
+    """Quadrature of the tail g - 1/s on seg plus channel(z), the 1/s part,
+    which needs no refinement.  A scalar z gives a complex; a 1-D array of
+    z gives a complex array, each entry the scalar value, as _integrate
+    runs one z at a time.  ValueError for a non-finite z,
+    CancellationCapError for one with |z| > cap, and any channel's error
+    come first, for every z, before any quadrature; then the first z whose
+    quadrature fails raises."""
     ndim = np.ndim(z)
     if ndim > 1:
         raise ValueError("z must be a scalar or a 1-D array")
@@ -508,11 +487,11 @@ def _tail_plus_channel(seg, z, spec: QuadratureSpec, channel,
             raise ValueError(f"z = {w!r} is not finite")
         if abs(w) > cap:
             raise CancellationCapError(
-                f"|z|={abs(w):.4g} beyond cancellation cap {cap}; "
+                f"|z|={abs(w)!r} beyond cancellation cap {cap}; "
                 "evaluate through the f - u identity instead")
     cs = [channel(w) for w in zs]
-    values = [r.value + c for r, c in zip(
-        _integrate_batch(_SHARED_TAIL.at, seg, zs, spec), cs)]
+    values = [_integrate(_SHARED_TAIL.at, seg, w, spec).value + c
+              for w, c in zip(zs, cs)]
     return np.array(values, dtype=complex) if ndim else values[0]
 
 

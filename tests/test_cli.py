@@ -351,6 +351,14 @@ class TestExitCodes:
         assert err == ("numeric failure: u(z) at z = (-200+0j) leaves "
                        "binary64: e^(-4z) overflows once Re z < -177.4\n")
 
+    def test_cap_refusal_names_the_exact_modulus(self):
+        # just past the cap, a rounded modulus would read 40, the cap itself
+        code, out, err = run("contour", "identity", "--z", "40.00000000000001")
+        assert code == EXIT_NUMERIC
+        assert out == "" and "Traceback" not in err
+        assert err.startswith("numeric failure: |z|=40.00000000000001 beyond "
+                              "cancellation cap 40.0")
+
     @pytest.mark.parametrize("argv, where", [
         (("--z", "200"), "(200+0j) on CirclePath(radius=4.0)"),
         (("--z", "-180"), "(-180+0j) on CirclePath(radius=4.0)"),

@@ -28,7 +28,8 @@ from expgrowth.contours import (
     _SHARED_TAIL,
     _asymptotic_tail,
     _exp_zs,
-    _integrate_batch,
+    _F_channel,
+    _integrate,
     _level_table,
     _refinement_values,
     borel_inversion,
@@ -39,6 +40,7 @@ from expgrowth.contours import (
     u_eval,
 )
 from expgrowth.lattice import ZeroLattice
+from expgrowth.lognum import cis
 from expgrowth.product import ProductEvaluator
 
 # magnitude of the bounded piece at the origin, frozen from a 50-digit
@@ -79,16 +81,11 @@ class TestSegments:
         for path in (CirclePath(2.0), SpiralArc(4.0, 2.0, -math.pi, math.pi),
                      LineSegment(-3.0 - 1.0j, 3.0 - 1.0j)):  # distance 1
             with pytest.raises(BorelDomainError):
-                _integral(_SHARED_TAIL.at, path, 1.0)
+                _integrate(_SHARED_TAIL.at, path, 1.0)
 
     def test_degenerate(self):
         with pytest.raises(ValueError):
             LineSegment(-3.0 + 0.0j, -3.0 + 0.0j)
-
-
-def _integral(g_eval, seg, z, spec=None):
-    """The batch engine at one z."""
-    return _integrate_batch(g_eval, seg, [z], spec)[0]
 
 
 class TestQuadratureSpec:
@@ -104,16 +101,16 @@ class TestQuadratureSpec:
 
 class TestResidues:
     def test_simple_pole(self):
-        out = _integral(lambda s: 1.0 / s, CirclePath(4.0), 0.0)
+        out = _integrate(lambda s: 1.0 / s, CirclePath(4.0), 0.0)
         assert isinstance(out, IntegralResult)
         assert abs(out.value - 1.0) <= 1e-12
 
     def test_double_pole_picks_linear_term(self):
-        out = _integral(lambda s: 1.0 / s**2, CirclePath(4.0), 3.0)
+        out = _integrate(lambda s: 1.0 / s**2, CirclePath(4.0), 3.0)
         assert abs(out.value - 3.0) <= 1e-9
 
     def test_entire_integrand_vanishes(self):
-        out = _integral(lambda s: 1.0, CirclePath(4.0), 2.0)
+        out = _integrate(lambda s: 1.0, CirclePath(4.0), 2.0)
         assert abs(out.value) <= 1e-12
 
 
@@ -236,6 +233,14 @@ class TestArcTransform:
         with pytest.raises(CancellationCapError):
             F_eval(41.0)
 
+    def test_cap_refusal_names_the_exact_modulus(self):
+        # on the ray pi/9, 40 cis(theta) rounds to a modulus one ulp past 40
+        z = 40.0 * cis(math.pi / 9)
+        assert abs(complex(z)) == 40.00000000000001
+        with pytest.raises(CancellationCapError,
+                           match=r"\|z\|=40\.00000000000001 beyond"):
+            F_eval(z)
+
     def test_anchor_values(self, ev):
         f1 = ev.eval_log_f(1.0).to_complex()
         assert abs(F_eval(1.0) - (f1 - u_eval(1.0))) <= 1e-8
@@ -298,8 +303,8 @@ class TestClosedLoop:
     def test_matches_circle_inversion(self, g):
         # the arc and then the segment wind once around the origin
         for z in (0.0, 1.5 + 0.5j, -2.0 + 1.0j):
-            via_loop = (_integral(g.at, spiral_arc(), z).value
-                        + _integral(g.at, closing_segment(), z).value)
+            via_loop = (_integrate(g.at, spiral_arc(), z).value
+                        + _integrate(g.at, closing_segment(), z).value)
             via_circle = borel_inversion(z)
             assert abs(via_loop - via_circle) <= 1e-8 * (1.0 + abs(via_circle))
 
@@ -332,7 +337,7 @@ class TestRefinement:
             return 1.0 / (s - 2.45)
 
         def level(n):
-            return _refinement_values(pole, circ, [0.0], (n,))[0][0][0]
+            return _refinement_values(pole, circ, 0.0, (n,))[0][0]
 
         ref = level(7)
         errs = [abs(level(n) - ref) for n in range(1, 7)]
@@ -346,7 +351,7 @@ class TestRefinement:
     def test_non_convergence_carries_last_values(self):
         g_eval, sizes = _counting(_sign_of_imag)
         with pytest.raises(NonConvergenceError) as info:
-            _integral(g_eval, CirclePath(4.0), 0.0)
+            _integrate(g_eval, CirclePath(4.0), 0.0)
         # it gives up only after the last level
         assert sizes[-1] == _FINEST_PANELS * _POINTS_PER_PANEL
         err = info.value
@@ -367,7 +372,7 @@ class TestFloorStop:
         # f(-8j) = 0, so F = -u there; the arc's levels miss it by up to
         # 2.4 floors with no trend, and the difference grows at level 3
         spec = QuadratureSpec(target_rel_tol=1e-13)
-        out = _integral(_SHARED_TAIL.at, spiral_arc(), -8j, spec)
+        out = _integrate(_SHARED_TAIL.at, spiral_arc(), -8j, spec)
         assert out.refinements == 3 and out.floor_limited
         assert abs(F_eval(-8j, spec) + u_eval(-8j, spec)) <= 2e-6
 
@@ -375,17 +380,20 @@ class TestFloorStop:
         CirclePath(4.0), spiral_arc(), closing_segment()],
         ids=["circle", "arc", "segment"])
     def test_tolerance_stop_is_not_floor_limited(self, path):
-        out = _integral(_SHARED_TAIL.at, path, 1 + 1j)
+        out = _integrate(_SHARED_TAIL.at, path, 1 + 1j)
         assert not out.floor_limited
         assert out.error <= 1e-10 * abs(out.value)
 
     def test_batch_flags_are_the_scalar_flags(self):
+        # a batch's entries are the scalar results, and its points stop on
+        # both rules
         spec = QuadratureSpec(target_rel_tol=1e-13)
         zs = _batch_points(41).tolist() + [-8j]
-        batch = _integrate_batch(_SHARED_TAIL.at, spiral_arc(), zs, spec)
-        assert batch == [_integral(_SHARED_TAIL.at, spiral_arc(), z, spec)
-                         for z in zs]
-        assert {r.floor_limited for r in batch} == {False, True}
+        scalar = [_integrate(_SHARED_TAIL.at, spiral_arc(), z, spec)
+                  for z in zs]
+        assert F_eval(np.array(zs), spec).tobytes() == np.array(
+            [r.value + _F_channel(z) for r, z in zip(scalar, zs)]).tobytes()
+        assert {r.floor_limited for r in scalar} == {False, True}
 
     def test_noise_far_above_the_floor_still_raises(self):
         # the differences stop shrinking at the noise, 2e4 to 5e5 floors
@@ -393,8 +401,8 @@ class TestFloorStop:
         # not take them for roundoff
         g_eval, sizes = _counting(_noisy_exp)
         with pytest.raises(NonConvergenceError):
-            _integral(g_eval, CirclePath(4.0), 0.0,
-                      QuadratureSpec(target_rel_tol=1e-13))
+            _integrate(g_eval, CirclePath(4.0), 0.0,
+                       QuadratureSpec(target_rel_tol=1e-13))
         assert sizes[-1] == _FINEST_PANELS * _POINTS_PER_PANEL
 
 
@@ -407,7 +415,7 @@ class TestFinestLevel:
         # all: noise 1e-8 keeps every level apart until it
         g_eval, sizes = _counting(_noisy_exp)
         with pytest.raises(NonConvergenceError):
-            _integral(g_eval, path, 0.5, QuadratureSpec(target_rel_tol=1e-13))
+            _integrate(g_eval, path, 0.5, QuadratureSpec(target_rel_tol=1e-13))
         assert sizes[-1] == 131072
 
 
@@ -435,16 +443,16 @@ class TestSharedFirstPass:
     ], ids=["circle", "arc", "segment", "loop"])
     def test_levels_0_and_1_match_single_level_passes(self, pieces, count):
         # levels 0 and 1 share one g pass on their joined nodes; each level
-        # must keep the bits of its own pass, on every piece of a path (the
-        # loop's two pieces keep apart tables of the same g)
+        # must keep the bits of its own pass, at every z and on every piece
+        # of a path (the loop's two pieces keep apart tables of the same g)
         zs = [complex(z) for z in _batch_points(count)]
         with np.errstate(over="raise", invalid="raise"):
-            joint = [_refinement_values(_SHARED_TAIL.at, seg, zs, (0, 1))
-                     for seg in pieces]
-            single = [[_refinement_values(
-                _SHARED_TAIL.at, seg, zs, (level,))[0] for level in (0, 1)]
-                for seg in pieces]
-        assert len(joint[0]) == 2 and len(joint[0][0]) == count
+            joint = [[_refinement_values(_SHARED_TAIL.at, seg, z, (0, 1))
+                      for z in zs] for seg in pieces]
+            single = [[[_refinement_values(
+                _SHARED_TAIL.at, seg, z, (level,))[0] for level in (0, 1)]
+                for z in zs] for seg in pieces]
+        assert len(joint[0]) == count and len(joint[0][0]) == 2
         assert (np.array(joint, dtype=complex).tobytes()
                 == np.array(single, dtype=complex).tobytes())
 
@@ -468,8 +476,8 @@ class TestBatch:
         # batch leave it at different levels
         spec = QuadratureSpec(target_rel_tol=1e-13)
         for path in (CirclePath(4.0), spiral_arc()):
-            levels = {r.refinements for r in _integrate_batch(
-                _SHARED_TAIL.at, path, _batch_points(7), spec)}
+            levels = {_integrate(_SHARED_TAIL.at, path, z, spec).refinements
+                      for z in _batch_points(7).tolist()}
             assert len(levels) >= 2
 
     def test_empty_batch(self):
@@ -483,11 +491,22 @@ class TestBatch:
             borel_inversion(np.array([1.0, 200.0]))
 
     def test_non_convergence_stops_the_batch(self):
+        # z after z, the first failing z stops the batch with its own values
         with pytest.raises(NonConvergenceError) as info:
-            _integrate_batch(_sign_of_imag, CirclePath(4.0), [0.0, 1.0])
+            for z in (0.0, 1.0):
+                _integrate(_sign_of_imag, CirclePath(4.0), z)
         err = info.value
         assert cmath.isfinite(err.value) and cmath.isfinite(err.previous)
         assert err.value != err.previous
+        with pytest.raises(NonConvergenceError) as first:
+            _integrate(_sign_of_imag, CirclePath(4.0), 0.0)
+        assert (err.value, err.previous, err.error) == (
+            first.value.value, first.value.previous, first.value.error)
+
+    def test_first_failing_z_names_the_error(self):
+        # both entries overflow; the error names the first in order
+        with pytest.raises(FloatingPointError, match=r"at z = \(300\+0j\)"):
+            borel_inversion(np.array([1.0, 300.0, 200.0]))
 
     def test_cap_applies_to_every_entry(self):
         with pytest.raises(CancellationCapError):
@@ -524,7 +543,7 @@ class TestLevelTable:
         deepest = 0
         for z in [0.5, 12j, -8.0, 0.5, 12j, 8.0]:
             fresh = dataclasses.replace(path)
-            deepest = max(deepest, _integral(g_eval, fresh, z, spec).refinements)
+            deepest = max(deepest, _integrate(g_eval, fresh, z, spec).refinements)
         # levels (0, 1) share a table, then one table per level up to
         # deepest, which reaches 512 nodes; a circle's level 0 is every
         # other node of its level 1
@@ -539,13 +558,12 @@ class TestLevelTable:
         # tolerance only decides how many levels a z runs
         g_eval, sizes = _counting(_SHARED_TAIL.at)
         seg = SpiralArc(4.0, 3.25, 0.0, 4.0)
-        levels = [_integral(g_eval, seg, 8.0, QuadratureSpec(tol)).refinements
+        levels = [_integrate(g_eval, seg, 8.0, QuadratureSpec(tol)).refinements
                   for tol in (1e-10, 1e-13)]
         assert levels == [1, 2]  # the tighter tolerance adds a level
         assert len(sizes) == 2
-        _refinement_values(g_eval, seg, [1.0], (0,))
-        _refinement_values(g_eval, SpiralArc(4.0, 3.25, 0.0, 4.5), [1.0],
-                           (0, 1))
+        _refinement_values(g_eval, seg, 1.0, (0,))
+        _refinement_values(g_eval, SpiralArc(4.0, 3.25, 0.0, 4.5), 1.0, (0, 1))
         assert len(sizes) == 4
 
     @pytest.mark.parametrize("name, radius", [
@@ -593,7 +611,7 @@ class TestLevelTable:
             want = (seg.point(1.0) - seg.point(0.0)) / (2j * math.pi)
         last = (_FINEST_PANELS // _FIRST_PANELS[type(seg)]).bit_length() - 1
         for levels in [(0, 1)] + [(level,) for level in range(2, last + 1)]:
-            for [(value, _)] in _refinement_values(g_eval, seg, [0.0], levels):
+            for value, _ in _refinement_values(g_eval, seg, 0.0, levels):
                 assert abs(value - want) <= 4e-15, levels
 
 
