@@ -15,16 +15,10 @@ from .borel import (
 )
 from .contours import (
     CancellationCapError,
-    CirclePath,
     F_eval,
-    IntegralResult,
-    LineSegment,
     NonConvergenceError,
     QuadratureSpec,
-    SpiralArc,
     borel_inversion,
-    closing_segment,
-    spiral_arc,
     splitting_profile,
     u_decay_bound,
     u_eval,
@@ -62,30 +56,24 @@ __all__ = [
     "BorelDomainError",
     "BorelEvaluator",
     "CancellationCapError",
-    "CirclePath",
     "CoefficientStream",
     "CountingReport",
     "F_eval",
     "GrowthProfile",
     "InsufficientSamplesError",
-    "IntegralResult",
     "LatticeExhaustedError",
-    "LineSegment",
     "LogComplex",
     "NonConvergenceError",
     "ProductEvaluator",
     "QuadratureSpec",
     "RegularityVerdict",
-    "SpiralArc",
     "WindowStats",
     "ZeroLattice",
     "borel_inversion",
     "classify",
-    "closing_segment",
     "dyadic_radii",
     "exp2_profile",
     "sin2_profile",
-    "spiral_arc",
     "splitting_profile",
     "term_envelope",
     "type_estimate",

@@ -52,7 +52,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 
 from .borel import MIN_MODULUS, BorelEvaluator
 from .lognum import cis, log_sub
@@ -215,7 +214,7 @@ def _exp_zs(z: complex, rows: np.ndarray, heads: np.ndarray) -> np.ndarray:
     the exponential; with |z*s| up to ~160 on these contours that noise,
     multiplied by the integrand mass, would dominate every cancellation-
     limited integral.  The head/tail exponent buys those ~8 bits back.
-    rows is the table's (2, 2, n) view [[s.imag, s.real], [s.real, -s.imag]]
+    rows is the table's (2, 2, n) array [[s.imag, s.real], [s.real, -s.imag]]
     and heads its Dekker heads; against the column (z.real, z.imag) one set
     of whole-array calls forms the four products of y + ix = z*s, their
     exact errors (Dekker's two-product; no fma on 3.10), then y and x and
@@ -294,7 +293,7 @@ _TABLE_SIZE = 32
 def _level_table(g_eval, seg, levels: tuple) -> tuple:
     """The z-independent half of a pass, read-only so no caller can change
     what the next z reads: for the nodes s of levels on seg, the (2, 2, n)
-    view rows = [[s.imag, s.real], [s.real, -s.imag]] and the same view of
+    array rows = [[s.imag, s.real], [s.real, -s.imag]] and the array of
     its Dekker heads, one complex weight g(s) s'(t) w per node, with w the
     rule's weight, and per level its (index into the nodes, scale).  The
     complex s itself is not kept.
@@ -318,14 +317,11 @@ def _level_table(g_eval, seg, levels: tuple) -> tuple:
         t, w = np.concatenate(t), np.concatenate(w)
     s = seg.point(t)
     weights = g_eval(s) * seg.dpoint(t) * w
-    rows = np.stack([s.imag, s.real, -s.imag])
-    # views [a[0:2], a[1:3]], overlapping: with the tails formed per z, s and
-    # its heads take 6 floats a node, as the complex s and its split did
-    shape, strides = (2, 2, s.size), (rows.strides[0],) + rows.strides
-    pairs = [as_strided(a, shape, strides, writeable=False)
-             for a in (rows, _split(rows)[0])]
-    weights.flags.writeable = False
-    return (*pairs, weights, tuple(cuts))
+    rows = np.array([[s.imag, s.real], [s.real, -s.imag]])
+    heads = _split(rows)[0]
+    for a in (rows, heads, weights):
+        a.flags.writeable = False
+    return rows, heads, weights, tuple(cuts)
 
 
 def _refinement_values(g_eval, seg, z: complex, levels: tuple) -> list:
@@ -397,19 +393,10 @@ def _integrate(g_eval, seg, z: complex,
 _SHARED_TAIL = BorelEvaluator(min_index=2)
 
 
-def spiral_arc() -> SpiralArc:
-    """Arc from -4 counterclockwise once around to -3, radius within [3, 4]."""
-    return SpiralArc(4.0, 3.0, -math.pi, math.pi)
-
-
-def closing_segment() -> LineSegment:
-    """Segment from -3 to -4; appended to the arc it closes the loop."""
-    return LineSegment(-3.0 + 0.0j, -4.0 + 0.0j)
-
-
-#: the paths of F_eval and u_eval, built and validated once
-_ARC = spiral_arc()
-_SEGMENT = closing_segment()
+#: the paths of F_eval and u_eval, built once: the arc from -4 once around
+#: counterclockwise to -3, radius within [3, 4], closed by the segment -3 to -4
+_ARC = SpiralArc(4.0, 3.0, -math.pi, math.pi)
+_SEGMENT = LineSegment(-3.0 + 0.0j, -4.0 + 0.0j)
 
 
 #: from this |z| on, |w| >= 48 at both endpoints and the 1/s channel takes
@@ -555,12 +542,12 @@ def splitting_profile(ev, theta: float, radii) -> GrowthProfile:
 
 
 def u_decay_bound(x: float) -> float:
-    """Explicit decay bound |u(z)| <= 0.0502 e^{-3x} for Re z = x >= 0.
-
-    On the segment [-4, -3], |e^{zs}| <= e^{-3x}, and (1/2 pi) int |g|
-    there is at most 0.0478 (the majorant sum of |c_m| t^{-m-1} integrated
-    term by term), so the bound holds on the whole half plane; |u(0)| is
-    0.0438.
+    """Explicit bound |u(z)| <= 0.0502 e^{-sx} at Re z = x, s = 3 for x >= 0
+    and 4 for x < 0: the largest |e^{zs}| on the segment [-4, -3] times
+    (1/2 pi) int |g| there, at most 0.0478 (the majorant sum of |c_m|
+    t^{-m-1} integrated term by term).  |u(0)| is 0.0438.  ValueError for
+    a nan x.
     """
-    return 0.0502 * math.exp(-3.0 * x)
-
+    if math.isnan(x):
+        raise ValueError("u_decay_bound needs a real x, not nan")
+    return 0.0502 * math.exp(-min(3.0 * x, 4.0 * x))

@@ -242,8 +242,12 @@ class ProductEvaluator:
 
         Every omitted factor k > K satisfies |(z/2^k)^{2^k}| <= 2^{-8*2^k}, so
         the truncated tail is negligible relative to machine precision.
+        ValueError for a non-finite z, which has no such K.
         """
-        return int(self._cutoffs(np.abs([complex(z)]))[0])
+        radii = np.abs([complex(z)])
+        if not np.isfinite(radii[0]):
+            raise ValueError("f is evaluated only at finite z")
+        return int(self._cutoffs(radii)[0])
 
     def _cutoffs(self, radii):
         """cutoff() of every radius, exact in binary64."""

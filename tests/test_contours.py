@@ -21,10 +21,12 @@ from expgrowth.contours import (
     QuadratureSpec,
     SpiralArc,
     _FINEST_PANELS,
+    _ARC,
     _FIRST_PANELS,
     _GAUSS_W,
     _GAUSS_X,
     _POINTS_PER_PANEL,
+    _SEGMENT,
     _SHARED_TAIL,
     _asymptotic_tail,
     _exp_zs,
@@ -33,8 +35,6 @@ from expgrowth.contours import (
     _level_table,
     _refinement_values,
     borel_inversion,
-    closing_segment,
-    spiral_arc,
     splitting_profile,
     u_decay_bound,
     u_eval,
@@ -60,16 +60,14 @@ def g():
 
 class TestSegments:
     def test_arc_endpoints_exact(self):
-        arc = spiral_arc()
-        assert arc.point(0.0) == -4.0 + 0.0j
-        assert arc.point(1.0) == -3.0 + 0.0j
-        assert arc.point(0.5) == 3.5 + 0.0j  # halfway: angle 0, radius 3.5
+        assert _ARC.point(0.0) == -4.0 + 0.0j
+        assert _ARC.point(1.0) == -3.0 + 0.0j
+        assert _ARC.point(0.5) == 3.5 + 0.0j  # halfway: angle 0, radius 3.5
 
     def test_segment_endpoints(self):
-        seg = closing_segment()
-        assert seg.point(0.0) == -3.0 + 0.0j
-        assert seg.point(1.0) == -4.0 + 0.0j
-        assert seg.dpoint(0.3) == -1.0 + 0.0j
+        assert _SEGMENT.point(0.0) == -3.0 + 0.0j
+        assert _SEGMENT.point(1.0) == -4.0 + 0.0j
+        assert _SEGMENT.dpoint(0.3) == -1.0 + 0.0j
 
     def test_circle_geometry(self):
         c = CirclePath(4.0)
@@ -170,6 +168,16 @@ class TestBoundedPiece:
         zs = zs[np.abs(zs) <= 40.0]
         ratio = np.abs(u_eval(zs)) / [u_decay_bound(z.real) for z in zs]
         assert zs.size > 7000 and ratio.max() == ratio[zs == 0][0] < 0.874
+
+    def test_decay_bound_on_the_left_half_plane(self):
+        # for Re z = x < 0 the largest |e^{zs}| on [-4, -3] is e^{-4x}, not
+        # e^{-3x}: |u(-1)| is 1.481, above 0.0502 e^3
+        for x in (-5.0, -2.0, -1.0, -0.5):
+            for y in (0.0, 1.0, -3.0, 7.5):
+                assert abs(u_eval(complex(x, y))) <= u_decay_bound(x)
+        assert u_decay_bound(-1.0) == 0.0502 * math.exp(4.0)
+        with pytest.raises(ValueError):
+            u_decay_bound(math.nan)
 
     def test_positive_axis_oracle(self):
         # 40-digit mpmath quadrature of the series for g over [-4, -3];
@@ -303,8 +311,8 @@ class TestClosedLoop:
     def test_matches_circle_inversion(self, g):
         # the arc and then the segment wind once around the origin
         for z in (0.0, 1.5 + 0.5j, -2.0 + 1.0j):
-            via_loop = (_integrate(g.at, spiral_arc(), z).value
-                        + _integrate(g.at, closing_segment(), z).value)
+            via_loop = (_integrate(g.at, _ARC, z).value
+                        + _integrate(g.at, _SEGMENT, z).value)
             via_circle = borel_inversion(z)
             assert abs(via_loop - via_circle) <= 1e-8 * (1.0 + abs(via_circle))
 
@@ -372,12 +380,12 @@ class TestFloorStop:
         # f(-8j) = 0, so F = -u there; the arc's levels miss it by up to
         # 2.4 floors with no trend, and the difference grows at level 3
         spec = QuadratureSpec(target_rel_tol=1e-13)
-        out = _integrate(_SHARED_TAIL.at, spiral_arc(), -8j, spec)
+        out = _integrate(_SHARED_TAIL.at, _ARC, -8j, spec)
         assert out.refinements == 3 and out.floor_limited
         assert abs(F_eval(-8j, spec) + u_eval(-8j, spec)) <= 2e-6
 
     @pytest.mark.parametrize("path", [
-        CirclePath(4.0), spiral_arc(), closing_segment()],
+        CirclePath(4.0), _ARC, _SEGMENT],
         ids=["circle", "arc", "segment"])
     def test_tolerance_stop_is_not_floor_limited(self, path):
         out = _integrate(_SHARED_TAIL.at, path, 1 + 1j)
@@ -389,7 +397,7 @@ class TestFloorStop:
         # both rules
         spec = QuadratureSpec(target_rel_tol=1e-13)
         zs = _batch_points(41).tolist() + [-8j]
-        scalar = [_integrate(_SHARED_TAIL.at, spiral_arc(), z, spec)
+        scalar = [_integrate(_SHARED_TAIL.at, _ARC, z, spec)
                   for z in zs]
         assert F_eval(np.array(zs), spec).tobytes() == np.array(
             [r.value + _F_channel(z) for r, z in zip(scalar, zs)]).tobytes()
@@ -408,7 +416,7 @@ class TestFloorStop:
 
 class TestFinestLevel:
     @pytest.mark.parametrize("path", [
-        closing_segment(), CirclePath(4.0), spiral_arc()],
+        _SEGMENT, CirclePath(4.0), _ARC],
         ids=["segment", "circle", "arc"])
     def test_every_path_refines_to_131072_nodes(self, path):
         # the first level is sized to the path, the last is the same for
@@ -438,8 +446,8 @@ def _batch_points(count):
 class TestSharedFirstPass:
     @pytest.mark.parametrize("count", [1, 7, 41])
     @pytest.mark.parametrize("pieces", [
-        (CirclePath(3.0),), (spiral_arc(),), (closing_segment(),),
-        (spiral_arc(), closing_segment()),
+        (CirclePath(3.0),), (_ARC,), (_SEGMENT,),
+        (_ARC, _SEGMENT),
     ], ids=["circle", "arc", "segment", "loop"])
     def test_levels_0_and_1_match_single_level_passes(self, pieces, count):
         # levels 0 and 1 share one g pass on their joined nodes; each level
@@ -475,7 +483,7 @@ class TestBatch:
         # the batch tests above mean something only if the members of a
         # batch leave it at different levels
         spec = QuadratureSpec(target_rel_tol=1e-13)
-        for path in (CirclePath(4.0), spiral_arc()):
+        for path in (CirclePath(4.0), _ARC):
             levels = {_integrate(_SHARED_TAIL.at, path, z, spec).refinements
                       for z in _batch_points(7).tolist()}
             assert len(levels) >= 2
@@ -585,8 +593,7 @@ class TestLevelTable:
                             else np.array([fn(z) for z in zs.tolist()]))
         assert len({run.tobytes() for run in runs}) == 1
 
-    @pytest.mark.parametrize("seg", [CirclePath(3.0), spiral_arc(),
-                                     closing_segment()],
+    @pytest.mark.parametrize("seg", [CirclePath(3.0), _ARC, _SEGMENT],
                              ids=["circle", "arc", "segment"])
     def test_arrays_are_read_only(self, seg):
         rows, heads, weights, cuts = _level_table(
@@ -597,8 +604,7 @@ class TestLevelTable:
             with pytest.raises(ValueError):
                 array[0] = 0.0
 
-    @pytest.mark.parametrize("seg", [CirclePath(3.0), spiral_arc(),
-                                     closing_segment()],
+    @pytest.mark.parametrize("seg", [CirclePath(3.0), _ARC, _SEGMENT],
                              ids=["circle", "arc", "segment"])
     def test_weights_integrate_constants_at_every_level(self, seg):
         # at z = 0 the weights alone sum: g = 1/s gives the residue 1 on a
@@ -625,8 +631,8 @@ def _one(s):
 
 class TestExponent:
     @pytest.mark.parametrize("seg, moduli", [
-        (CirclePath(4.0), (2.0, 8.0)), (spiral_arc(), (2.0, 8.0, 20.0, 40.0)),
-        (closing_segment(), (2.0, 8.0, 20.0, 40.0)),
+        (CirclePath(4.0), (2.0, 8.0)), (_ARC, (2.0, 8.0, 20.0, 40.0)),
+        (_SEGMENT, (2.0, 8.0, 20.0, 40.0)),
     ], ids=["circle", "arc", "segment"])
     def test_matches_mpmath(self, seg, moduli):
         # e^{zs} at every node of the (0, 1) table, against 30 digits: a

@@ -1,7 +1,10 @@
 """Every module-level private name in the package is read somewhere in it,
-and every module-level import is read in its own module."""
+every module-level import is read in its own module, and the public API is
+the reviewed list below."""
 import ast
 from pathlib import Path
+
+import expgrowth
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "expgrowth"
 
@@ -73,3 +76,19 @@ def test_no_unread_module_imports():
         unread += [f"{path.name}:{name}" for name in _imported(tree)
                    if name not in loaded]
     assert unread == []
+
+
+def test_public_api():
+    # a new export shows up here as a reviewed diff
+    assert sorted(expgrowth.__all__) == [
+        "BorelDomainError", "BorelEvaluator", "CancellationCapError",
+        "CoefficientStream", "CountingReport", "F_eval", "GrowthProfile",
+        "InsufficientSamplesError", "LatticeExhaustedError", "LogComplex",
+        "NonConvergenceError", "ProductEvaluator", "QuadratureSpec",
+        "RegularityVerdict", "WindowStats", "ZeroLattice", "__version__",
+        "borel_inversion", "classify", "dyadic_radii", "exp2_profile",
+        "sin2_profile", "splitting_profile", "term_envelope",
+        "type_estimate", "u_decay_bound", "u_eval", "verify_counting_bounds",
+        "window_stats", "write_coeffs_csv", "write_profile_csv",
+        "write_verdict_json", "write_windows_csv", "write_zeros_csv",
+    ]

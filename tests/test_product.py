@@ -62,6 +62,13 @@ class TestClosedForm:
         for z in zs:
             assert math.ldexp(1.0, ev.cutoff(z)) >= 4.0 * max(abs(z), 1.0)
 
+    @pytest.mark.parametrize("z", [math.inf, math.nan, complex(0.0, math.nan)],
+                             ids=["inf", "nan", "nan*j"])
+    def test_cutoff_refuses_non_finite_z(self, ev, z):
+        # no K has 2^K >= 256 |z| for an infinite or nan |z|
+        with pytest.raises(ValueError, match="only at finite z"):
+            ev.cutoff(z)
+
     def test_cutoff_counts_the_circles_log_f_uses(self, ev):
         # cutoff() takes |z| as log_f does: np.abs and Python's abs can
         # differ in the last bit, which at a dyadic radius moves the cutoff
