@@ -257,11 +257,13 @@ def sin2_profile(theta: float, radii: np.ndarray) -> GrowthProfile:
     ay = np.abs(y)
     log_abs = np.empty_like(radii)
     small = ay <= 20.0
-    with np.errstate(divide="ignore"):
+    # a non-finite radius gives nan here, and GrowthProfile refuses it
+    with np.errstate(divide="ignore", invalid="ignore"):
         log_abs[small] = 0.5 * np.log(np.sin(x[small]) ** 2 + np.sinh(y[small]) ** 2)
-    big = ~small
-    log_abs[big] = ay[big] - LN2 + np.log1p(-np.exp(-2.0 * ay[big]))
-    return GrowthProfile("sin2z", theta, radii, log_abs / radii)
+        big = ~small
+        log_abs[big] = ay[big] - LN2 + np.log1p(-np.exp(-2.0 * ay[big]))
+        values = log_abs / radii
+    return GrowthProfile("sin2z", theta, radii, values)
 
 
 def write_windows_csv(entries: Iterable, path) -> None:

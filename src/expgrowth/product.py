@@ -8,21 +8,22 @@ arithmetic happens in the log domain because (z/2^k)^{2^k} overflows binary64
 already at moderate |z|: ProductEvaluator.log_f returns log f = log|f| +
 i arg f as a complex array for a whole array of z, and log_abs_f its real
 part alone, bit for bit; eval_log_f is a call of the one, profile_on and
-max_modulus of the other.  Both skip the full factor on deep circles, where
-(|z|/2^k)^{2^k} >= e^40: there the factor's log modulus is exactly
-2^k log(|z|/2^k), and log_abs_f spends nothing else on them.  The angle
-terms are formed once per distinct phase: once per call when it has fewer
-of them than blocks (a ray's few), else once per block.  A single point
-below |z| = 100, where no circle is deep, skips the block scaffolding and
-runs the same factor formula on its circles as one column, so a one-point
-call costs one point and keeps the bits it has in any batch.
+max_modulus of the other.  A batch runs in blocks of (circles x points)
+pairs, at most 2^15 of them, so a growth ray is one or two blocks.  The
+full factor and its angle terms are formed only on a block's band, the
+pairs that are neither deep, where (|z|/2^k)^{2^k} >= e^40 and the
+factor's log modulus is exactly 2^k log(|z|/2^k), nor dead, where the
+factor is exactly 1; log_f forms the argument of the deep pairs once per
+distinct phase.  A single point below |z| = 100, where no circle is deep,
+skips the block scaffolding and runs the same factor formula on its
+circles as one column, so a one-point call costs one point and keeps the
+bits it has in any batch.
 """
 from __future__ import annotations
 
 import cmath
 import math
 from dataclasses import dataclass, field
-from functools import partial
 from itertools import repeat
 
 import numpy as np
@@ -57,6 +58,8 @@ class GrowthProfile:
         object.__setattr__(self, "values", values)
         if radii.ndim != 1 or radii.shape != values.shape:
             raise ValueError("radii and values must be 1-d and equally long")
+        if not np.all(np.isfinite(radii)):
+            raise ValueError("radii must be finite")
         if radii.size and (radii[0] <= 0.0 or np.any(np.diff(radii) <= 0.0)):
             raise ValueError("radii must be positive and strictly increasing")
 
@@ -76,9 +79,12 @@ def dyadic_radii(k_lo: int, k_hi: int, per_window: int = 256) -> np.ndarray:
     return np.exp2(exps)
 
 
-#: most points per block of the array core, the fastest measured on rays:
-#: a (circles x points) temporary is at most 1021 x 384 x 8 B = 3.1 MB
-_BLOCK = 384
+#: most (circles x points) pairs per block of the array core: a call whose
+#: largest cutoff is K runs blocks of at most _BLOCK_PAIRS // K points, so
+#: a 1537-point growth ray is one or two blocks and a temporary is at most
+#: 256 kB.  The fastest measured on rays: 2^14 is slower on all three of
+#: growth_scan's, 2^16 (one block) on the one from 2^24
+_BLOCK_PAIRS = 2**15
 
 #: largest cutoff K with 2^K * tau finite in binary64
 _MAX_CUTOFF = 1021
@@ -93,13 +99,17 @@ _MAX_RADIUS = math.ldexp(1.0, _MAX_CUTOFF - 2 - _TAIL_MARGIN)
 _POW2 = np.ldexp(1.0, np.arange(1, _MAX_CUTOFF + 1))[:, None]
 
 
+#: x = n log(|z|/n) up to which a circle is dead: e^x is 0 in binary64, so
+#: its factor 1 - e^{x+iy} is exactly 1
+_DEAD = -750.0
+
 #: x = n log(|z|/n) from which a circle is deep: e^{-x} < 2^-54, so its
 #: factor 1 - e^{x+iy} is -e^{x+iy} in binary64 (see _log_f_block)
 _DEEP = 40.0
 
 #: no circle is deep below |z| = 32 e^{40/32} = 111.7, where circle 5 is
-#: the first to reach _DEEP: blocks below this radius skip the deep test,
-#: and a single point below it skips the blocks
+#: the first to reach _DEEP: blocks below this radius run the factor on
+#: every pair, with no band, and a single point below it skips the blocks
 _DEEP_RADIUS = 100.0
 
 
@@ -126,26 +136,21 @@ def _factor(x, s, sin_y, with_arg):
 
 
 def _column(r, phi, n, with_arg):
-    """_factor of one point r e^{i phi} on the circles n = 2^k, as a column."""
+    """_factor of the points r e^{i phi} (scalars or rows) on the circles
+    n = 2^k (a row each)."""
     y = _reduce(phi, n)
     return _factor(np.log(r / n) * n, np.sin(0.5 * y), np.sin(y), with_arg)
 
 
 def _phases(phi):
-    """phi's distinct values by their bits (+0 apart from -0), and a map
-    from (circles x phases) to (circles x points): one phase stays a column,
-    which broadcasts, and all distinct stay as they are; otherwise they are
-    gathered with take, which keeps the C order _sum_rows needs (a fancy
-    index [:, inv] gives F order), and spread(a, at) gathers the points at
-    (a slice or an index array) alone."""
+    """phi's distinct values by their bits (+0 apart from -0) and each
+    point's column among them, or phi itself and None when all differ."""
     keys = np.sort(phi.view(np.int64))
     new = keys[1:] != keys[:-1]
-    count = 1 + np.count_nonzero(new)
-    if count in (1, phi.size):
-        return phi[:count], lambda a: a
+    if new.all():
+        return phi, None
     keys = np.concatenate((keys[:1], keys[1:][new]))
-    inv = np.searchsorted(keys, phi.view(np.int64))
-    return keys.view(float), lambda a, at=slice(None): a.take(inv[at], axis=1)
+    return keys.view(float), np.searchsorted(keys, phi.view(np.int64))
 
 
 def _sum_rows(x):
@@ -166,69 +171,61 @@ def _arg(half):
     return np.where(t == -math.pi, math.pi, t)
 
 
-def _log_f_block(radii, phi, cutoffs, with_arg, terms=None):
+def _log_f_block(radii, phi, cutoffs, with_arg):
     """log|f| and arg f (or None) for one block of points; see
-    ProductEvaluator.log_f.  terms, if given, are the call's angle terms y,
-    sin(y/2) and sin(y) on circles 1..K of its largest cutoff, one column
-    per phase, and the map from those columns to the block's points."""
+    ProductEvaluator.log_f."""
     # w^n = e^{x+iy} for w = z/n, x = n log(|z|/n): dividing |z| by n is
-    # exact, so the huge power loses no accuracy to the base.  A circle with
-    # x < -750 is dead: e^x is 0 and expm1(-|x|) is -1, so its factor is
+    # exact, so the huge power loses no accuracy to the base.  A pair with
+    # x <= _DEAD is dead: e^x is 0 and expm1(-|x|) is -1, so its factor is
     # exactly 1 + 0i; it adds +0 to log|f| and a signed zero to the half
     # turns, which changes no sum and no reduced argument.  x falls for good
     # once 2^k > |z| and grows with |z|, so the circles dead at the block's
     # largest radius are a suffix dead at every point and are cut (circle 1
     # stays, so no sum is empty).  Circles past a point's own cutoff are
     # dead at it too: there 2^k >= 512 max(|z|, 1) (see _cutoffs), so
-    # x <= 512 log(1/512) < -3194, and they need no mask
+    # x <= 512 log(1/512) < -3194
     r_top = radii.max()
     n = _POW2[:int(cutoffs.max())]
-    n = n[:max(1, int(np.count_nonzero(np.log(r_top / n) * n > -750.0)))]
-    x = np.log(radii / n) * n
-    # at a deep point expm1(-x) is -1 and exp(min(x, 0)) is 1, so _factor
+    n = n[:max(1, int(np.count_nonzero(np.log(r_top / n) * n > _DEAD)))]
+    if r_top < _DEEP_RADIUS:
+        # no pair is deep: _factor runs on every pair, and gives a dead one
+        # exactly +0 and a signed zero
+        log_mod, half = _column(radii, phi, n, with_arg)
+        return _sum_rows(log_mod), None if half is None else _arg(half)
+    x = np.log(radii / n)
+    x *= n
+    # at a deep pair expm1(-x) is -1 and exp(min(x, 0)) is 1, so _factor
     # gives log|1 - e^{x+iy}| = x + log|2 sin^2(y/2) - 1 - i sin y|, whose
     # second term (under 1e-15) is below half an ulp of x: the log modulus
-    # is x bit for bit, and the argument is y + pi.  _factor runs only on
-    # the circles with a point below _DEEP, on views while that is every
-    # circle.  x rises with |z| on every circle, so for the modulus alone
-    # the block's largest point says whether any circle is deep and its
-    # smallest which are deep at every point (a row misjudged within ulps
-    # of _DEEP keeps its bits, as the full formula gives x there too); an
-    # argument is taken per point, from the whole mask
-    some_deep = r_top >= _DEEP_RADIUS and (
-        x if with_arg else x[:, radii.argmax()]).max() >= _DEEP
-    every = True
-    if some_deep:
-        if with_arg:
-            deep = x >= _DEEP
-            shallow = ~deep.all(axis=1)
-        else:
-            shallow = x[:, radii.argmin()] < _DEEP
-        every = shallow.all()
-    rows = slice(None) if every else np.flatnonzero(shallow)
-    if terms is None:
-        phases, spread = _phases(phi)
-        y = _reduce(phases, n if with_arg else n[rows])
-        y_rows = y[rows] if with_arg else y
-        s, sin_y = np.sin(0.5 * y_rows), np.sin(y_rows)
-    else:
-        y, s, sin_y, spread = terms
-        y, s, sin_y = y[:n.size], s[:n.size][rows], sin_y[:n.size][rows]
-    log_mod, half = _factor(x[rows], spread(s), spread(sin_y), with_arg)
-    if not every:
-        x[rows] = log_mod
+    # is x bit for bit, and the argument is y + pi.  So _factor runs on the
+    # band alone, the pairs neither deep nor dead, with their angle terms
+    # formed at the band's pairs; each pair's value is decided by its own
+    # x, never by its batch
+    shallow = x < _DEEP
+    band = np.flatnonzero(shallow & (x > _DEAD))
+    rows, cols = np.divmod(band, radii.size)
+    y = _reduce(phi.take(cols), n.take(rows))
+    log_mod, half = _factor(x.take(band), np.sin(0.5 * y), np.sin(y),
+                            with_arg)
+    np.copyto(x, 0.0, where=shallow)
+    x.put(band, log_mod)
     # circles are added in the order k = 1, 2, ... whatever the block's
     # width, which keeps every value independent of its batch
-    mag = _sum_rows(log_mod if every else x)
     if not with_arg:
-        return mag, None
-    # a deep point takes the closed form y/pi - 1 (or + 1) whatever its
-    # row, with the signs arctan2 gives at y = +-0
-    if some_deep:
-        turns = np.where(deep, spread(y / math.pi - np.copysign(1.0, y)), 0.0)
-        turns[rows] = np.where(deep[rows], turns[rows], half)
-        half = turns
-    return mag, _arg(half)
+        return _sum_rows(x), None
+    # a deep pair's argument is y + pi, in half turns the closed form
+    # y/pi - 1 (or + 1) with the signs arctan2 gives at y = +-0, formed
+    # once per distinct phase and gathered back to the points with take,
+    # which keeps the C order _sum_rows needs (a fancy index [:, at] gives
+    # F order)
+    phases, at = _phases(phi)
+    y = _reduce(phases, n)
+    turns = y / math.pi - np.copysign(1.0, y)
+    if at is not None:
+        turns = turns.take(at, axis=1)
+    np.copyto(turns, 0.0, where=shallow)
+    turns.put(band, half)
+    return _sum_rows(x), _arg(turns)
 
 
 @dataclass(frozen=True)
@@ -277,9 +274,11 @@ class ProductEvaluator:
         The real part is -inf at lattice zeros, where the imaginary part is
         0, and finite elsewhere, beside a zero too (see _beside_zero); the
         imaginary part lies in (-pi, pi].  Near-equal blocks of at most
-        _BLOCK points, taken in order of |z| when there are several, are
-        evaluated as (circles x points) arrays; circles past a point's own
-        cutoff contribute exactly 0 and circles are summed in the order
+        _BLOCK_PAIRS // K points, K the call's largest cutoff, taken in
+        order of |z| when there are several, are evaluated as (circles x
+        points) arrays, the full factor on each block's band of pairs that
+        are neither deep nor dead; circles past a point's own cutoff
+        contribute exactly 0 and circles are summed in the order
         k = 1, 2, ... (a reduce over the rows of a block, an accumulate down
         a single column), so no value depends on its batch.  ValueError for
         input that is not 1-d, a non-finite z or a cutoff circle beyond
@@ -329,32 +328,21 @@ class ProductEvaluator:
                         "|z| = %r is too large: the cutoff circle 2^%d "
                         "exceeds binary64" % (r_max, self.cutoff(r_max)))
                 cutoffs = self._cutoffs(radii)
-                # a block costs what its largest point needs, so several
-                # blocks take the points in order of |z| (profile_on's
-                # radii already are)
-                order = None
-                if zs.size > _BLOCK and np.any(radii[1:] < radii[:-1]):
-                    order = np.argsort(radii, kind="stable")
-                # near-equal blocks of at most _BLOCK points (ceil divisions)
-                blocks = max(1, -(-zs.size // _BLOCK))
+                # near-equal blocks of at most _BLOCK_PAIRS pairs for the
+                # call's largest cutoff (ceil divisions); a block costs what
+                # its largest point needs, so several blocks take the points
+                # in order of |z| (profile_on's radii already are)
+                step = _BLOCK_PAIRS // int(cutoffs.max(initial=1))
+                blocks = max(1, -(-zs.size // step))
                 step = -(-zs.size // blocks) or 1
-                # a call with fewer distinct phases than blocks (a ray has
-                # one to a few) forms the angle terms once, on the circles
-                # of its largest cutoff; each block takes its rows and
-                # points.  Any other call forms them block by block
-                terms = None
-                if blocks > 1:
-                    phases, spread = _phases(phi)
-                    if phases.size < blocks:
-                        y = _reduce(phases, _POW2[:int(cutoffs.max())])
-                        terms = y, np.sin(0.5 * y), np.sin(y)
+                order = None
+                if blocks > 1 and np.any(radii[1:] < radii[:-1]):
+                    order = np.argsort(radii, kind="stable")
                 for lo in range(0, zs.size, step):
                     rows = (slice(lo, lo + step) if order is None
                             else order[lo:lo + step])
-                    mag[rows], arg = _log_f_block(
-                        radii[rows], phi[rows], cutoffs[rows], with_arg,
-                        terms and (*terms, spread if phases.size == 1
-                                   else partial(spread, at=rows)))
+                    mag[rows], arg = _log_f_block(radii[rows], phi[rows],
+                                                  cutoffs[rows], with_arg)
                     if with_arg:
                         out.imag[rows] = arg
                 # the scalar membership test runs only on points within a

@@ -1,5 +1,5 @@
-"""The gain rule tools/bench_record.py prints after each BENCH file, on
-synthetic paired runs."""
+"""The gain rule and the no-regression verdict tools/bench_record.py prints
+after each BENCH file, on synthetic paired runs."""
 import importlib.util
 from pathlib import Path
 
@@ -64,3 +64,52 @@ def test_the_line_states_the_verdict():
 def test_refuses_unpaired_runs_and_unknown_directions(better, last):
     with pytest.raises(ValueError):
         gain(better, [1.0, 2.0, 3.0], last)
+
+
+def test_a_change_inside_the_bound_is_within_bound():
+    first = [1.0, 1.1, 0.9, 1.0, 1.05]
+    rule = bench_record.regression("lower", 0.2, first,
+                                   [x * 1.1 for x in first])
+    assert rule["worse"] == pytest.approx(0.1)
+    assert rule["spread"] == pytest.approx(0.05)
+    assert rule["verdict"] == "within bound" and not rule["beats"]
+    # a higher-better metric that falls is worse by the fall
+    rule = bench_record.regression("higher", 0.2, first,
+                                   [x * 0.9 for x in first])
+    assert rule["worse"] == pytest.approx(0.1)
+    assert rule["verdict"] == "within bound"
+    line = bench_record.regression_line(
+        "op_p50_ms", ("parent", "change"),
+        bench_record.regression("lower", 0.2, first, first))
+    assert line == ("op_p50_ms: change +0.00% worse than parent (bound 20%, "
+                    "parent's spread 5.00%): within bound")
+
+
+def test_a_change_past_the_bound_is_worse_than_bound():
+    first = [1.0, 1.1, 0.9, 1.0, 1.05]
+    rule = bench_record.regression("lower", 0.2, first,
+                                   [x * 1.3 for x in first])
+    assert rule["worse"] == pytest.approx(0.3)
+    assert rule["verdict"] == "worse than bound"
+    # an ok_frac-like metric, all 1 on the first side, that falls by 3%
+    rule = bench_record.regression("higher", 0.02, [1.0] * 5, [0.97] * 5)
+    assert rule["worse"] == pytest.approx(0.03) and rule["spread"] == 0.0
+    assert rule["verdict"] == "worse than bound"
+
+
+def test_a_spread_wider_than_the_bound_is_unresolved():
+    # the first side's (q3 - q1) / median is 2/3, past the bound 0.2: a
+    # change inside the bound is unresolved, and so is a gain that does
+    # not beat every run, but a last side that beats every first-side run
+    # is within bound
+    first = [1.0, 2.0, 3.0, 4.0, 5.0]
+    rule = bench_record.regression("lower", 0.2, first,
+                                   [x * 1.05 for x in first])
+    assert rule["spread"] == pytest.approx(2.0 / 3.0)
+    assert rule["verdict"] == "unresolved"
+    assert bench_record.regression(
+        "lower", 0.2, first, [x * 0.5 for x in first])["verdict"] == "unresolved"
+    rule = bench_record.regression("lower", 0.2, first, [0.5] * 5)
+    assert rule["beats"] and rule["verdict"] == "within bound"
+    rule = bench_record.regression("higher", 0.2, first, [6.0] * 5)
+    assert rule["beats"] and rule["verdict"] == "within bound"

@@ -129,6 +129,24 @@ class TestWindowStats:
             assert abs(s.q_low) <= 0.02 and abs(s.q_high) <= 0.02
 
 
+class TestProfileRadii:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("make", [
+        lambda radii: GrowthProfile("f", 0.0, radii, np.zeros(radii.size)),
+        lambda radii: exp2_profile(0.0, radii),
+        lambda radii: sin2_profile(0.3, radii),
+        lambda radii: sin2_profile(math.pi / 2.0, radii),
+    ], ids=["GrowthProfile", "exp2_profile", "sin2_profile", "sin2_axis"])
+    def test_refuses_non_finite_radii(self, make, bad):
+        # nan compares false, so it passed the increasing test, and a
+        # trailing nan radius left window_stats counting 0 windows
+        for at in range(3):
+            radii = np.array([1.0, 2.0, 3.0])
+            radii[at] = bad
+            with pytest.raises(ValueError, match="finite"):
+                make(radii)
+
+
 class TestWindowGroups:
     def test_dyadic_radius_opens_its_window(self):
         # 2^k falls in window k and the float just below it in window k - 1

@@ -408,9 +408,18 @@ class TestBatchInvariance:
         assert ev.eval_log_f(radii[-1] * cis(theta)).log_mag == -math.inf
 
 
+def block_step(ev, r):
+    """The most points a block holds in a call whose largest |z| is r."""
+    return product._BLOCK_PAIRS // ev.cutoff(r)
+
+
+#: the block boundary of a call whose largest point is 2^30, as on the
+#: growth ray from k_lo = 24
+STEP = block_step(ProductEvaluator(ZeroLattice(k_max=14)), 2.0**30)
+
+
 class TestCircleSum:
-    @pytest.mark.parametrize("width", [2, 3, 8, 9, product._BLOCK,
-                                       product._BLOCK + 1])
+    @pytest.mark.parametrize("width", [2, 3, 8, 9, STEP - 1, STEP, STEP + 1])
     def test_reduce_adds_rows_in_order(self, width):
         # numpy reduces a fresh C-ordered (circles x points) array over
         # axis 0 row by row, in the order accumulate adds them
@@ -435,54 +444,73 @@ class TestCircleSum:
     def test_ray_bits_do_not_depend_on_batching(self, ev, k_lo, theta):
         # a growth-path ray: the whole ray, its one-point calls (which take
         # the block path, as |z| >= _DEEP_RADIUS) and batches of any size
-        # around _BLOCK give the same bits
+        # around the block boundary of its largest cutoff give the same bits
         zs = dyadic_radii(k_lo, k_lo + 6, 256) * cis(theta)
         assert zs.size == 1537 and np.abs(zs).min() >= _DEEP_RADIUS
+        step = block_step(ev, abs(zs[-1]))
         for method in (ev.log_f, ev.log_abs_f):
             whole = method(zs)
-            for size in (1, 2, 7, product._BLOCK, product._BLOCK + 1):
+            for size in (1, 2, 7, step - 1, step, step + 1):
                 parts = np.concatenate([method(zs[lo:lo + size])
                                         for lo in range(0, zs.size, size)])
                 assert parts.tobytes() == whole.tobytes(), size
 
     @staticmethod
-    def block_phase_counts(zs):
+    def block_phase_counts(ev, zs):
         # the distinct phases of each block log_f forms from zs
         phi = np.arctan2(zs.imag, zs.real)
-        step = -(-zs.size // -(-zs.size // product._BLOCK))
+        blocks = -(-zs.size // block_step(ev, np.abs(zs).max()))
+        step = -(-zs.size // blocks)
         return {product._phases(phi[lo:lo + step])[0].size
                 for lo in range(0, zs.size, step)}
 
     def test_bits_do_not_depend_on_phase_grouping(self, ev):
-        # a ray's blocks share one to a few phases, whose angle terms are
-        # formed once each; rays whose blocks have 1, 2, 3 and 4 of them
-        # (theta from a seeded draw) and a random batch, all of whose
-        # phases differ, keep their bits in one-point calls and in batches
-        # of any size
+        # log_f forms a block's angle terms once per distinct phase and
+        # gathers them back per point; rays whose blocks have 1, 2, 3 and 4
+        # phases (theta from a seeded draw) and a random batch, all of
+        # whose phases differ, keep their bits in one-point calls and in
+        # batches of any size
         rng = np.random.default_rng(23)
         radii = dyadic_radii(24, 30, 256)
         rays = {}
         for theta in rng.uniform(-math.pi, math.pi, 40):
             zs = radii * cis(theta)
-            for count in self.block_phase_counts(zs):
+            for count in self.block_phase_counts(ev, zs):
                 rays.setdefault(count, zs)
         assert {1, 2, 3, 4} <= rays.keys()
         zs = np.exp2(rng.uniform(-3.0, 40.0, 3000)) * cis(
             rng.uniform(-math.pi, math.pi, 3000))
-        assert self.block_phase_counts(zs) == {375}
-        # several phases are spread back C-ordered, as the circle sums need
-        phases, spread = product._phases(np.angle(zs[:8]))
-        assert spread(np.ones((5, phases.size))).flags.c_contiguous
+        assert self.block_phase_counts(ev, zs) == {600}
         for zs in [rays[count] for count in (1, 2, 3, 4)] + [zs]:
+            step = block_step(ev, np.abs(zs).max())
             for method in (ev.log_f, ev.log_abs_f):
                 whole = method(zs)
                 one = np.concatenate([method(zs[i:i + 1])
                                       for i in range(zs.size)])
                 assert one.tobytes() == whole.tobytes()
-                for size in (7, product._BLOCK, product._BLOCK + 1):
+                for size in (7, step, step + 1):
                     parts = np.concatenate([method(zs[lo:lo + size])
                                             for lo in range(0, zs.size, size)])
                     assert parts.tobytes() == whole.tobytes(), size
+
+    def test_phase_gather_stays_c_ordered(self, ev, monkeypatch):
+        # log_f gathers a block's (circles x phases) angle terms back to its
+        # points with take: the arrays its circle sums reduce must be
+        # C-ordered (a fancy index [:, cols] gives F order), or numpy would
+        # not add their rows in order
+        sums = []
+
+        def spy(x):
+            sums.append((x.shape, x.flags.c_contiguous))
+            return sum_rows(x)
+
+        sum_rows = product._sum_rows
+        monkeypatch.setattr(product, "_sum_rows", spy)
+        zs = dyadic_radii(24, 30, 256) * cis(0.7)
+        assert self.block_phase_counts(ev, zs) == {2}
+        ev.log_f(zs)
+        assert len(sums) == 4 and all(shape[1] > 1 for shape, _ in sums)
+        assert all(c_order for _, c_order in sums)
 
 
 class TestBlockShortcuts:
@@ -491,21 +519,21 @@ class TestBlockShortcuts:
         # cutoffs fall far below the circles live at its largest, and those
         # circles, with no mask, must leave every point its own bits
         rng = np.random.default_rng(29)
-        mods = np.exp2(rng.uniform(-40.0, 500.0, product._BLOCK))
+        mods = np.exp2(rng.uniform(-40.0, 500.0, block_step(ev, 2.0**500)))
         mods[:2] = 2.0**-40, 2.0**500
         zs = mods * cis(rng.uniform(-4, 4, mods.size))
         zs[1::5] = mods[1::5] * np.resize([1, 1j, -1, -1j], zs[1::5].size)
-        zs[::31] = [ev.lattice.zero(k % 20 + 1, 5 * k + 1)
-                    for k in range(zs[::31].size)]
+        zs[::7] = [ev.lattice.zero(k % 20 + 1, 5 * k + 1)
+                   for k in range(zs[::7].size)]
         radii = np.abs(zs)
         assert np.any(np.diff(radii) < 0)
         n = product._POW2[:ev.cutoff(radii.max()), 0]
         live = np.count_nonzero(np.log(radii.max() / n) * n > -750.0)
-        assert np.count_nonzero(ev._cutoffs(radii) < live) > 100
+        assert np.count_nonzero(ev._cutoffs(radii) < live) > radii.size // 2
         for method in (ev.log_f, ev.log_abs_f):
             one = np.concatenate([method(zs[i:i + 1]) for i in range(zs.size)])
             assert method(zs).tobytes() == one.tobytes()
-        assert np.all(ev.log_abs_f(zs[::31]) == -math.inf)
+        assert np.all(ev.log_abs_f(zs[::7]) == -math.inf)
 
     def test_circles_past_the_cutoff_are_dead(self, ev):
         # past its cutoff a point has 2^k >= 512 max(|z|, 1), so
@@ -522,21 +550,53 @@ class TestBlockShortcuts:
 
     @pytest.mark.parametrize("count", [5, 3])
     def test_multi_block_calls_match_one_point_calls(self, ev, count):
-        # 1537 points run as five blocks: with five distinct phases each
-        # block forms its own angle terms, with three the call forms them
-        # once and each block gathers its points' columns.  The moduli are
-        # shuffled, so blocks take their points in order of |z|, and reach
-        # 2^60, where circles are deep; the phases are those of the axes
-        # and the diagonals, which arctan2 gives exactly at any modulus
+        # 1537 points run as four blocks, each of which gathers the angle
+        # terms of its five or three distinct phases back to its points.
+        # The moduli are shuffled, so blocks take their points in order of
+        # |z|, and reach 2^60, where circles are deep; the phases are those
+        # of the axes and the diagonals, which arctan2 gives exactly at any
+        # modulus
         rng = np.random.default_rng(31 + count)
         mods = np.exp2(rng.uniform(-3.0, 60.0, 1537))
         directions = np.array([1 + 1j, -1j, -1 + 1j, 1, 1j])[:count]
         zs = mods * np.resize(directions, mods.size)
         phases = product._phases(np.angle(zs))[0]
-        assert phases.size == count and -(-zs.size // product._BLOCK) == 5
+        assert phases.size == count
+        assert -(-zs.size // block_step(ev, mods.max())) == 4
         for method in (ev.log_f, ev.log_abs_f):
             one = np.concatenate([method(zs[i:i + 1]) for i in range(zs.size)])
             assert method(zs).tobytes() == one.tobytes()
+
+    @pytest.mark.parametrize("name", ["ray8", "ray16", "ray24", "random",
+                                      "max_modulus"])
+    def test_blocks_stay_within_the_pair_budget(self, ev, monkeypatch, name):
+        # every block is at most _BLOCK_PAIRS (circles x points) pairs, its
+        # circles bounded by its largest cutoff; a growth ray is one or two
+        # blocks.  Blocks of a fixed 384 points reached 384 x 508 pairs on a
+        # batch to 2^500
+        blocks = []
+
+        def spy(radii, phi, cutoffs, with_arg):
+            blocks.append(radii.size * int(cutoffs.max()))
+            return log_f_block(radii, phi, cutoffs, with_arg)
+
+        log_f_block = product._log_f_block
+        monkeypatch.setattr(product, "_log_f_block", spy)
+        rng = np.random.default_rng(37)
+        if name.startswith("ray"):
+            k_lo = int(name[3:])
+            ev.profile_on(0.7, dyadic_radii(k_lo, k_lo + 6, 256))
+            assert 1 <= len(blocks) <= 2
+        elif name == "random":
+            ev.log_f(np.exp2(rng.uniform(-40.0, 500.0, 3000)) * cis(
+                rng.uniform(-math.pi, math.pi, 3000)))
+            assert len(blocks) == -(-3000 // block_step(ev, 2.0**500))
+        else:
+            # 64 angles are one block up to cutoff 512, two beyond
+            for r in (1000.3, 2.0**200, 2.0**1000):
+                ev.max_modulus(r, 64)
+            assert len(blocks) == 1 + 1 + 2
+        assert max(blocks) <= product._BLOCK_PAIRS
 
 
 class TestDirectOracle:

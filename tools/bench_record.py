@@ -17,7 +17,12 @@ After each file, one line per end-to-end metric gives the gain rule of the
 last side against the first: each side's median [q1-q3], the pairs (runs of
 one seed) the last side won by the metric's `better` and the ties, and
 whether the gap between the medians, in the better direction, exceeds the
-first side's quartile spread q3 - q1.
+first side's quartile spread q3 - q1.  The next line gives the
+no-regression verdict on that metric: how much worse the last side's median
+is than the first side's, as a fraction of the first side's median, against
+the metric's bound, "within bound" or "worse than bound"; or "unresolved"
+when the first side's spread (q3 - q1) / median exceeds the bound, unless
+every run of the last side beats every run of the first.
 """
 from __future__ import annotations
 
@@ -94,6 +99,39 @@ def gain_line(name, labels, rule):
                rule["first"]["q3"] - rule["first"]["q1"]))
 
 
+def regression(better, bound, first, last):
+    """The no-regression verdict on one metric from two sides' paired runs:
+    the change of the last side's median against the first side's, in the
+    worse direction, and the first side's spread q3 - q1, both as fractions
+    of the first side's median (of 1 when that is 0), and the verdict
+    against bound."""
+    rule = gain(better, first, last)
+    a, b = rule["first"], rule["last"]
+    scale = abs(a["median"]) or 1.0
+    worse = (b["median"] - a["median"] if better == "lower"
+             else a["median"] - b["median"]) / scale
+    spread = (a["q3"] - a["q1"]) / scale
+    beats = (max(last) < min(first) if better == "lower"
+             else min(last) > max(first))
+    if spread > bound and not beats:
+        verdict = "unresolved"
+    else:
+        verdict = "worse than bound" if worse > bound else "within bound"
+    return {"worse": worse, "spread": spread, "bound": bound,
+            "beats": beats, "verdict": verdict}
+
+
+def regression_line(name, labels, rule):
+    """regression()'s verdict on one metric as one line of text."""
+    first, last = labels
+    return ("%s: %s %+.2f%% worse than %s (bound %.0f%%, %s's spread "
+            "%.2f%%%s): %s"
+            % (name, last, 100.0 * rule["worse"], first, 100.0 * rule["bound"],
+               first, 100.0 * rule["spread"],
+               ", every run beats every %s run" % first if rule["beats"]
+               else "", rule["verdict"]))
+
+
 def summarize(label, runs):
     """A side of a BENCH file from its runs [(seed, env, probe, values)]."""
     first = runs[0][1]
@@ -144,10 +182,12 @@ def main(argv=None):
             labels = sides[0][0], sides[-1][0]
             for metric in spec["end_to_end"]:
                 name = metric["name"]
-                rule = gain(metric["better"],
-                            *([values[name] for _, _, _, values in runs[label]]
-                              for label in labels))
-                print(gain_line(name, labels, rule))
+                first, last = ([values[name] for _, _, _, values in runs[label]]
+                               for label in labels)
+                print(gain_line(name, labels, gain(metric["better"], first,
+                                                   last)))
+                print(regression_line(name, labels, regression(
+                    metric["better"], metric["bound"], first, last)))
     return 0
 
 
