@@ -81,8 +81,14 @@ def test_a_change_inside_the_bound_is_within_bound():
     line = bench_record.regression_line(
         "op_p50_ms", ("parent", "change"),
         bench_record.regression("lower", 0.2, first, first))
-    assert line == ("op_p50_ms: change +0.00% worse than parent (bound 20%, "
+    assert line == ("op_p50_ms: change 0.00% worse than parent (bound 20%, "
                     "parent's spread 5.00%): within bound")
+    line = bench_record.regression_line(
+        "op_p50_ms", ("parent", "change"),
+        bench_record.regression("lower", 0.2, first, [x - 0.5 for x in first]))
+    assert line == ("op_p50_ms: change 50.00% better than parent (bound 20%, "
+                    "parent's spread 5.00%, every run beats every parent "
+                    "run): within bound")
 
 
 def test_a_change_past_the_bound_is_worse_than_bound():

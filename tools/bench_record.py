@@ -124,10 +124,11 @@ def regression(better, bound, first, last):
 def regression_line(name, labels, rule):
     """regression()'s verdict on one metric as one line of text."""
     first, last = labels
-    return ("%s: %s %+.2f%% worse than %s (bound %.0f%%, %s's spread "
+    return ("%s: %s %.2f%% %s than %s (bound %.0f%%, %s's spread "
             "%.2f%%%s): %s"
-            % (name, last, 100.0 * rule["worse"], first, 100.0 * rule["bound"],
-               first, 100.0 * rule["spread"],
+            % (name, last, 100.0 * abs(rule["worse"]),
+               "better" if rule["worse"] < 0 else "worse", first,
+               100.0 * rule["bound"], first, 100.0 * rule["spread"],
                ", every run beats every %s run" % first if rule["beats"]
                else "", rule["verdict"]))
 
