@@ -14,10 +14,11 @@ full factor and its angle terms are formed only on a block's band, the
 pairs that are neither deep, where (|z|/2^k)^{2^k} >= e^40 and the
 factor's log modulus is exactly 2^k log(|z|/2^k), nor dead, where the
 factor is exactly 1; log_f forms the argument of the deep pairs once per
-distinct phase.  A single point below |z| = 100, where no circle is deep,
-skips the block scaffolding and runs the same factor formula on its
-circles as one column, so a one-point call costs one point and keeps the
-bits it has in any batch.
+distinct phase.  No circle is deep below |z| = 100, so there a block's
+band is every pair that is not dead, and a single point skips the block
+scaffolding and runs the same factor formula on its circles as one
+column, so a one-point call costs one point and keeps the bits it has in
+any batch.
 """
 from __future__ import annotations
 
@@ -108,8 +109,8 @@ _DEAD = -750.0
 _DEEP = 40.0
 
 #: no circle is deep below |z| = 32 e^{40/32} = 111.7, where circle 5 is
-#: the first to reach _DEEP: blocks below this radius run the factor on
-#: every pair, with no band, and a single point below it skips the blocks
+#: the first to reach _DEEP: a single point below this radius skips the
+#: blocks and the deep test, and runs the factor on its circles as one column
 _DEEP_RADIUS = 100.0
 
 
@@ -187,11 +188,6 @@ def _log_f_block(radii, phi, cutoffs, with_arg):
     r_top = radii.max()
     n = _POW2[:int(cutoffs.max())]
     n = n[:max(1, int(np.count_nonzero(np.log(r_top / n) * n > _DEAD)))]
-    if r_top < _DEEP_RADIUS:
-        # no pair is deep: _factor runs on every pair, and gives a dead one
-        # exactly +0 and a signed zero
-        log_mod, half = _column(radii, phi, n, with_arg)
-        return _sum_rows(log_mod), None if half is None else _arg(half)
     x = np.log(radii / n)
     x *= n
     # at a deep pair expm1(-x) is -1 and exp(min(x, 0)) is 1, so _factor
@@ -375,8 +371,9 @@ class ProductEvaluator:
         lf = complex(self.log_f([complex(z)])[0])
         return LogComplex(lf.real, lf.imag)
 
-    def eval_log_f_direct(self, z: complex, k_cut: int) -> LogComplex:
-        """Genus-0 per-zero product over circles 1..k_cut (cross-check oracle).
+    def eval_log_f_direct(self, z: complex, k_cut: int) -> complex:
+        """log f from the genus-0 per-zero product over circles 1..k_cut
+        (cross-check oracle), as log_f gives it: -inf at a zero.
 
         No exponential convergence factors are needed: the reciprocal sum
         over each circle vanishes identically.
@@ -387,12 +384,12 @@ class ProductEvaluator:
         for k in range(1, k_cut + 1):
             w = 1.0 - z / self.lattice.circle(k)
             if np.any(w == 0):
-                return LogComplex(-math.inf, 0.0)
+                return complex(-math.inf, 0.0)
             mag_parts.append(math.fsum(np.log(np.abs(w)).tolist()))
             arg_parts.append(math.fsum(np.angle(w).tolist()))
         # the argument reduced to (-pi, pi]
         arg = math.remainder(math.fsum(arg_parts), TAU)
-        return LogComplex(math.fsum(mag_parts), arg + TAU if arg <= -math.pi else arg)
+        return complex(math.fsum(mag_parts), arg + TAU if arg <= -math.pi else arg)
 
     def profile_on(self, theta: float, radii: np.ndarray) -> GrowthProfile:
         """Profile on a caller-supplied radius grid (e.g. dyadic_radii).

@@ -26,6 +26,9 @@ from expgrowth.csvio import fmt
 from expgrowth.lattice import ZeroLattice
 from expgrowth.product import dyadic_radii
 
+#: how a numeric failure names the inversion circle of a radius
+CIRCLE = ("_Path(r_start={0!r}, r_end={0!r}, angle_start=0.0, "
+          "angle_end=6.283185307179586, first=4)")
 
 def run(*args, cwd=None):
     """Run the CLI in a fresh interpreter; returns (code, stdout, stderr)."""
@@ -360,10 +363,10 @@ class TestExitCodes:
                               "cancellation cap 40.0")
 
     @pytest.mark.parametrize("argv, where", [
-        (("--z", "200"), "(200+0j) on CirclePath(radius=4.0)"),
-        (("--z", "-180"), "(-180+0j) on CirclePath(radius=4.0)"),
+        (("--z", "200"), "(200+0j) on " + CIRCLE.format(4.0)),
+        (("--z", "-180"), "(-180+0j) on " + CIRCLE.format(4.0)),
         (("--z", "1e6", "--radius", "2.5"),
-         "(1000000+0j) on CirclePath(radius=2.5)"),
+         "(1000000+0j) on " + CIRCLE.format(2.5)),
     ], ids=["200", "-180", "1e6-radius-2.5"])
     def test_inversion_overflow_names_z_and_the_circle(self, argv, where):
         code, out, err = run("borel", "invert", *argv)

@@ -13,21 +13,18 @@ import pytest
 from expgrowth.borel import BorelDomainError, BorelEvaluator
 from expgrowth.contours import (
     CancellationCapError,
-    CirclePath,
     F_eval,
     IntegralResult,
-    LineSegment,
     NonConvergenceError,
     QuadratureSpec,
-    SpiralArc,
     _FINEST_PANELS,
     _ARC,
-    _FIRST_PANELS,
     _GAUSS_W,
     _GAUSS_X,
     _POINTS_PER_PANEL,
     _SEGMENT,
     _SHARED_TAIL,
+    _Path,
     _asymptotic_tail,
     _exp_zs,
     _F_channel,
@@ -40,12 +37,17 @@ from expgrowth.contours import (
     u_eval,
 )
 from expgrowth.lattice import ZeroLattice
-from expgrowth.lognum import cis
+from expgrowth.lognum import cis, exp
 from expgrowth.product import ProductEvaluator
 
 # magnitude of the bounded piece at the origin, frozen from a 50-digit
 # quadrature of the transform over the axis segment
 ABS_U_AT_0 = 0.04384139741316833
+
+
+def _circle(radius):
+    """The circle borel_inversion integrates over."""
+    return _Path(radius, radius, 0.0, math.tau, 4)
 
 
 @pytest.fixture(scope="module")
@@ -60,30 +62,52 @@ def g():
 
 class TestSegments:
     def test_arc_endpoints_exact(self):
-        assert _ARC.point(0.0) == -4.0 + 0.0j
-        assert _ARC.point(1.0) == -3.0 + 0.0j
-        assert _ARC.point(0.5) == 3.5 + 0.0j  # halfway: angle 0, radius 3.5
+        assert _ARC.at(0.0)[0] == -4.0 + 0.0j
+        assert _ARC.at(1.0)[0] == -3.0 + 0.0j
+        assert _ARC.at(0.5)[0] == 3.5 + 0.0j  # halfway: angle 0, radius 3.5
 
     def test_segment_endpoints(self):
-        assert _SEGMENT.point(0.0) == -3.0 + 0.0j
-        assert _SEGMENT.point(1.0) == -4.0 + 0.0j
-        assert _SEGMENT.dpoint(0.3) == -1.0 + 0.0j
+        assert _SEGMENT.at(0.0)[0] == -3.0 + 0.0j
+        assert _SEGMENT.at(1.0)[0] == -4.0 + 0.0j
+        assert _SEGMENT.at(0.3)[1] == -1.0 + 0.0j
 
     def test_circle_geometry(self):
-        c = CirclePath(4.0)
-        assert c.point(0.0) == 4.0 + 0.0j
-        assert c.point(0.25) == pytest.approx(4.0j, abs=1e-15)
+        c = _circle(4.0)
+        assert c.at(0.0)[0] == 4.0 + 0.0j
+        assert c.at(0.25)[0] == pytest.approx(4.0j, abs=1e-15)
+
+    def test_radial_segment(self):
+        seg = _Path(2.5, 4.0, 0.5 * math.pi, 0.5 * math.pi, 1)
+        assert seg.at(0.0)[0] == 2.5j and seg.at(1.0)[0] == 4.0j
+        assert seg.at(0.3)[1] == 1.5j
+
+    def test_circle_and_segment_keep_their_closed_form_bits(self):
+        # r + 0 t is r and 0 + tau t is tau t exactly, so a circle is
+        # r e^{2 pi i t} with derivative 2 pi i r e^{2 pi i t} bit for bit;
+        # cis(pi) is exactly -1, so the segment is -3 - t with derivative -1
+        t = np.arange(1024) / 1024
+        e = cis(math.tau * t)
+        for r in (2.5, 3.0, 4.0, 5.0, 8.0):
+            s, ds = _circle(r).at(t)
+            assert s.tobytes() == (r * e).tobytes()
+            assert ds.tobytes() == (r * math.tau * 1j * e).tobytes()
+        s, ds = _SEGMENT.at(t)
+        assert s.tobytes() == (-3.0 + (-1.0 + 0.0j) * t).tobytes()
+        assert ds.tobytes() == np.full(t.shape, -1.0 + 0.0j).tobytes()
+
+    def test_only_a_full_turn_at_a_fixed_radius_is_closed(self):
+        assert _circle(4.0).closed and _Path(3.0, 3.0, math.pi, -math.pi,
+                                             4).closed
+        for path in (_ARC, _SEGMENT, _Path(4.0, 4.0, 0.0, math.pi, 4),
+                     _Path(4.0, 3.0, 0.0, math.tau, 4)):
+            assert not path.closed
 
     def test_paths_too_close_to_origin_rejected(self):
         # paths are plain geometry: g refuses the first node inside its floor
-        for path in (CirclePath(2.0), SpiralArc(4.0, 2.0, -math.pi, math.pi),
-                     LineSegment(-3.0 - 1.0j, 3.0 - 1.0j)):  # distance 1
+        for path in (_circle(2.0), _Path(4.0, 2.0, -math.pi, math.pi, 8),
+                     _Path(3.0, 1.0, 0.5, 0.5, 1)):  # down to modulus 1
             with pytest.raises(BorelDomainError):
                 _integrate(_SHARED_TAIL.at, path, 1.0)
-
-    def test_degenerate(self):
-        with pytest.raises(ValueError):
-            LineSegment(-3.0 + 0.0j, -3.0 + 0.0j)
 
 
 class TestQuadratureSpec:
@@ -99,16 +123,16 @@ class TestQuadratureSpec:
 
 class TestResidues:
     def test_simple_pole(self):
-        out = _integrate(lambda s: 1.0 / s, CirclePath(4.0), 0.0)
+        out = _integrate(lambda s: 1.0 / s, _circle(4.0), 0.0)
         assert isinstance(out, IntegralResult)
         assert abs(out.value - 1.0) <= 1e-12
 
     def test_double_pole_picks_linear_term(self):
-        out = _integrate(lambda s: 1.0 / s**2, CirclePath(4.0), 3.0)
+        out = _integrate(lambda s: 1.0 / s**2, _circle(4.0), 3.0)
         assert abs(out.value - 3.0) <= 1e-9
 
     def test_entire_integrand_vanishes(self):
-        out = _integrate(lambda s: 1.0, CirclePath(4.0), 2.0)
+        out = _integrate(lambda s: 1.0, _circle(4.0), 2.0)
         assert abs(out.value) <= 1e-12
 
 
@@ -131,6 +155,22 @@ class TestInversion:
             for radius in (3.0, 5.0, 6.0):
                 other = borel_inversion(z, radius)
                 assert abs(other - base) <= 1e-8 * max(abs(base), 1e-3)
+
+    @pytest.mark.parametrize("radius, edge", [
+        (2.5, 12.0), (4.0, 6.0), (8.0, 2.0)])
+    def test_readme_domain(self, ev, radius, edge):
+        # the README's z domain of the smallest, the default and the largest
+        # circle, swept at 48 directions (offset 0.1 rad) on |z| = 0.5, 1,
+        # ..., edge against criterion 5's 1e-7.  Measured worst: 2.5e-9,
+        # 5.4e-9 and 4.3e-12, each on the edge; one step past it the
+        # default circle reaches 1.5e-7 at |z| = 7, radius 8 4.9e-5 at 4
+        directions = cis(0.1 + math.tau * np.arange(48) / 48)
+        zs = (np.arange(1, int(2 * edge) + 1)[:, None] / 2.0
+              * directions).ravel()
+        f = exp(ev.log_f(zs))
+        rel = np.abs(borel_inversion(zs, radius) - f) / (1.0 + np.abs(f))
+        assert rel.max() <= 1e-7
+        assert np.argmax(rel) >= zs.size - 48  # the worst is on the edge
 
     def test_radius_validation(self):
         with pytest.raises(ValueError):
@@ -339,7 +379,7 @@ class TestRefinement:
         # error falls like (2.45 / 2.5)^n in the node count n (Trefethen and
         # Weideman, SIAM Review 56, 2014), from 8e-2 at 128 nodes (level 1)
         # to 1e-9 at 1024 (level 4)
-        circ = CirclePath(2.5)
+        circ = _circle(2.5)
 
         def pole(s):
             return 1.0 / (s - 2.45)
@@ -359,7 +399,7 @@ class TestRefinement:
     def test_non_convergence_carries_last_values(self):
         g_eval, sizes = _counting(_sign_of_imag)
         with pytest.raises(NonConvergenceError) as info:
-            _integrate(g_eval, CirclePath(4.0), 0.0)
+            _integrate(g_eval, _circle(4.0), 0.0)
         # it gives up only after the last level
         assert sizes[-1] == _FINEST_PANELS * _POINTS_PER_PANEL
         err = info.value
@@ -385,7 +425,7 @@ class TestFloorStop:
         assert abs(F_eval(-8j, spec) + u_eval(-8j, spec)) <= 2e-6
 
     @pytest.mark.parametrize("path", [
-        CirclePath(4.0), _ARC, _SEGMENT],
+        _circle(4.0), _ARC, _SEGMENT],
         ids=["circle", "arc", "segment"])
     def test_tolerance_stop_is_not_floor_limited(self, path):
         out = _integrate(_SHARED_TAIL.at, path, 1 + 1j)
@@ -409,14 +449,14 @@ class TestFloorStop:
         # not take them for roundoff
         g_eval, sizes = _counting(_noisy_exp)
         with pytest.raises(NonConvergenceError):
-            _integrate(g_eval, CirclePath(4.0), 0.0,
+            _integrate(g_eval, _circle(4.0), 0.0,
                        QuadratureSpec(target_rel_tol=1e-13))
         assert sizes[-1] == _FINEST_PANELS * _POINTS_PER_PANEL
 
 
 class TestFinestLevel:
     @pytest.mark.parametrize("path", [
-        _SEGMENT, CirclePath(4.0), _ARC],
+        _SEGMENT, _circle(4.0), _ARC],
         ids=["segment", "circle", "arc"])
     def test_every_path_refines_to_131072_nodes(self, path):
         # the first level is sized to the path, the last is the same for
@@ -446,7 +486,7 @@ def _batch_points(count):
 class TestSharedFirstPass:
     @pytest.mark.parametrize("count", [1, 7, 41])
     @pytest.mark.parametrize("pieces", [
-        (CirclePath(3.0),), (_ARC,), (_SEGMENT,),
+        (_circle(3.0),), (_ARC,), (_SEGMENT,),
         (_ARC, _SEGMENT),
     ], ids=["circle", "arc", "segment", "loop"])
     def test_levels_0_and_1_match_single_level_passes(self, pieces, count):
@@ -483,7 +523,7 @@ class TestBatch:
         # the batch tests above mean something only if the members of a
         # batch leave it at different levels
         spec = QuadratureSpec(target_rel_tol=1e-13)
-        for path in (CirclePath(4.0), _ARC):
+        for path in (_circle(4.0), _ARC):
             levels = {_integrate(_SHARED_TAIL.at, path, z, spec).refinements
                       for z in _batch_points(7).tolist()}
             assert len(levels) >= 2
@@ -494,7 +534,8 @@ class TestBatch:
     def test_overflow_stops_the_batch(self):
         # the message names the z that overflowed and the path
         with pytest.raises(FloatingPointError, match=(
-                r"at z = \(200\+0j\) on CirclePath\(radius=4\.0\): "
+                r"at z = \(200\+0j\) on _Path\(r_start=4\.0, r_end=4\.0, "
+                r"angle_start=0\.0, angle_end=6\.283185307179586, first=4\): "
                 "overflow encountered in exp")):
             borel_inversion(np.array([1.0, 200.0]))
 
@@ -502,12 +543,12 @@ class TestBatch:
         # z after z, the first failing z stops the batch with its own values
         with pytest.raises(NonConvergenceError) as info:
             for z in (0.0, 1.0):
-                _integrate(_sign_of_imag, CirclePath(4.0), z)
+                _integrate(_sign_of_imag, _circle(4.0), z)
         err = info.value
         assert cmath.isfinite(err.value) and cmath.isfinite(err.previous)
         assert err.value != err.previous
         with pytest.raises(NonConvergenceError) as first:
-            _integrate(_sign_of_imag, CirclePath(4.0), 0.0)
+            _integrate(_sign_of_imag, _circle(4.0), 0.0)
         assert (err.value, err.previous, err.error) == (
             first.value.value, first.value.previous, first.value.error)
 
@@ -542,7 +583,7 @@ class TestBatch:
 
 class TestLevelTable:
     @pytest.mark.parametrize("path", [
-        CirclePath(3.5), SpiralArc(4.0, 3.5, 0.0, 5.0)], ids=["circle", "arc"])
+        _circle(3.5), _Path(4.0, 3.5, 0.0, 5.0, 8)], ids=["circle", "arc"])
     def test_g_runs_once_per_segment_and_levels(self, path):
         # each call builds its path anew: the table is keyed on the
         # segment's value, not on the object
@@ -555,9 +596,9 @@ class TestLevelTable:
         # levels (0, 1) share a table, then one table per level up to
         # deepest, which reaches 512 nodes; a circle's level 0 is every
         # other node of its level 1
-        per_level = _FIRST_PANELS[type(path)] * _POINTS_PER_PANEL
+        per_level = path.first * _POINTS_PER_PANEL
         assert per_level << deepest >= 512
-        joint = 2 if isinstance(path, CirclePath) else 3
+        joint = 2 if path.closed else 3
         assert sizes == [joint * per_level] + [
             per_level << level for level in range(2, deepest + 1)]
 
@@ -565,13 +606,13 @@ class TestLevelTable:
         # the rule's nodes are fixed by the segment and the levels; the
         # tolerance only decides how many levels a z runs
         g_eval, sizes = _counting(_SHARED_TAIL.at)
-        seg = SpiralArc(4.0, 3.25, 0.0, 4.0)
+        seg = _Path(4.0, 3.25, 0.0, 4.0, 8)
         levels = [_integrate(g_eval, seg, 8.0, QuadratureSpec(tol)).refinements
                   for tol in (1e-10, 1e-13)]
         assert levels == [1, 2]  # the tighter tolerance adds a level
         assert len(sizes) == 2
         _refinement_values(g_eval, seg, 1.0, (0,))
-        _refinement_values(g_eval, SpiralArc(4.0, 3.25, 0.0, 4.5), 1.0, (0, 1))
+        _refinement_values(g_eval, _Path(4.0, 3.25, 0.0, 4.5, 8), 1.0, (0, 1))
         assert len(sizes) == 4
 
     @pytest.mark.parametrize("name, radius", [
@@ -593,7 +634,7 @@ class TestLevelTable:
                             else np.array([fn(z) for z in zs.tolist()]))
         assert len({run.tobytes() for run in runs}) == 1
 
-    @pytest.mark.parametrize("seg", [CirclePath(3.0), _ARC, _SEGMENT],
+    @pytest.mark.parametrize("seg", [_circle(3.0), _ARC, _SEGMENT],
                              ids=["circle", "arc", "segment"])
     def test_arrays_are_read_only(self, seg):
         rows, heads, weights, cuts = _level_table(
@@ -604,18 +645,18 @@ class TestLevelTable:
             with pytest.raises(ValueError):
                 array[0] = 0.0
 
-    @pytest.mark.parametrize("seg", [CirclePath(3.0), _ARC, _SEGMENT],
+    @pytest.mark.parametrize("seg", [_circle(3.0), _ARC, _SEGMENT],
                              ids=["circle", "arc", "segment"])
     def test_weights_integrate_constants_at_every_level(self, seg):
         # at z = 0 the weights alone sum: g = 1/s gives the residue 1 on a
         # circle, g = 1 gives (end - start) / (2 pi i) on an open path; a
         # circle's coarser levels read the finest one's weights, scaled
-        if isinstance(seg, CirclePath):
+        if seg.closed:
             g_eval, want = _reciprocal, 1.0
         else:
             g_eval = _one
-            want = (seg.point(1.0) - seg.point(0.0)) / (2j * math.pi)
-        last = (_FINEST_PANELS // _FIRST_PANELS[type(seg)]).bit_length() - 1
+            want = (seg.at(1.0)[0] - seg.at(0.0)[0]) / (2j * math.pi)
+        last = (_FINEST_PANELS // seg.first).bit_length() - 1
         for levels in [(0, 1)] + [(level,) for level in range(2, last + 1)]:
             for value, _ in _refinement_values(g_eval, seg, 0.0, levels):
                 assert abs(value - want) <= 4e-15, levels
@@ -631,7 +672,7 @@ def _one(s):
 
 class TestExponent:
     @pytest.mark.parametrize("seg, moduli", [
-        (CirclePath(4.0), (2.0, 8.0)), (_ARC, (2.0, 8.0, 20.0, 40.0)),
+        (_circle(4.0), (2.0, 8.0)), (_ARC, (2.0, 8.0, 20.0, 40.0)),
         (_SEGMENT, (2.0, 8.0, 20.0, 40.0)),
     ], ids=["circle", "arc", "segment"])
     def test_matches_mpmath(self, seg, moduli):

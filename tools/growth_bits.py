@@ -55,8 +55,10 @@ def digest():
     return sha.hexdigest()
 
 
-def main(argv=None):
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+def main(argv=None, digest=digest, script=__file__, doc=__doc__):
+    """Print digest() per checkout, each from script run in a fresh
+    interpreter; tools/contour_bits.py passes its own three."""
+    parser = argparse.ArgumentParser(description=doc.splitlines()[0])
     parser.add_argument("checkouts", nargs="*", default=[str(ROOT)],
                         metavar="CHECKOUT")
     parser.add_argument("--in-process", action="store_true",
@@ -71,7 +73,7 @@ def main(argv=None):
     for checkout in args.checkouts:
         package = Path(checkout).resolve() / "src" / "expgrowth"
         proc = subprocess.run(
-            [sys.executable, __file__, "--in-process"], capture_output=True,
+            [sys.executable, script, "--in-process"], capture_output=True,
             text=True, env=dict(os.environ, PYTHONPATH=str(package.parent)))
         if proc.returncode != 0:
             raise SystemExit("%s: exit %d\n%s"
