@@ -336,6 +336,11 @@ class TestBatchInvariance:
         one_eval = [ev.eval_log_f(z) for z in zs]
         assert one.tobytes() == batch.tobytes()
         assert one_abs.tobytes() == batch_abs.tobytes()
+        # the points below _DEEP_RADIUS alone: one block with no deep pair
+        low = np.abs(zs) < _DEEP_RADIUS
+        assert low.sum() > 500
+        assert ev.log_f(zs[low]).tobytes() == batch[low].tobytes()
+        assert ev.log_abs_f(zs[low]).tobytes() == batch_abs[low].tobytes()
         assert np.array([complex(lf.log_mag, lf.arg) for lf in one_eval]
                         ).tobytes() == batch.tobytes()
         assert np.all(one.real[np.isin(zs, zeros)] == -math.inf)
