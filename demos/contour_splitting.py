@@ -3,12 +3,13 @@ Recovering f from its Borel sum, and splitting off the decaying part
 ====================================================================
 
 The contour integral (1/(2 pi i)) * int g(s) e^(z s) ds around a circle of
-radius between 2.5 and 8 reproduces f(z) exactly, independent of the radius
-chosen.  Splitting
-the same contour into a spiral arc and a closing segment writes f = F + u
-where u(x) decays like e^(-3x) on the positive axis.  Both facts are checked
-numerically here; the quadrature refines itself until the requested relative
-tolerance is met.
+radius between 2.5 and 8 reproduces f(z), to within 1e-7 (1 + |f|), on a
+z domain that shrinks as the radius grows: |z| <= 12 at radius 2.5, <= 6
+at radius 4 and <= 2 at radius 8 (measured; radii between them are not
+swept).  Splitting the same contour into a spiral arc and a closing
+segment writes f = F + u where u(x) decays like e^(-3x) on the positive
+axis.  Both facts are checked numerically here; the quadrature refines
+itself until the requested relative tolerance is met.
 """
 import numpy as np
 
@@ -21,12 +22,13 @@ from expgrowth import (
     u_decay_bound,
     u_eval,
 )
+from expgrowth.lognum import exp
 
 ev = ProductEvaluator(ZeroLattice(k_max=12))
 
 print("inversion against the closed form, three radii")
 for z in (1.0 + 0.0j, -2.0 + 1.5j, 3.5j):
-    fv = ev.eval_log_f(z).to_complex()
+    fv = complex(exp(ev.log_f([z])[0]))
     print("  z = %s, f = %s" % (z, fv))
     for radius in (2.5, 4.0, 6.0):
         err = abs(borel_inversion(z, radius=radius) - fv)
@@ -41,7 +43,7 @@ rng = np.random.default_rng(9)
 worst = 0.0
 for _ in range(8):
     z = complex(rng.uniform(-6, 6), rng.uniform(-6, 6))
-    fv = ev.eval_log_f(z).to_complex()
+    fv = complex(exp(ev.log_f([z])[0]))
     resid = abs(F_eval(z, spec) + u_eval(z, spec) - fv)
     worst = max(worst, resid / (1.0 + abs(fv)))
 print("  worst residual / (1 + |f|) over 8 random z: %.3e" % worst)

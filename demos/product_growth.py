@@ -14,26 +14,26 @@ import math
 import numpy as np
 
 from expgrowth import ProductEvaluator, ZeroLattice, dyadic_radii
+from expgrowth.lognum import exp
 
 ev = ProductEvaluator(ZeroLattice(k_max=14))
 
 print("sample values")
 for z in (1.0 + 0.0j, 3.0 + 2.0j, 10.0j, -25.0 + 0.0j):
-    lf = ev.eval_log_f(z)
-    print("  f(%s) = %s   log|f| = %.6f" % (z, lf.to_complex(), lf.log_mag))
+    lf = ev.log_f([z])[0]
+    print("  f(%s) = %s   log|f| = %.6f" % (z, complex(exp(lf)), lf.real))
 print()
 
 # exact zeros: 2^k times a 2^k-th root of unity
 z = ev.lattice.zero(3, 5)
-print("at a lattice zero %s: log|f| = %s" % (z, ev.eval_log_f(z).log_mag))
+print("at a lattice zero %s: log|f| = %s" % (z, ev.log_abs_f([z])[0]))
 print()
 
 # powers of two on this ray are exact zeros, so sample between them
 print("normalized growth along the positive axis")
 print("  r          log|f(r)| / r")
 for r in (260.0, 384.0, 520.0, 768.0, 1000.0):
-    lf = ev.eval_log_f(complex(r, 0.0))
-    print("  %7.1f    %.6f" % (r, lf.log_mag / r))
+    print("  %7.1f    %.6f" % (r, ev.log_abs_f([r])[0] / r))
 print()
 
 print("maximum modulus over 64 directions, normalized by r")

@@ -388,6 +388,7 @@ def _asymptotic_tail(w: complex) -> complex:
     return cmath.exp(w) * s / w
 
 
+# kept for u's 1/s channel, run twice in every contour_solve identity op
 @lru_cache(maxsize=2)
 def _channel_panels(panels: int) -> tuple:
     """Nodes s of that many Gauss panels on [-3, -4], weights * ds/s."""

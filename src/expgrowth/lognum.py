@@ -33,6 +33,7 @@ def cis(a):
     binary64, and gives the 0-d array the array path would.
     """
     if isinstance(a, (int, float)) or getattr(a, "ndim", None) == 0:
+        # kept for exp's one value and each growth_scan ray's cis(theta)
         a = float(a)
         if math.isfinite(a):
             c = 0.0 if abs(a) == 0.5 * math.pi else math.cos(a)
@@ -57,6 +58,7 @@ def exp(log_f):
     """
     log_f = np.asarray(log_f, dtype=complex)
     if log_f.ndim == 0:
+        # kept for the f of every contour_solve op (LogComplex.to_complex)
         mag = float(log_f.real)
         if -math.inf < mag <= _EXP_MAX:
             # an array multiply, as below: a scalar one (Python's or

@@ -13,8 +13,7 @@ pairs, at most 2^15 of them, so a growth ray is one or two blocks.  The
 full factor and its angle terms are formed only on a block's band, the
 pairs that are neither deep, where (|z|/2^k)^{2^k} >= e^40 and the
 factor's log modulus is exactly 2^k log(|z|/2^k), nor dead, where the
-factor is exactly 1; log_f forms the argument of the deep pairs once per
-distinct phase.  No circle is deep below |z| = 100, so there a block's
+factor is exactly 1.  No circle is deep below |z| = 100, so there a block's
 band is every pair that is not dead, and a single point skips the block
 scaffolding and runs the same factor formula on its circles as one
 column, so a one-point call costs one point and keeps the bits it has in
@@ -48,6 +47,7 @@ class GrowthProfile:
     theta: float
     radii: np.ndarray
     values: np.ndarray
+    # kept for the growth_scan ray op, whose classify reuses window_stats
     _window_stats: dict = field(default_factory=dict, init=False,
                                 repr=False, compare=False)
 
@@ -143,17 +143,6 @@ def _column(r, phi, n, with_arg):
     return _factor(np.log(r / n) * n, np.sin(0.5 * y), np.sin(y), with_arg)
 
 
-def _phases(phi):
-    """phi's distinct values by their bits (+0 apart from -0) and each
-    point's column among them, or phi itself and None when all differ."""
-    keys = np.sort(phi.view(np.int64))
-    new = keys[1:] != keys[:-1]
-    if new.all():
-        return phi, None
-    keys = np.concatenate((keys[:1], keys[1:][new]))
-    return keys.view(float), np.searchsorted(keys, phi.view(np.int64))
-
-
 def _sum_rows(x):
     """Rows k = 1, 2, ... of x added in turn: numpy reduces a fresh C-ordered
     block row by row but a lone column pairwise, so a column accumulates."""
@@ -210,15 +199,11 @@ def _log_f_block(radii, phi, cutoffs, with_arg):
     if not with_arg:
         return _sum_rows(x), None
     # a deep pair's argument is y + pi, in half turns the closed form
-    # y/pi - 1 (or + 1) with the signs arctan2 gives at y = +-0, formed
-    # once per distinct phase and gathered back to the points with take,
-    # which keeps the C order _sum_rows needs (a fancy index [:, at] gives
-    # F order)
-    phases, at = _phases(phi)
-    y = _reduce(phases, n)
+    # y/pi - 1 (or + 1) with the signs arctan2 gives at y = +-0, formed on
+    # the block's whole (circles x points) array, C-ordered as _sum_rows
+    # needs
+    y = _reduce(phi, n)
     turns = y / math.pi - np.copysign(1.0, y)
-    if at is not None:
-        turns = turns.take(at, axis=1)
     np.copyto(turns, 0.0, where=shallow)
     turns.put(band, half)
     return _sum_rows(x), _arg(turns)
@@ -270,15 +255,14 @@ class ProductEvaluator:
         The real part is -inf at lattice zeros, where the imaginary part is
         0, and finite elsewhere, beside a zero too (see _beside_zero); the
         imaginary part lies in (-pi, pi].  Near-equal blocks of at most
-        _BLOCK_PAIRS // K points, K the call's largest cutoff, taken in
-        order of |z| when there are several, are evaluated as (circles x
-        points) arrays, the full factor on each block's band of pairs that
-        are neither deep nor dead; circles past a point's own cutoff
-        contribute exactly 0 and circles are summed in the order
-        k = 1, 2, ... (a reduce over the rows of a block, an accumulate down
-        a single column), so no value depends on its batch.  ValueError for
-        input that is not 1-d, a non-finite z or a cutoff circle beyond
-        binary64.
+        _BLOCK_PAIRS // K points, K the call's largest cutoff, consecutive
+        in call order, are evaluated as (circles x points) arrays, the full
+        factor on each block's band of pairs that are neither deep nor
+        dead; circles past a point's own cutoff contribute exactly 0 and
+        circles are summed in the order k = 1, 2, ... (a reduce over the
+        rows of a block, an accumulate down a single column), so no value
+        depends on its batch.  ValueError for input that is not 1-d, a
+        non-finite z or a cutoff circle beyond binary64.
 
         The real part keeps ~3e-16 relative accuracy, but at distance d from
         zero j of circle k off the axes it is off by up to ~e/d, e = 2^(k-1)
@@ -307,7 +291,8 @@ class ProductEvaluator:
                 # the cutoff, so circles 1..K run _factor as one column with
                 # no deep test.  The dead circles a block would cut have
                 # factors exactly 1, so the bits are the block's.  One frexp
-                # gives the cutoff (as _cutoffs) and the near-dyadic test
+                # gives the cutoff (as _cutoffs) and the near-dyadic test.
+                # Kept for the one eval_log_f of every contour_solve op
                 frac, e = math.frexp(radii[0])
                 n = _POW2[:max(e - (frac == 0.5), 0) + 2 + _TAIL_MARGIN, 0]
                 log_mod, half = _column(radii[0], phi[0], n, with_arg)
@@ -325,18 +310,13 @@ class ProductEvaluator:
                         "exceeds binary64" % (r_max, self.cutoff(r_max)))
                 cutoffs = self._cutoffs(radii)
                 # near-equal blocks of at most _BLOCK_PAIRS pairs for the
-                # call's largest cutoff (ceil divisions); a block costs what
-                # its largest point needs, so several blocks take the points
-                # in order of |z| (profile_on's radii already are)
+                # call's largest cutoff (ceil divisions), consecutive slices
+                # in call order
                 step = _BLOCK_PAIRS // int(cutoffs.max(initial=1))
                 blocks = max(1, -(-zs.size // step))
                 step = -(-zs.size // blocks) or 1
-                order = None
-                if blocks > 1 and np.any(radii[1:] < radii[:-1]):
-                    order = np.argsort(radii, kind="stable")
                 for lo in range(0, zs.size, step):
-                    rows = (slice(lo, lo + step) if order is None
-                            else order[lo:lo + step])
+                    rows = slice(lo, lo + step)
                     mag[rows], arg = _log_f_block(radii[rows], phi[rows],
                                                   cutoffs[rows], with_arg)
                     if with_arg:

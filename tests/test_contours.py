@@ -309,6 +309,22 @@ class TestArcTransform:
             resid = abs(F_eval(z, spec) + u_eval(z, spec) - fv)
             assert resid <= 1e-7 * (1.0 + abs(fv))
 
+    def test_readme_domain(self, ev):
+        # the README's F_eval claim, |F + u - f| <= 1e-7 (1 + |f|) for
+        # |z| <= 7.25 in every direction, swept at 144 directions tau j/144
+        # on |z| = 0.5, 1, ..., 7 and the edge 7.25, with the quadrature
+        # driven to its floor as above.  Measured worst: 8.9e-8, on the
+        # edge at theta = tau 70/144
+        spec = QuadratureSpec(target_rel_tol=1e-13)
+        directions = cis(math.tau * np.arange(144) / 144)
+        radii = np.append(np.arange(1, 15) / 2.0, 7.25)
+        zs = (radii[:, None] * directions).ravel()
+        f = exp(ev.log_f(zs))
+        rel = np.abs(F_eval(zs, spec) + u_eval(zs, spec) - f) / (
+            1.0 + np.abs(f))
+        assert rel.max() <= 1e-7
+        assert np.argmax(rel) >= zs.size - 144  # the worst is on the edge
+
 
 class TestEndpointChannels:
     # Gauss-panel and asymptotic channels, and pairs that differ only in

@@ -349,8 +349,9 @@ class TestBatchInvariance:
                               [ev._is_lattice_zero(complex(z)) for z in zs])
 
     def test_shuffled_blocks_keep_their_bits(self):
-        # a multi-block batch runs in order of |z|: shuffled moduli from
-        # 2^-40 to 2^500 give each point the bits of its own scalar call
+        # a multi-block batch runs its blocks as consecutive slices in call
+        # order: shuffled moduli from 2^-40 to 2^500, so each block mixes
+        # small and huge |z|, give each point the bits of its own scalar call
         rng = np.random.default_rng(16)
         zs = np.exp2(rng.uniform(-40.0, 500.0, 700)) * np.exp(
             1j * rng.uniform(-4, 4, 700))
@@ -462,19 +463,17 @@ class TestCircleSum:
 
     @staticmethod
     def block_phase_counts(ev, zs):
-        # the distinct phases of each block log_f forms from zs
+        # the distinct phases, by their bits, of each block log_f forms from zs
         phi = np.arctan2(zs.imag, zs.real)
         blocks = -(-zs.size // block_step(ev, np.abs(zs).max()))
         step = -(-zs.size // blocks)
-        return {product._phases(phi[lo:lo + step])[0].size
+        return {np.unique(phi[lo:lo + step].view(np.int64)).size
                 for lo in range(0, zs.size, step)}
 
     def test_bits_do_not_depend_on_phase_grouping(self, ev):
-        # log_f forms a block's angle terms once per distinct phase and
-        # gathers them back per point; rays whose blocks have 1, 2, 3 and 4
-        # phases (theta from a seeded draw) and a random batch, all of
-        # whose phases differ, keep their bits in one-point calls and in
-        # batches of any size
+        # rays whose blocks have 1, 2, 3 and 4 distinct phases (theta from
+        # a seeded draw) and a random batch, all of whose phases differ,
+        # keep their bits in one-point calls and in batches of any size
         rng = np.random.default_rng(23)
         radii = dyadic_radii(24, 30, 256)
         rays = {}
@@ -499,10 +498,10 @@ class TestCircleSum:
                     assert parts.tobytes() == whole.tobytes(), size
 
     def test_phase_gather_stays_c_ordered(self, ev, monkeypatch):
-        # log_f gathers a block's (circles x phases) angle terms back to its
-        # points with take: the arrays its circle sums reduce must be
-        # C-ordered (a fancy index [:, cols] gives F order), or numpy would
-        # not add their rows in order
+        # the arrays a block's circle sums reduce, its log moduli and its
+        # half turns, must be C-ordered (a fancy index [:, cols] gives F
+        # order), or numpy would not add their rows in order; here on a ray
+        # whose blocks have two distinct phases each
         sums = []
 
         def spy(x):
@@ -555,18 +554,16 @@ class TestBlockShortcuts:
 
     @pytest.mark.parametrize("count", [5, 3])
     def test_multi_block_calls_match_one_point_calls(self, ev, count):
-        # 1537 points run as four blocks, each of which gathers the angle
-        # terms of its five or three distinct phases back to its points.
-        # The moduli are shuffled, so blocks take their points in order of
-        # |z|, and reach 2^60, where circles are deep; the phases are those
-        # of the axes and the diagonals, which arctan2 gives exactly at any
-        # modulus
+        # 1537 points with five or three distinct phases run as four
+        # blocks.  The moduli are shuffled, so each block mixes small and
+        # large |z|, and reach 2^60, where circles are deep; the phases are
+        # those of the axes and the diagonals, which arctan2 gives exactly
+        # at any modulus
         rng = np.random.default_rng(31 + count)
         mods = np.exp2(rng.uniform(-3.0, 60.0, 1537))
         directions = np.array([1 + 1j, -1j, -1 + 1j, 1, 1j])[:count]
         zs = mods * np.resize(directions, mods.size)
-        phases = product._phases(np.angle(zs))[0]
-        assert phases.size == count
+        assert np.unique(np.angle(zs).view(np.int64)).size == count
         assert -(-zs.size // block_step(ev, mods.max())) == 4
         for method in (ev.log_f, ev.log_abs_f):
             one = np.concatenate([method(zs[i:i + 1]) for i in range(zs.size)])
