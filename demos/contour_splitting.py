@@ -4,11 +4,11 @@ Recovering f from its Borel sum, and splitting off the decaying part
 
 The contour integral (1/(2 pi i)) * int g(s) e^(z s) ds around a circle of
 radius between 2.5 and 8 reproduces f(z), to within 1e-7 (1 + |f|), on a
-z domain that shrinks as the radius grows: |z| <= 12 at radius 2.5, <= 6
-at radius 4 and <= 2 at radius 8 (measured; radii between them are not
-swept).  Splitting the same contour into a spiral arc and a closing
-segment writes f = F + u where u(x) decays like e^(-3x) on the positive
-axis.  Both facts are checked numerically here; the quadrature refines
+z domain that shrinks as the radius grows: |z| <= 12 at radius 2.5,
+<= 10.5 at radius 3, <= 6 at radius 4, <= 5 at radius 5 and <= 2 at
+radius 8 (measured; other radii are not swept).  Splitting the same
+contour into a spiral arc and a closing segment writes f = F + u where
+u(x) decays like e^(-3x) on the positive axis.  Both facts are checked numerically here; the quadrature refines
 itself until the requested relative tolerance is met.
 """
 import numpy as np

@@ -14,13 +14,15 @@ heads for the doubled-precision exponent, and one weight per node,
 W = g(s) s'(t) times the rule's, form one read-only table, built once per
 process.  Levels 0 and 1, which every z needs, share one; a circle's
 levels nest, so its shared table holds level 1's nodes and reads level 0
-as every other one, at twice the weight.  Per z, one multiply forms the
-terms e^{zs} W over a table, and one math.fsum, exactly rounded, sums
-each level's.  The rule is fixed and a QuadratureSpec is only a
-tolerance.  Each named integral runs its one path through one engine,
-_integrate, one z at a time: each entry of a 1-D batch is the scalar
-call, bit for bit, and reads the same cached tables.  A non-finite z is
-refused before any quadrature.
+as every other one, at twice the weight.  From |z| = 4 on, where the arc
+needs level 2 as a rule, its first pass forms levels 0 to 2 at once over
+the join of their cached tables, with no new g work.  Per z, one
+multiply forms the terms e^{zs} W over a table, and one math.fsum,
+exactly rounded, sums each level's.  The rule is fixed and a
+QuadratureSpec is only a tolerance.  Each named integral runs its one
+path through one engine, _integrate, one z at a time: each entry of a
+1-D batch is the scalar call, bit for bit, and reads the same cached
+tables.  A non-finite z is refused before any quadrature.
 
 The named integrals (borel_inversion, u_eval, F_eval) split g into 1/s plus
 a smooth tail, and only the tail, whose oscillatory mass is ~25x smaller,
@@ -50,7 +52,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -107,13 +109,15 @@ class CancellationCapError(ValueError):
 @dataclass(frozen=True)
 class _Path:
     """r(t) e^{i a(t)} at t in [0, 1], a float or an array, with r and a
-    linear in t; first is the panel count of level 0."""
+    linear in t; first is the panel count of level 0, and from |z| = wide
+    on the first pass also forms level 2 (see _integrate)."""
 
     r_start: float
     r_end: float
     angle_start: float
     angle_end: float
     first: int
+    wide: float = field(default=math.inf, repr=False)
 
     @property
     def closed(self) -> bool:
@@ -245,10 +249,11 @@ def _gauss_panels(panels: int) -> tuple:
     return t.ravel(), np.tile(_GAUSS_W * half, panels)
 
 
-#: keys (g, segment, levels) in use: 7 in a contour_solve round of the
+#: keys (g, segment, levels) in use: 8 in a contour_solve round of the
 #: benchmark (circles of radius 3, 4, 5 and the segment at levels (0, 1), the
-#: arc at (0, 1) and 2 to 3), 8 in a round where an inversion needs circle
-#: level 2, 4 in reproduce (radius 4, segment, arc to 2)
+#: arc at (0, 1), 2, 3 and the wide pass's join (0, 1, 2)), 9 in a round
+#: where an inversion needs circle level 2, 5 in reproduce (radius 4,
+#: segment, arc to 2 and the join)
 _TABLE_SIZE = 32
 
 
@@ -261,10 +266,21 @@ def _level_table(g_eval, seg, levels: tuple) -> tuple:
     rule's weight, and per level its (index into the nodes, scale).  The
     complex s itself is not kept.
 
-    Open paths join each level's Gauss nodes, at scale 1.  The levels of a
-    closed path, a circle, nest (t = j/n lies on every finer level), so its
-    table holds the finest level's n nodes alone, weighted 1/n, and reads a
-    coarser level as every 2^d-th node at scale 2^d, which is exact."""
+    Open paths join each level's Gauss nodes, at scale 1; the wide pass
+    (0, 1, 2) of _integrate joins the cached tables of (0, 1) and (2,), so
+    it evaluates g at no new node.  The levels of a closed path, a circle,
+    nest (t = j/n lies on every finer level), so its table holds the
+    finest level's n nodes alone, weighted 1/n, and reads a coarser level
+    as every 2^d-th node at scale 2^d, which is exact."""
+    if len(levels) > 2 and not seg.closed:
+        parts = [_level_table(g_eval, seg, levels[:2])] + [
+            _level_table(g_eval, seg, (level,)) for level in levels[2:]]
+        starts = np.cumsum([0] + [part[2].size for part in parts]).tolist()
+        cuts = [(slice(index.start + start, index.stop + start), scale)
+                for part, start in zip(parts, starts)
+                for index, scale in part[3]]
+        return _frozen(*(np.concatenate(a, axis=-1)
+                         for a in list(zip(*parts))[:3]), cuts)
     if seg.closed:
         top = max(levels)
         n = seg.first * _POINTS_PER_PANEL << top
@@ -280,7 +296,11 @@ def _level_table(g_eval, seg, levels: tuple) -> tuple:
     s, ds = seg.at(t)
     weights = g_eval(s) * ds * w
     rows = np.array([[s.imag, s.real], [s.real, -s.imag]])
-    heads = _split(rows)[0]
+    return _frozen(rows, _split(rows)[0], weights, cuts)
+
+
+def _frozen(rows, heads, weights, cuts) -> tuple:
+    """A level table, its arrays made read-only."""
     for a in (rows, heads, weights):
         a.flags.writeable = False
     return rows, heads, weights, tuple(cuts)
@@ -312,8 +332,11 @@ def _integrate(g_eval, seg, z: complex,
 
     g_eval maps an array of nodes s to g(s); it must be pure and hashable,
     as its values on a segment and level serve every z for the process.
-    Levels 0 and 1, which every z needs, share one table; each later level
-    has its own.  The value of level L is returned once
+    Levels 0 and 1, which every z needs, share one pass; each later level
+    has its own, except that from |z| = seg.wide on, where z needs level 2
+    as a rule, the first pass forms levels 0, 1 and 2 over the join of
+    their tables.  The stops are tested level by level either way, so a
+    pass changes no bit of the result.  The value of level L is returned once
     d_L = |v_L - v_{L-1}| meets the tolerance tol * |v_L| or the roundoff
     floor 4 * eps * mass_L, or, from level 2, once d_L >= d_{L-1} and
     d_L <= _STALL floors: the differences have stalled at roundoff.
@@ -328,8 +351,10 @@ def _integrate(g_eval, seg, z: complex,
     last = (_FINEST_PANELS // seg.first).bit_length() - 1
     prev = older = None
     err = math.inf  # the last difference, inf before level 2
+    first = (0, 1, 2) if abs(z) >= seg.wide else (0, 1)
+    passes = [first] + [(level,) for level in range(len(first), last + 1)]
     with np.errstate(over="raise", invalid="raise"):
-        for levels in [(0, 1)] + [(level,) for level in range(2, last + 1)]:
+        for levels in passes:
             values = _refinement_values(g_eval, seg, z, levels)
             for level, (value, mass) in zip(levels, values):
                 if level:
@@ -359,8 +384,13 @@ _SHARED_TAIL = BorelEvaluator(min_index=2)
 #: counterclockwise to -3, radius within [3, 4], closed by the segment -3 to
 #: -4.  Level 0 is sized to the path: 8 panels on the arc, 22 times the
 #: segment, and one on the unit segment, the 1/s channel's own rule below
-#: |z| = 8, good to 3e-14 there
-_ARC = _Path(4.0, 3.0, -math.pi, math.pi, 8)
+#: |z| = 8, good to 3e-14 there.  The arc's first pass also forms level
+#: 2 from |z| = 4 on, where a z needs it as a rule: of 400 z with |z|
+#: uniform in [0, 8], at tolerance 1e-13, none below 3 did, 47 of 55 in
+#: [4, 5) and all from 5 on (3.5 measured no faster).  The others keep
+#: no wide pass: the segment stayed at level 1 for all 400, circles of
+#: radius 3, 4 and 5 for 392 of 400 inversions with |z| <= 4
+_ARC = _Path(4.0, 3.0, -math.pi, math.pi, 8, wide=4.0)
 _SEGMENT = _Path(3.0, 4.0, math.pi, math.pi, 1)
 
 
@@ -453,8 +483,8 @@ def borel_inversion(z, radius: float = 4.0, spec: QuadratureSpec = None):
 
     The 1/s part contributes its residue, exactly 1, for every z; the
     quadrature handles the tail g - 1/s.  It meets 1e-7 (1 + |f|) for |z|
-    up to 12, 6 and 2 at radius 2.5, 4 and 8 (measured; see README).  z is
-    a scalar or a 1-D array.
+    up to 12, 10.5, 6, 5 and 2 at radius 2.5, 3, 4, 5 and 8 (measured; see
+    README).  z is a scalar or a 1-D array.
     """
     lo, hi = _INVERSION_RADII
     if not lo <= radius <= hi:

@@ -116,8 +116,25 @@ _DEEP_RADIUS = 100.0
 
 def _reduce(phi, n):
     """phi * n modulo fl(tau), exactly: fmod, then a Sterbenz subtraction."""
-    y = np.fmod(phi * n, TAU)
+    return _centred(np.fmod(phi * n, TAU))
+
+
+def _centred(y):
+    """y in (-fl(tau), fl(tau)) moved into [-tau/2, tau/2] by the exact
+    (Sterbenz) subtraction of fl(tau) or none, in place."""
     y -= TAU * np.rint(y / TAU)
+    return y
+
+
+def _doubled(phi, count):
+    """np.fmod(phi * 2^k, TAU) on rows k = 1 .. count, bit for bit, by
+    exact doubling: row k is fmod(2 row_(k-1), TAU), and both 2y and fmod
+    are exact.  fmod's cost grows with the exponent of its argument, which
+    here stays below 2 tau on every row."""
+    y = np.empty((count, phi.size))
+    row = phi
+    for out in y:
+        row = np.fmod(2.0 * row, TAU, out=out)
     return y
 
 
@@ -201,8 +218,9 @@ def _log_f_block(radii, phi, cutoffs, with_arg):
     # a deep pair's argument is y + pi, in half turns the closed form
     # y/pi - 1 (or + 1) with the signs arctan2 gives at y = +-0, formed on
     # the block's whole (circles x points) array, C-ordered as _sum_rows
-    # needs
-    y = _reduce(phi, n)
+    # needs, its rows by doubling: a row of 2^k phi costs as much as a
+    # row of 2 phi, however large |z| is
+    y = _centred(_doubled(phi, n.size))
     turns = y / math.pi - np.copysign(1.0, y)
     np.copyto(turns, 0.0, where=shallow)
     turns.put(band, half)

@@ -4,6 +4,7 @@ import cmath
 import functools
 import hashlib
 import math
+import random
 import subprocess
 import sys
 
@@ -11,6 +12,7 @@ import numpy as np
 import pytest
 
 from expgrowth.borel import BorelDomainError, BorelEvaluator
+from expgrowth.cli import _sample_disc
 from expgrowth.contours import (
     CancellationCapError,
     F_eval,
@@ -24,6 +26,7 @@ from expgrowth.contours import (
     _POINTS_PER_PANEL,
     _SEGMENT,
     _SHARED_TAIL,
+    _TABLE_SIZE,
     _Path,
     _asymptotic_tail,
     _exp_zs,
@@ -157,13 +160,16 @@ class TestInversion:
                 assert abs(other - base) <= 1e-8 * max(abs(base), 1e-3)
 
     @pytest.mark.parametrize("radius, edge", [
-        (2.5, 12.0), (4.0, 6.0), (8.0, 2.0)])
+        (2.5, 12.0), (3.0, 10.5), (4.0, 6.0), (5.0, 5.0), (8.0, 2.0)])
     def test_readme_domain(self, ev, radius, edge):
         # the README's z domain of the smallest, the default and the largest
-        # circle, swept at 48 directions (offset 0.1 rad) on |z| = 0.5, 1,
-        # ..., edge against criterion 5's 1e-7.  Measured worst: 2.5e-9,
-        # 5.4e-9 and 4.3e-12, each on the edge; one step past it the
-        # default circle reaches 1.5e-7 at |z| = 7, radius 8 4.9e-5 at 4
+        # circle and of contour_solve's radii 3 and 5, swept at 48
+        # directions (offset 0.1 rad) on |z| = 0.5, 1, ..., edge against
+        # criterion 5's 1e-7.  Measured worst: 2.5e-9, 4.6e-8, 5.4e-9,
+        # 3.2e-8 and 4.3e-12, each on the edge; radius 3 reaches 9.9e-8 at
+        # |z| = 11, too near the bound to claim, and 2.2e-7 at 11.5, one
+        # step past the edge the default circle 1.5e-7 at 7, radius 5
+        # 2.0e-7 at 5.5 and radius 8 4.9e-5 at 4
         directions = cis(0.1 + math.tau * np.arange(48) / 48)
         zs = (np.arange(1, int(2 * edge) + 1)[:, None] / 2.0
               * directions).ravel()
@@ -521,6 +527,93 @@ class TestSharedFirstPass:
                 == np.array(single, dtype=complex).tobytes())
 
 
+def _outcome(path, z, spec):
+    """Every field of _integrate's result as bits, or its error's."""
+    try:
+        out = _integrate(_SHARED_TAIL.at, path, z, spec)
+    except NonConvergenceError as exc:
+        return np.array([exc.value, exc.previous, exc.error]).tobytes()
+    return (np.array([out.value, out.error]).tobytes(), out.refinements,
+            out.floor_limited)
+
+
+class TestWidePass:
+    #: the arc with the wide pass switched off: level 2 a pass of its own
+    NARROW = dataclasses.replace(_ARC, wide=math.inf)
+
+    @pytest.mark.parametrize("tol", [1e-10, 1e-13])
+    def test_results_keep_their_bits(self, tol):
+        # at 16 directions around and past the wide radius, the five
+        # |z| = 8 points and 40j: the stops, tested level by level on the
+        # same values, give every field the narrow pass's bits
+        spec = QuadratureSpec(tol)
+        zs = (np.array([3.9, 4.0, 4.5, 6.0, 7.99])[:, None]
+              * cis(math.tau * np.arange(16) / 16)).ravel()
+        zs = zs.tolist() + [complex(z) for z in EIGHT] + [40j]
+        assert _ARC.wide == 4.0 and min(map(abs, zs)) < 4.0
+        levels = set()
+        for z in zs:
+            wide = _outcome(_ARC, z, spec)
+            assert wide == _outcome(self.NARROW, z, spec), z
+            if abs(z) >= _ARC.wide:
+                levels.add(wide[1])
+        assert {1, 2, 3} <= levels  # some stop before level 2, some after
+
+    def test_joined_levels_match_single_level_passes(self):
+        zs = [complex(z) for z in _batch_points(41)]
+        with np.errstate(over="raise", invalid="raise"):
+            joint = [_refinement_values(_SHARED_TAIL.at, _ARC, z, (0, 1, 2))
+                     for z in zs]
+            single = [[_refinement_values(
+                _SHARED_TAIL.at, _ARC, z, (level,))[0] for level in (0, 1, 2)]
+                for z in zs]
+        assert (np.array(joint, dtype=complex).tobytes()
+                == np.array(single, dtype=complex).tobytes())
+
+    def test_g_runs_at_no_new_node(self):
+        # a counting g, hashable as the table cache needs: the wide pass
+        # joins the tables of (0, 1), cached by the narrow z, and (2,), so
+        # g sees their 384 and 512 nodes and, for a z that goes on, each
+        # later level's own
+        nodes = []
+
+        def counted(s):
+            nodes.append(s.copy())
+            return _SHARED_TAIL.at(s)
+
+        assert _integrate(counted, _ARC, 1.0).refinements == 1
+        out = _integrate(counted, _ARC, 6.0)
+        assert out.refinements == 3
+        assert [s.size for s in nodes] == [384, 512, 1024]
+        rows = _level_table(counted, _ARC, (0, 1, 2))[0]
+        s = np.concatenate(nodes[:2])
+        assert rows[0, 1].tobytes() == s.real.tobytes()
+        assert rows[0, 0].tobytes() == s.imag.tobytes()
+        assert len(nodes) == 3
+
+    def test_a_round_evicts_no_table(self):
+        # a seeded contour_solve-like round (the five |z| = 8 identities,
+        # 50 inversions at radius 3, 4 or 5 and 50 identities) and the 22
+        # contour points of reproduce, from a cold cache: the tables built,
+        # joined one included, fit in the cache, so none is evicted
+        spec = QuadratureSpec(target_rel_tol=1e-13)
+        rng = np.random.default_rng(7)
+        draw = random.Random(7)
+        inversions = [(z, float(rng.choice((3.0, 4.0, 5.0))))
+                      for z in _sample_disc(draw, 50, 4.0)]
+        inversions += [(z, 4.0) for z in _sample_disc(random.Random(55),
+                                                      12, 4.0)]
+        identities = (list(EIGHT) + _sample_disc(draw, 50, 8.0)
+                      + _sample_disc(random.Random(77), 10, 6.0))
+        _level_table.cache_clear()
+        for z, radius in inversions:
+            borel_inversion(z, radius)
+        for z in identities:
+            F_eval(z, spec) + u_eval(z, spec)
+        info = _level_table.cache_info()
+        assert 8 <= info.misses == info.currsize <= _TABLE_SIZE
+
+
 class TestBatch:
     @pytest.mark.parametrize("count", [1, 7, 41])
     @pytest.mark.parametrize("name", ["borel_inversion", "u_eval", "F_eval"])
@@ -653,13 +746,15 @@ class TestLevelTable:
     @pytest.mark.parametrize("seg", [_circle(3.0), _ARC, _SEGMENT],
                              ids=["circle", "arc", "segment"])
     def test_arrays_are_read_only(self, seg):
-        rows, heads, weights, cuts = _level_table(
-            _SHARED_TAIL.at, seg, (0, 1))
-        assert len(cuts) == 2 and all(
-            type(scale) is float for _, scale in cuts)
-        for array in (rows, heads, weights):
-            with pytest.raises(ValueError):
-                array[0] = 0.0
+        # the wide pass's table too, joined from an open path's tables
+        for levels in [(0, 1)] + [(0, 1, 2)] * (not seg.closed):
+            rows, heads, weights, cuts = _level_table(
+                _SHARED_TAIL.at, seg, levels)
+            assert len(cuts) == len(levels) and all(
+                type(scale) is float for _, scale in cuts)
+            for array in (rows, heads, weights):
+                with pytest.raises(ValueError):
+                    array[0] = 0.0
 
     @pytest.mark.parametrize("seg", [_circle(3.0), _ARC, _SEGMENT],
                              ids=["circle", "arc", "segment"])

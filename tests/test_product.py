@@ -445,6 +445,18 @@ class TestCircleSum:
             assert product._sum_rows(x) == want
             assert product._sum_rows(x[:, None]).tobytes() == want.tobytes()
 
+    def test_doubled_rows_are_the_direct_fmod(self):
+        # the deep pairs' rows of 2^k phi mod fl(tau), formed by doubling,
+        # on every circle up to the largest cutoff: 64 phases, signed zeros,
+        # +-pi and the smallest subnormal among them
+        rng = np.random.default_rng(29)
+        phi = np.concatenate([[0.0, -0.0, math.pi, -math.pi, 5e-324, -5e-324],
+                              rng.uniform(-math.pi, math.pi, 58)])
+        count = product._MAX_CUTOFF
+        want = np.fmod(phi * np.ldexp(1.0, np.arange(1, count + 1))[:, None],
+                       TAU)
+        assert product._doubled(phi, count).tobytes() == want.tobytes()
+
     @pytest.mark.parametrize("theta", [0.0, 0.7])
     @pytest.mark.parametrize("k_lo", [8, 16, 24])
     def test_ray_bits_do_not_depend_on_batching(self, ev, k_lo, theta):

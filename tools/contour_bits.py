@@ -14,9 +14,10 @@ imports expgrowth from CHECKOUT/src and hashes, in a fixed order:
     -200 (overflow and the cancellation cap among them);
   - the 12 inversion points and the 10 identity points of `expgrowth
     reproduce` (random.Random seeds 55 and 77);
-  - every level table (nodes, Dekker heads, weights and level cuts) that
-    the calls above built, as the sorted set of their own digests, so the
-    order of building and the table cache's evictions do not count.
+  - every level that the level tables built by the calls above hold, as
+    the sorted set of the digests of each level's nodes, Dekker heads,
+    weights and scale, so neither the order of building, the table cache's
+    evictions nor the passes that group levels into tables count.
 A value is hashed as its complex bytes; a call that raises, as the name of
 the exception type.  One line per checkout, "<sha256>  <checkout>", so two
 checkouts hold the same contour-path bits exactly when their digests agree.
@@ -51,15 +52,16 @@ def digest():
     from expgrowth import contours
 
     spec = contours.QuadratureSpec(target_rel_tol=1e-13)
-    tables = set()
+    levels = set()
     build = contours._level_table
 
     def recorded(*key):
         rows, heads, weights, cuts = table = build(*key)
-        sha = hashlib.sha256(repr(cuts).encode())
-        for a in (rows, heads, weights):
-            sha.update(a.tobytes())
-        tables.add(sha.hexdigest())
+        for index, scale in cuts:
+            sha = hashlib.sha256(repr(scale).encode())
+            for a in (rows, heads, weights):
+                sha.update(a[..., index].tobytes())
+            levels.add(sha.hexdigest())
         return table
 
     sha = hashlib.sha256()
@@ -101,8 +103,8 @@ def digest():
             value(identity, _disc(draws.uniform, 6.0))
     finally:
         contours._level_table = build
-    for table in sorted(tables):
-        sha.update(table.encode())
+    for level in sorted(levels):
+        sha.update(level.encode())
     return sha.hexdigest()
 
 
