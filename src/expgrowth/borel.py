@@ -187,7 +187,7 @@ class BorelEvaluator:
                     np.copyto(out.real, acc_r, where=stop)
                     np.copyto(out.imag, acc_i, where=stop)
                     active &= running
-                    if not active.any():
+                    if not np.logical_or.reduce(active):
                         return out
             wr, wi = wr * u2r - wi * u2i, wr * u2i + wi * u2r
         raise ArithmeticError(f"series did not settle within {_MAX_TERMS} terms")

@@ -323,7 +323,8 @@ def _refinement_values(g_eval, seg, z: complex, levels: tuple) -> list:
 def _value_and_mass(part: np.ndarray, scale: float = 1.0) -> tuple:
     total = complex(math.fsum(memoryview(part.real)) * scale,
                     math.fsum(memoryview(part.imag)) * scale)
-    return total / (1j * TAU), float(np.abs(part).sum()) * scale / TAU
+    return (total / (1j * TAU),
+            float(np.add.reduce(np.abs(part), None)) * scale / TAU)
 
 
 def _integrate(g_eval, seg, z: complex,
@@ -461,10 +462,11 @@ def _tail_plus_channel(seg, z, spec: QuadratureSpec, channel,
     CancellationCapError for one with |z| > cap, and any channel's error
     come first, for every z, before any quadrature; then the first z whose
     quadrature fails raises."""
-    ndim = np.ndim(z)
+    batch = np.asarray(z)
+    ndim = batch.ndim
     if ndim > 1:
         raise ValueError("z must be a scalar or a 1-D array")
-    zs = [complex(w) for w in (np.asarray(z).tolist() if ndim else [z])]
+    zs = [complex(w) for w in (batch.tolist() if ndim else [z])]
     for w in zs:
         if not cmath.isfinite(w):
             raise ValueError(f"z = {w!r} is not finite")

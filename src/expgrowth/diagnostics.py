@@ -78,9 +78,9 @@ def _window_groups(profile: GrowthProfile):
         return []
     # frexp is exact, so a dyadic radius opens its window's slice of radii
     k_lo, k_hi = (math.frexp(r)[1] - 1 for r in (radii[0], radii[-1]))
-    cuts = np.searchsorted(radii, np.ldexp(1.0, np.arange(k_lo, k_hi + 2)))
+    cuts = radii.searchsorted(np.ldexp(1.0, np.arange(k_lo, k_hi + 2)))
     # non-finite samples before each cut: a window without any is a view
-    bad = np.searchsorted(np.flatnonzero(~np.isfinite(values)), cuts).tolist()
+    bad = (~np.isfinite(values)).nonzero()[0].searchsorted(cuts).tolist()
     cuts = cuts.tolist()
     out = []
     for k, lo, hi, bad_lo, bad_hi in zip(range(k_lo, k_hi + 1), cuts,
@@ -96,7 +96,7 @@ def _quantile_pair(values: np.ndarray, q: float) -> tuple:
     """np.quantile(values, (q, 1 - q)) bit for bit, numpy's linear method.
 
     numpy's own steps: the virtual index (n - 1) * p clipped as numpy
-    clips it, np.partition on numpy's kth set (a sort can put -0.0 and 0.0
+    clips it, a partition on numpy's kth set (a sort can put -0.0 and 0.0
     in another order), and numpy's two-sided lerp.
     """
     n = values.size
@@ -107,7 +107,8 @@ def _quantile_pair(values: np.ndarray, q: float) -> tuple:
         lo, hi = (-1, -1) if v >= n - 1 else (math.floor(v), math.floor(v) + 1)
         picks.append((v - lo, lo, hi))
         kth.update((lo, hi))
-    part = np.partition(values, sorted(kth))
+    part = values.copy()  # np.partition's own copy and call
+    part.partition(sorted(kth))
     out = []
     for t, lo, hi in picks:
         a, b = float(part[lo]), float(part[hi])
@@ -139,10 +140,10 @@ def window_stats(profile: GrowthProfile, q: float = 0.1) -> tuple:
                 k=k,
                 r_lo=math.ldexp(1.0, k),
                 r_hi=math.ldexp(1.0, k + 1),
-                inf=float(finite.min()),
+                inf=float(np.minimum.reduce(finite)),
                 q_low=float(lo),
                 q_high=float(hi),
-                sup=float(finite.max()),
+                sup=float(np.maximum.reduce(finite)),
             )
         )
     if len(stats) < 3:

@@ -42,8 +42,10 @@ def cis(a):
     a = np.asarray(a, dtype=float)
     size = np.abs(a)
     out = np.empty(a.shape, dtype=complex)
-    out.real = np.where(size == 0.5 * math.pi, 0.0, np.cos(a))
-    out.imag = np.where(size == math.pi, 0.0, np.sin(a))
+    out.real = np.cos(a)
+    out.real[size == 0.5 * math.pi] = 0.0
+    out.imag = np.sin(a)
+    out.imag[size == math.pi] = 0.0
     return out
 
 

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import operator
 from dataclasses import dataclass, field
 from itertools import repeat
 
@@ -59,9 +60,13 @@ class GrowthProfile:
         object.__setattr__(self, "values", values)
         if radii.ndim != 1 or radii.shape != values.shape:
             raise ValueError("radii and values must be 1-d and equally long")
-        if not np.all(np.isfinite(radii)):
-            raise ValueError("radii must be finite")
-        if radii.size and (radii[0] <= 0.0 or np.any(np.diff(radii) <= 0.0)):
+        # radii positive at the start, finite at the end and increasing in
+        # between (a nan compares false) are all finite: one pass over a
+        # valid grid, and the tests within only name what failed
+        if radii.size and not (0.0 < radii[0] and radii[-1] < math.inf and
+                               np.logical_and.reduce(radii[1:] > radii[:-1])):
+            if not np.logical_and.reduce(np.isfinite(radii)):
+                raise ValueError("radii must be finite")
             raise ValueError("radii must be positive and strictly increasing")
 
 
@@ -70,14 +75,24 @@ def dyadic_radii(k_lo: int, k_hi: int, per_window: int = 256) -> np.ndarray:
 
     Each window [2^k, 2^(k+1)) receives per_window samples including its left
     endpoint.  per_window must be a power of two so the log2 steps, and hence
-    the window boundaries, are exact in binary64.
+    the window boundaries, are exact in binary64: the exponents
+    k_lo + i / per_window are np.linspace(k_lo, k_hi, ...) bit for bit.
+    TypeError names an argument that is not an integer.
     """
+    k_lo, k_hi, per_window = (_integer(name, value) for name, value in (
+        ("k_lo", k_lo), ("k_hi", k_hi), ("per_window", per_window)))
     if k_hi <= k_lo:
         raise ValueError("need k_lo < k_hi")
     if per_window < 1 or per_window & (per_window - 1):
         raise ValueError("per_window must be a power of two")
-    exps = np.linspace(k_lo, k_hi, (k_hi - k_lo) * per_window + 1)
-    return np.exp2(exps)
+    return np.exp2(k_lo + np.arange((k_hi - k_lo) * per_window + 1) / per_window)
+
+
+def _integer(name, value):
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise TypeError("%s must be an integer, not %r" % (name, value)) from None
 
 
 #: most (circles x points) pairs per block of the array core: a call whose
@@ -191,9 +206,9 @@ def _log_f_block(radii, phi, cutoffs, with_arg):
     # stays, so no sum is empty).  Circles past a point's own cutoff are
     # dead at it too: there 2^k >= 512 max(|z|, 1) (see _cutoffs), so
     # x <= 512 log(1/512) < -3194
-    r_top = radii.max()
-    n = _POW2[:int(cutoffs.max())]
-    n = n[:max(1, int(np.count_nonzero(np.log(r_top / n) * n > _DEAD)))]
+    r_top = np.maximum.reduce(radii)
+    n = _POW2[:int(np.maximum.reduce(cutoffs))]
+    n = n[:max(1, int(np.add.reduce(np.log(r_top / n) * n > _DEAD, None)))]
     x = np.log(radii / n)
     x *= n
     # at a deep pair expm1(-x) is -1 and exp(min(x, 0)) is 1, so _factor
@@ -204,12 +219,12 @@ def _log_f_block(radii, phi, cutoffs, with_arg):
     # formed at the band's pairs; each pair's value is decided by its own
     # x, never by its batch
     shallow = x < _DEEP
-    band = np.flatnonzero(shallow & (x > _DEAD))
+    band = (shallow & (x > _DEAD)).ravel().nonzero()[0]
     rows, cols = np.divmod(band, radii.size)
     y = _reduce(phi.take(cols), n.take(rows))
     log_mod, half = _factor(x.take(band), np.sin(0.5 * y), np.sin(y),
                             with_arg)
-    np.copyto(x, 0.0, where=shallow)
+    x[shallow] = 0.0
     x.put(band, log_mod)
     # circles are added in the order k = 1, 2, ... whatever the block's
     # width, which keeps every value independent of its batch
@@ -222,7 +237,7 @@ def _log_f_block(radii, phi, cutoffs, with_arg):
     # row of 2 phi, however large |z| is
     y = _centred(_doubled(phi, n.size))
     turns = y / math.pi - np.copysign(1.0, y)
-    np.copyto(turns, 0.0, where=shallow)
+    turns[shallow] = 0.0
     turns.put(band, half)
     return _sum_rows(x), _arg(turns)
 
@@ -319,7 +334,7 @@ class ProductEvaluator:
                     out.imag = _arg(half)
                 near = (0,) if abs(frac - 0.75) >= 0.25 - 2.0**-49 else ()
             else:
-                r_max = float(radii.max(initial=0.0))
+                r_max = float(np.maximum.reduce(radii, initial=0.0))
                 if not math.isfinite(r_max):
                     raise ValueError("f is evaluated only at finite z")
                 if r_max > _MAX_RADIUS:
@@ -330,7 +345,8 @@ class ProductEvaluator:
                 # near-equal blocks of at most _BLOCK_PAIRS pairs for the
                 # call's largest cutoff (ceil divisions), consecutive slices
                 # in call order
-                step = _BLOCK_PAIRS // int(cutoffs.max(initial=1))
+                step = _BLOCK_PAIRS // int(np.maximum.reduce(cutoffs,
+                                                             initial=1))
                 blocks = max(1, -(-zs.size // step))
                 step = -(-zs.size // blocks) or 1
                 for lo in range(0, zs.size, step):
@@ -344,7 +360,7 @@ class ProductEvaluator:
                 # rounding (under 2^-50 n turns) of some j/n turns; the
                 # 2^-40 n allowed here passes every phase from n = 2^39 on
                 frac, e = np.frexp(radii)
-                near = np.flatnonzero(np.abs(frac - 0.75) >= 0.25 - 2.0**-49)
+                near = (np.abs(frac - 0.75) >= 0.25 - 2.0**-49).nonzero()[0]
                 if near.size:
                     n = np.ldexp(1.0, e[near] - (frac[near] < 0.75))
                     turns = phi[near] * n / TAU
@@ -381,10 +397,10 @@ class ProductEvaluator:
         arg_parts = []
         for k in range(1, k_cut + 1):
             w = 1.0 - z / self.lattice.circle(k)
-            if np.any(w == 0):
+            if np.logical_or.reduce(w == 0):
                 return complex(-math.inf, 0.0)
             mag_parts.append(math.fsum(np.log(np.abs(w)).tolist()))
-            arg_parts.append(math.fsum(np.angle(w).tolist()))
+            arg_parts.append(math.fsum(np.arctan2(w.imag, w.real).tolist()))
         # the argument reduced to (-pi, pi]
         arg = math.remainder(math.fsum(arg_parts), TAU)
         return complex(math.fsum(mag_parts), arg + TAU if arg <= -math.pi else arg)
@@ -413,7 +429,7 @@ class ProductEvaluator:
         if n_theta < 8:
             raise ValueError("need n_theta >= 8")
         directions = cis(0.5 + TAU * np.arange(n_theta) / n_theta)
-        return float(self.log_abs_f(r * directions).max()) / r
+        return float(np.maximum.reduce(self.log_abs_f(r * directions))) / r
 
 
 def write_profile_csv(profiles, path) -> None:

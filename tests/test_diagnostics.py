@@ -145,6 +145,18 @@ class TestProfileRadii:
             radii[at] = bad
             with pytest.raises(ValueError, match="finite"):
                 make(radii)
+        # inside a long grid, whose validation first tests the ends and the
+        # order in one pass, each failure keeps its own message
+        for at in (1, 768, 1536):
+            radii = dyadic_radii(8, 14, 256)
+            radii[at] = bad
+            with pytest.raises(ValueError, match="^radii must be finite$"):
+                make(radii)
+            radii = dyadic_radii(8, 14, 256)
+            radii[at] = radii[at - 1]
+            with pytest.raises(ValueError, match="^radii must be positive "
+                               "and strictly increasing$"):
+                make(radii)
 
 
 class TestWindowGroups:

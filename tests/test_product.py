@@ -679,6 +679,32 @@ class TestProfiles:
         with pytest.raises(ValueError):
             dyadic_radii(3, 6, per_window=3)
 
+    @pytest.mark.parametrize("args, name", [
+        ((0.5, 6), "k_lo"), ((3, 6.0), "k_hi"), ((3.0, 6), "k_lo"),
+        ((3, 6, 4.0), "per_window"), ((3, 6, np.float64(8)), "per_window"),
+    ])
+    def test_dyadic_radii_refuses_non_integers(self, args, name):
+        # a float k_lo of 0.5 would shift every exponent off the dyadic grid
+        with pytest.raises(TypeError, match="^%s must be an integer" % name):
+            dyadic_radii(*args)
+
+    def test_dyadic_radii_bits_are_linspace(self):
+        # the exponents k_lo + i / per_window against the linspace form
+        def check(k_lo, width, per_window):
+            k_hi = k_lo + width
+            want = np.exp2(np.linspace(k_lo, k_hi,
+                                       (k_hi - k_lo) * per_window + 1))
+            got = dyadic_radii(k_lo, k_hi, per_window)
+            assert got.tobytes() == want.tobytes(), (k_lo, k_hi, per_window)
+
+        rng = np.random.default_rng(34)
+        for e in range(17):
+            for width in range(1, 17):
+                check(int(rng.integers(-1074, 1001)), width, 2**e)
+        for k_lo in range(-1074, 1001):
+            check(k_lo, 1 + k_lo % 16, 2 ** (k_lo % 9))
+        check(np.int64(-3), 5, np.int32(4))
+
     def test_asymptote_midband(self, ev):
         # r = 1.5 * 2^11: expect (2/1.5) log 3 up to a k/2^k correction
         r = 3072.0

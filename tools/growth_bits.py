@@ -6,8 +6,9 @@ For each checkout (this repository when none is given) a fresh interpreter
 imports expgrowth from CHECKOUT/src and hashes, in a fixed order, the bytes
 of log_f, log_abs_f and profile_on on rays of 1537 points (dyadic_radii
 from k_lo to k_lo + 6, 256 per window) from k_lo in 1, 3, 8, 16, 24, 40
-and 100 at 17 angles (0, +-pi/2, pi and 13 seeded ones), of max_modulus(r,
-64) at 50 seeded radii, and of log_f and log_abs_f on 3000 seeded points
+and 100 at 17 angles (0, +-pi/2, pi and 13 seeded ones), with every
+WindowStats field of each profile's window_stats at q = 0.01, 0.1 and
+0.25 and its classify verdict, of max_modulus(r, 64) at 50 seeded radii, and of log_f and log_abs_f on 3000 seeded points
 with |z| from 2^-40 to 2^500, every 97th a lattice zero.  One line per
 checkout, "<sha256>  <checkout>", so two checkouts hold the same growth-path
 bits exactly when their digests agree.
@@ -20,6 +21,7 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import astuple
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -31,6 +33,7 @@ def digest():
     import numpy as np
 
     from expgrowth import ProductEvaluator, ZeroLattice, dyadic_radii
+    from expgrowth.diagnostics import classify, window_stats
 
     ev = ProductEvaluator(ZeroLattice(k_max=14))
     rng = np.random.default_rng(30)
@@ -43,7 +46,13 @@ def digest():
             zs = radii * complex(math.cos(theta), math.sin(theta))
             sha.update(ev.log_f(zs).tobytes())
             sha.update(ev.log_abs_f(zs).tobytes())
-            sha.update(ev.profile_on(theta, radii).values.tobytes())
+            profile = ev.profile_on(theta, radii)
+            sha.update(profile.values.tobytes())
+            for q in (0.01, 0.1, 0.25):
+                stats = window_stats(profile, q)
+                sha.update(np.array([astuple(s) for s in stats]).tobytes())
+            verdict = classify(profile)
+            sha.update(repr((verdict.verdict, verdict.limit_or_gap)).encode())
     for r in np.exp2(rng.uniform(-3.0, 500.0, 50)):
         sha.update(np.float64(ev.max_modulus(r, 64)).tobytes())
     zs = np.exp2(rng.uniform(-40.0, 500.0, 3000)) * np.exp(
