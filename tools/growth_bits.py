@@ -8,10 +8,11 @@ of log_f, log_abs_f and profile_on on rays of 1537 points (dyadic_radii
 from k_lo to k_lo + 6, 256 per window) from k_lo in 1, 3, 8, 16, 24, 40
 and 100 at 17 angles (0, +-pi/2, pi and 13 seeded ones), with every
 WindowStats field of each profile's window_stats at q = 0.01, 0.1 and
-0.25 and its classify verdict, of max_modulus(r, 64) at 50 seeded radii, and of log_f and log_abs_f on 3000 seeded points
-with |z| from 2^-40 to 2^500, every 97th a lattice zero.  One line per
-checkout, "<sha256>  <checkout>", so two checkouts hold the same growth-path
-bits exactly when their digests agree.
+0.25 and its classify verdict, of max_modulus(r, 64) at 50 seeded radii,
+and of log_f and log_abs_f on 3000 seeded points with |z| from 2^-40 to
+2^500, every 97th a lattice zero.  One line per checkout,
+"<sha256>  <checkout>", so two checkouts hold the same growth-path bits
+exactly when their digests agree.
 """
 from __future__ import annotations
 
