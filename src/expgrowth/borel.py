@@ -136,13 +136,13 @@ class BorelEvaluator:
         """g on every node of the array s."""
         s = np.asarray(s, dtype=complex)
         finite = np.isfinite(s)
-        if not finite.all():
+        if not np.logical_and.reduce(finite, None):
             raise BorelDomainError(f"s = {complex(s[~finite][0])!r} is not finite")
         mod = np.abs(s)
         # slack of a few ulps: parametrized points on the boundary circle
         # itself can round fractionally inward, and those must be served
         inside = mod < MIN_MODULUS * (1.0 - 4e-16)
-        if inside.any():
+        if np.logical_or.reduce(inside, None):
             raise BorelDomainError(
                 f"|s|={mod[inside][0]:.6g} inside refused disc of radius "
                 f"{MIN_MODULUS}"
@@ -153,18 +153,22 @@ class BorelEvaluator:
         # conjugates or negates every power bit for bit
         a, b = s.real, s.imag
         swap = np.abs(b) > np.abs(a)
-        big, small = np.where(swap, b, a), np.where(swap, a, b)
+        big, small = a.copy(), b.copy()
+        big[swap], small[swap] = b[swap], a[swap]
         # den would overflow for |s| near 2^1024: such s are divided by 4
         # (exact) and u by 4 again after; every other s keeps its bits
         quarter = 1.0
-        if mod.max(initial=0.0) >= 2.0**1022:
-            quarter = np.where(mod < 2.0**1022, 1.0, 0.25)
+        if np.maximum.reduce(mod, None, initial=0.0) >= 2.0**1022:
+            quarter = 0.25 + 0.75 * (mod < 2.0**1022)  # 1 or 0.25, exactly
             big, small = big * quarter, small * quarter
         ratio = small / big
         den = big + small * ratio
-        # w = u^{m+1}, starting at u
-        wr = np.where(swap, ratio, 1.0) / den * quarter
-        wi = np.where(swap, -1.0, -ratio) / den * quarter
+        # w = u^{m+1}, starting at u: (ratio - i) / den where swapped,
+        # (1 - i ratio) / den elsewhere
+        wr, wi = ratio[...], (-ratio)[...]  # arrays for a 0-d s too
+        wr[~swap], wi[swap] = 1.0, -1.0
+        wr = wr / den * quarter
+        wi = wi / den * quarter
         u2r = wr * wr - wi * wi
         u2i = 2.0 * wr * wi
         log_abs_s = np.log(mod)
@@ -184,8 +188,8 @@ class BorelEvaluator:
                     running = (term_envelope(m + 2, log_abs_s)
                                > math.log(_TERM_FLOOR) + 0.5 * np.log(size2))
                     stop = active & ~running
-                    np.copyto(out.real, acc_r, where=stop)
-                    np.copyto(out.imag, acc_i, where=stop)
+                    out.real[stop] = acc_r[stop]
+                    out.imag[stop] = acc_i[stop]
                     active &= running
                     if not np.logical_or.reduce(active):
                         return out

@@ -9,20 +9,21 @@ panels of a constant 16-point Gauss-Legendre rule.  Each path carries its
 level-0 panel count (one on the unit segment, 64 nodes on a circle, 8
 panels on the arc), and each level doubles the panels, up to the same
 finest level of 131,072 nodes on every path.  Only e^{zs} depends on z:
-the nodes of a path and level, as stacked real rows with their Dekker
-heads for the doubled-precision exponent, and one weight per node,
-W = g(s) s'(t) times the rule's, form one read-only table, built once per
-process.  Levels 0 and 1, which every z needs, share one; a circle's
-levels nest, so its shared table holds level 1's nodes and reads level 0
-as every other one, at twice the weight.  From |z| = 4 on, where the arc
-needs level 2 as a rule, its first pass forms levels 0 to 2 at once over
-the join of their cached tables, with no new g work.  Per z, one
-multiply forms the terms e^{zs} W over a table, and one math.fsum,
-exactly rounded, sums each level's.  The rule is fixed and a
-QuadratureSpec is only a tolerance.  Each named integral runs its one
-path through one engine, _integrate, one z at a time: each entry of a
-1-D batch is the scalar call, bit for bit, and reads the same cached
-tables.  A non-finite z is refused before any quadrature.
+the nodes of a path and level, as one stack of real rows with their
+Dekker heads and tails for the doubled-precision exponent, and one weight
+per node, W = g(s) s'(t) times the rule's, form one read-only table, built
+once per process.  Levels 0 and 1, which every z needs, share one; a
+circle's levels nest, so its shared table holds level 1's nodes and reads
+level 0 as every other one, at twice the weight.  From |z| = 4 on, where
+the arc needs level 2 as a rule, its first pass forms levels 0 to 2 at
+once over the join of their cached tables, with no new g work.  Per z,
+one multiply by the stack forms every partial product of the exponent,
+one more the terms e^{zs} W over a table, and one math.fsum, exactly
+rounded, sums each level's.  The rule is fixed and a QuadratureSpec is
+only a tolerance.  Each named integral runs its one path through one
+engine, _integrate, one z at a time: each entry of a 1-D batch is the
+scalar call, bit for bit, and reads the same cached tables.  A non-finite
+z is refused before any quadrature.
 
 The named integrals (borel_inversion, u_eval, F_eval) split g into 1/s plus
 a smooth tail, and only the tail, whose oscillatory mass is ~25x smaller,
@@ -173,7 +174,7 @@ def _split(a) -> tuple:
     return ah, a - ah
 
 
-def _exp_zs(z: complex, rows: np.ndarray, heads: np.ndarray) -> np.ndarray:
+def _exp_zs(z: complex, stack: np.ndarray) -> np.ndarray:
     """e^{z s} on the nodes s of a level table, with the exponent in doubled
     precision.
 
@@ -181,29 +182,26 @@ def _exp_zs(z: complex, rows: np.ndarray, heads: np.ndarray) -> np.ndarray:
     the exponential; with |z*s| up to ~160 on these contours that noise,
     multiplied by the integrand mass, would dominate every cancellation-
     limited integral.  The head/tail exponent buys those ~8 bits back.
-    rows is the table's (2, 2, n) array [[s.imag, s.real], [s.real, -s.imag]]
-    and heads its Dekker heads; against the column (z.real, z.imag) one set
-    of whole-array calls forms the four products of y + ix = z*s, their
-    exact errors (Dekker's two-product; no fma on 3.10), then y and x and
-    their exact two-sum tails.
+    stack is the table's (5, 2, 2, n) array [rows, heads, tails, heads,
+    tails], rows = [[s.imag, s.real], [s.real, -s.imag]] with its Dekker
+    heads and tails; one multiply by the (5, 2, 1, 1) column of z, its
+    heads, heads, tails, tails (each as (z.real, z.imag)) forms the four
+    products of y + ix = z*s and every partial product of their exact
+    errors (Dekker's two-product; no fma on 3.10), and a few whole-array
+    calls then form y and x and their exact two-sum tails.
     """
     zr, zi = z.real, z.imag
     zrh, zrl = _split(zr)
     zih, zil = _split(zi)
-    a, ah, al = np.array((zr, zi, zrh, zih, zrl, zil)).reshape(3, 2, 1, 1)
-    p = a * rows  # [[zr si, zr sr], [zi sr, -zi si]]
-    # e = ((ah bh - p) + ah bl + al bh) + al bl with the tails bl of the
-    # rows; in place, so that few (2, 2, n) arrays are alive at once
-    e = ah * heads
+    parts = np.array((zr, zi, zrh, zih, zrh, zih, zrl, zil, zrl, zil)
+                     ).reshape(5, 2, 1, 1) * stack
+    # p = [[zr si, zr sr], [zi sr, -zi si]], and its error
+    # e = (((ah bh - p) + ah bl) + al bh) + al bl, in place
+    p, e = parts[0], parts[1]
     e -= p
-    tails = rows - heads
-    t = ah * tails
-    e += t
-    np.multiply(al, heads, out=t)
-    e += t
-    tails *= al
-    e += tails
-    del t, tails
+    e += parts[2]
+    e += parts[3]
+    e += parts[4]
     # y + ix = p[0] + p[1], and its exact tail by Knuth's branch-free
     # two-sum, whichever addend is larger, plus e[0] + e[1]
     yx = p[0] + p[1]
@@ -253,18 +251,20 @@ def _gauss_panels(panels: int) -> tuple:
 #: benchmark (circles of radius 3, 4, 5 and the segment at levels (0, 1), the
 #: arc at (0, 1), 2, 3 and the wide pass's join (0, 1, 2)), 9 in a round
 #: where an inversion needs circle level 2, 5 in reproduce (radius 4,
-#: segment, arc to 2 and the join)
+#: segment, arc to 2 and the join); at 160 bytes a node of stack, the
+#: round's 3248 nodes hold 520 kB, and the finest level's 131,072 nodes 21 MB
 _TABLE_SIZE = 32
 
 
 @lru_cache(maxsize=_TABLE_SIZE)
 def _level_table(g_eval, seg, levels: tuple) -> tuple:
     """The z-independent half of a pass, read-only so no caller can change
-    what the next z reads: for the nodes s of levels on seg, the (2, 2, n)
-    array rows = [[s.imag, s.real], [s.real, -s.imag]] and the array of
-    its Dekker heads, one complex weight g(s) s'(t) w per node, with w the
-    rule's weight, and per level its (index into the nodes, scale).  The
-    complex s itself is not kept.
+    what the next z reads: for the nodes s of levels on seg, the
+    (5, 2, 2, n) stack [rows, heads, tails, heads, tails] of _exp_zs, with
+    rows = [[s.imag, s.real], [s.real, -s.imag]] and its Dekker heads and
+    tails (160 bytes a node), one complex weight g(s) s'(t) w per node,
+    with w the rule's weight, and per level its (index into the nodes,
+    scale).  The complex s itself is not kept.
 
     Open paths join each level's Gauss nodes, at scale 1; the wide pass
     (0, 1, 2) of _integrate joins the cached tables of (0, 1) and (2,), so
@@ -275,12 +275,12 @@ def _level_table(g_eval, seg, levels: tuple) -> tuple:
     if len(levels) > 2 and not seg.closed:
         parts = [_level_table(g_eval, seg, levels[:2])] + [
             _level_table(g_eval, seg, (level,)) for level in levels[2:]]
-        starts = np.cumsum([0] + [part[2].size for part in parts]).tolist()
+        starts = np.cumsum([0] + [part[1].size for part in parts]).tolist()
         cuts = [(slice(index.start + start, index.stop + start), scale)
                 for part, start in zip(parts, starts)
-                for index, scale in part[3]]
+                for index, scale in part[2]]
         return _frozen(*(np.concatenate(a, axis=-1)
-                         for a in list(zip(*parts))[:3]), cuts)
+                         for a in list(zip(*parts))[:2]), cuts)
     if seg.closed:
         top = max(levels)
         n = seg.first * _POINTS_PER_PANEL << top
@@ -296,14 +296,15 @@ def _level_table(g_eval, seg, levels: tuple) -> tuple:
     s, ds = seg.at(t)
     weights = g_eval(s) * ds * w
     rows = np.array([[s.imag, s.real], [s.real, -s.imag]])
-    return _frozen(rows, _split(rows)[0], weights, cuts)
+    heads, tails = _split(rows)
+    return _frozen(np.array((rows, heads, tails, heads, tails)), weights,
+                   cuts)
 
 
-def _frozen(rows, heads, weights, cuts) -> tuple:
+def _frozen(stack, weights, cuts) -> tuple:
     """A level table, its arrays made read-only."""
-    for a in (rows, heads, weights):
-        a.flags.writeable = False
-    return rows, heads, weights, tuple(cuts)
+    stack.flags.writeable = weights.flags.writeable = False
+    return stack, weights, tuple(cuts)
 
 
 def _refinement_values(g_eval, seg, z: complex, levels: tuple) -> list:
@@ -311,9 +312,9 @@ def _refinement_values(g_eval, seg, z: complex, levels: tuple) -> list:
     sum |term| / tau).  One multiply forms the terms e^{zs} W over the nodes
     of the segment's _level_table, and one fsum sums each level's.  An
     overflow's FloatingPointError names z."""
-    rows, heads, weights, cuts = _level_table(g_eval, seg, levels)
+    stack, weights, cuts = _level_table(g_eval, seg, levels)
     try:
-        terms = _exp_zs(z, rows, heads) * weights
+        terms = _exp_zs(z, stack) * weights
         return [_value_and_mass(terms[index], scale) for index, scale in cuts]
     except FloatingPointError as exc:
         raise FloatingPointError(

@@ -189,8 +189,10 @@ def _arg(half):
     Arguments are summed in half turns, so a real f keeps an exact sign.
     """
     turns = _sum_rows(half)
-    t = (turns - 2.0 * np.rint(0.5 * turns)) * math.pi
-    return np.where(t == -math.pi, math.pi, t)
+    # [...] makes a 0-d array of the numpy scalar a lone column sums to
+    t = ((turns - 2.0 * np.rint(0.5 * turns)) * math.pi)[...]
+    t[t == -math.pi] = math.pi
+    return t
 
 
 def _log_f_block(radii, phi, cutoffs, with_arg):

@@ -11,6 +11,7 @@ import sys
 import numpy as np
 import pytest
 
+from expgrowth import contours
 from expgrowth.borel import BorelDomainError, BorelEvaluator
 from expgrowth.cli import _sample_disc
 from expgrowth.contours import (
@@ -34,6 +35,7 @@ from expgrowth.contours import (
     _integrate,
     _level_table,
     _refinement_values,
+    _split,
     borel_inversion,
     splitting_profile,
     u_decay_bound,
@@ -537,6 +539,24 @@ def _outcome(path, z, spec):
             out.floor_limited)
 
 
+def _seeded_round():
+    """A seeded contour_solve-like round (the five |z| = 8 identities, 50
+    inversions at radius 3, 4 or 5 and 50 identities) and the 22 contour
+    points of reproduce."""
+    spec = QuadratureSpec(target_rel_tol=1e-13)
+    rng = np.random.default_rng(7)
+    draw = random.Random(7)
+    inversions = [(z, float(rng.choice((3.0, 4.0, 5.0))))
+                  for z in _sample_disc(draw, 50, 4.0)]
+    inversions += [(z, 4.0) for z in _sample_disc(random.Random(55), 12, 4.0)]
+    identities = (list(EIGHT) + _sample_disc(draw, 50, 8.0)
+                  + _sample_disc(random.Random(77), 10, 6.0))
+    for z, radius in inversions:
+        borel_inversion(z, radius)
+    for z in identities:
+        F_eval(z, spec) + u_eval(z, spec)
+
+
 class TestWidePass:
     #: the arc with the wide pass switched off: level 2 a pass of its own
     NARROW = dataclasses.replace(_ARC, wide=math.inf)
@@ -585,7 +605,7 @@ class TestWidePass:
         out = _integrate(counted, _ARC, 6.0)
         assert out.refinements == 3
         assert [s.size for s in nodes] == [384, 512, 1024]
-        rows = _level_table(counted, _ARC, (0, 1, 2))[0]
+        rows = _level_table(counted, _ARC, (0, 1, 2))[0][0]
         s = np.concatenate(nodes[:2])
         assert rows[0, 1].tobytes() == s.real.tobytes()
         assert rows[0, 0].tobytes() == s.imag.tobytes()
@@ -596,20 +616,8 @@ class TestWidePass:
         # 50 inversions at radius 3, 4 or 5 and 50 identities) and the 22
         # contour points of reproduce, from a cold cache: the tables built,
         # joined one included, fit in the cache, so none is evicted
-        spec = QuadratureSpec(target_rel_tol=1e-13)
-        rng = np.random.default_rng(7)
-        draw = random.Random(7)
-        inversions = [(z, float(rng.choice((3.0, 4.0, 5.0))))
-                      for z in _sample_disc(draw, 50, 4.0)]
-        inversions += [(z, 4.0) for z in _sample_disc(random.Random(55),
-                                                      12, 4.0)]
-        identities = (list(EIGHT) + _sample_disc(draw, 50, 8.0)
-                      + _sample_disc(random.Random(77), 10, 6.0))
         _level_table.cache_clear()
-        for z, radius in inversions:
-            borel_inversion(z, radius)
-        for z in identities:
-            F_eval(z, spec) + u_eval(z, spec)
+        _seeded_round()
         info = _level_table.cache_info()
         assert 8 <= info.misses == info.currsize <= _TABLE_SIZE
 
@@ -748,11 +756,10 @@ class TestLevelTable:
     def test_arrays_are_read_only(self, seg):
         # the wide pass's table too, joined from an open path's tables
         for levels in [(0, 1)] + [(0, 1, 2)] * (not seg.closed):
-            rows, heads, weights, cuts = _level_table(
-                _SHARED_TAIL.at, seg, levels)
+            stack, weights, cuts = _level_table(_SHARED_TAIL.at, seg, levels)
             assert len(cuts) == len(levels) and all(
                 type(scale) is float for _, scale in cuts)
-            for array in (rows, heads, weights):
+            for array in (stack, stack[0], stack[1], weights):
                 with pytest.raises(ValueError):
                     array[0] = 0.0
 
@@ -781,7 +788,110 @@ def _one(s):
     return np.ones(s.shape)
 
 
+def _exp_zs_of_rows_and_heads(z, rows, heads):
+    """_exp_zs as it was over a table's separate rows and heads arrays,
+    kept verbatim as the reference of the stacked kernel's bits."""
+    zr, zi = z.real, z.imag
+    zrh, zrl = _split(zr)
+    zih, zil = _split(zi)
+    a, ah, al = np.array((zr, zi, zrh, zih, zrl, zil)).reshape(3, 2, 1, 1)
+    p = a * rows  # [[zr si, zr sr], [zi sr, -zi si]]
+    # e = ((ah bh - p) + ah bl + al bh) + al bl with the tails bl of the
+    # rows; in place, so that few (2, 2, n) arrays are alive at once
+    e = ah * heads
+    e -= p
+    tails = rows - heads
+    t = ah * tails
+    e += t
+    np.multiply(al, heads, out=t)
+    e += t
+    tails *= al
+    e += tails
+    del t, tails
+    # y + ix = p[0] + p[1], and its exact tail by Knuth's branch-free
+    # two-sum, whichever addend is larger, plus e[0] + e[1]
+    yx = p[0] + p[1]
+    bb = yx - p[0]
+    p[0] -= yx - bb
+    p[1] -= bb
+    p[0] += p[1]
+    e[0] += e[1]
+    p[0] += e[0]
+    ye, xe = p[0]
+    mag = np.exp(yx[1]) * (1.0 + xe)
+    c = np.cos(yx[0])
+    sn = np.sin(yx[0])
+    out = np.empty(c.shape, dtype=complex)
+    out.real, out.imag = mag * (c - ye * sn), mag * (sn + ye * c)
+    return out
+
+
+def _kernel_points(rows):
+    """z for a table with nodes s: 0 with every zero sign, both axes and
+    the cardinal and diagonal angles at moduli 0.5, 4, 8 and 40, seeded
+    points of |z| < 40, and, in each of those eight directions, z with
+    max Re(zs) just below and just above log(DBL_MAX) = 709.78."""
+    s = rows[0, 1] + 1j * rows[0, 0]
+    units = [complex(1.0, 0.0), complex(-1.0, 0.0), complex(0.0, 1.0),
+             complex(0.0, -1.0)] + [cmath.rect(1.0, math.pi * (2 * k + 1) / 4)
+                                    for k in range(4)]
+    zs = [complex(x, y) for x in (0.0, -0.0) for y in (0.0, -0.0)]
+    zs += [r * u for r in (0.5, 4.0, 8.0, 40.0) for u in units]
+    rng = np.random.default_rng(35)
+    zs += (40.0 * np.sqrt(rng.uniform(0.0, 1.0, 24))
+           * np.exp(1j * rng.uniform(-math.pi, math.pi, 24))).tolist()
+    for u in units:
+        top = float(np.maximum.reduce((u * s).real))
+        if top > 0.0:
+            zs += [709.7 / top * u, 709.78 / top * u, 710.0 / top * u]
+    return zs
+
+
+def _kernel_outcome(kernel, z, *arrays):
+    """The kernel's bits at z under _integrate's floating-point errors, or
+    its error's type."""
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            return kernel(z, *arrays).tobytes()
+    except FloatingPointError as exc:
+        return type(exc).__name__ + str(exc)
+
+
 class TestExponent:
+    def test_stacked_kernel_keeps_the_bits_of_rows_and_heads(
+            self, monkeypatch):
+        # every table of a seeded round from cold (the wide pass's join
+        # among them) and circles 2.5 and 8: one multiply over the stack
+        # forms the same partial products, added in the same order
+        tables = {}
+        build = contours._level_table
+
+        def recorded(*key):
+            tables[key] = build(*key)
+            return tables[key]
+
+        monkeypatch.setattr(contours, "_level_table", recorded)
+        _level_table.cache_clear()
+        _seeded_round()
+        for radius in (2.5, 8.0):
+            for levels in ((0, 1), (2,)):
+                recorded(_SHARED_TAIL.at, _circle(radius), levels)
+        assert (_SHARED_TAIL.at, _ARC, (0, 1, 2)) in tables
+        assert len(tables) >= 12
+        for stack, _, _ in tables.values():
+            rows, heads = stack[0], stack[1]
+            tails = rows - heads
+            assert [part.tobytes() for part in stack[2:]] == [
+                a.tobytes() for a in (tails, heads, tails)]
+            outcomes = []
+            for z in _kernel_points(rows):
+                want = _kernel_outcome(_exp_zs_of_rows_and_heads, z, rows,
+                                       heads)
+                assert _kernel_outcome(_exp_zs, z, stack) == want, z
+                outcomes.append(want)
+            # the points past log(DBL_MAX) overflow, the others do not
+            assert 0 < sum(isinstance(w, str) for w in outcomes) < 12
+
     @pytest.mark.parametrize("seg, moduli", [
         (_circle(4.0), (2.0, 8.0)), (_ARC, (2.0, 8.0, 20.0, 40.0)),
         (_SEGMENT, (2.0, 8.0, 20.0, 40.0)),
@@ -791,7 +901,8 @@ class TestExponent:
         # two-sum tail that assumed its first addend the larger left up to
         # 64 eps on the arc
         mpmath = pytest.importorskip("mpmath")
-        rows, heads = _level_table(_SHARED_TAIL.at, seg, (0, 1))[:2]
+        stack = _level_table(_SHARED_TAIL.at, seg, (0, 1))[0]
+        rows = stack[0]
         eps = math.ulp(1.0)
         worst = 0.0
         with mpmath.workdps(30):
@@ -800,7 +911,7 @@ class TestExponent:
             for r in moduli:
                 for k in range(6):
                     z = r * cmath.exp(1j * (math.tau * k / 6 + 0.3))
-                    got = _exp_zs(z, rows, heads).tolist()
+                    got = _exp_zs(z, stack).tolist()
                     for s, value in zip(nodes, got):
                         want = mpmath.exp(mpmath.mpc(z) * s)
                         worst = max(worst, float(

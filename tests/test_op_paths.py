@@ -3,7 +3,7 @@ Python-level convenience functions, whose frames cost a fresh process more
 than the arithmetic of a small call."""
 import numpy as np
 
-from expgrowth.contours import F_eval, borel_inversion, u_eval
+from expgrowth.contours import F_eval, _level_table, borel_inversion, u_eval
 from expgrowth.diagnostics import classify, window_stats
 from expgrowth.lattice import ZeroLattice
 from expgrowth.product import ProductEvaluator, dyadic_radii
@@ -11,7 +11,7 @@ from expgrowth.product import ProductEvaluator, dyadic_radii
 #: numpy functions implemented in Python (or behind a Python dispatcher)
 #: that the paths below once called
 WRAPPERS = ("linspace", "diff", "all", "any", "flatnonzero", "searchsorted",
-            "partition", "ndim", "angle")
+            "partition", "ndim", "angle", "where", "copyto")
 
 Z = 1.3 - 0.6j
 
@@ -32,10 +32,7 @@ def run_ops(ev):
     borel_inversion(Z)
 
 
-def test_warm_paths_call_no_python_wrapper(monkeypatch):
-    ev = ProductEvaluator(ZeroLattice(k_max=14))
-    run_ops(ev)  # level tables and lattice circles warm
-
+def refuse_wrappers(monkeypatch):
     def refuse(name):
         def raise_(*args, **kwargs):
             raise AssertionError("numpy.%s called on a per-operation path"
@@ -44,5 +41,21 @@ def test_warm_paths_call_no_python_wrapper(monkeypatch):
 
     for name in WRAPPERS:
         monkeypatch.setattr(np, name, refuse(name))
+
+
+def test_warm_paths_call_no_python_wrapper(monkeypatch):
+    ev = ProductEvaluator(ZeroLattice(k_max=14))
+    run_ops(ev)  # level tables and lattice circles warm
+    refuse_wrappers(monkeypatch)
     run_ops(ev)
+
+
+def test_cold_named_integrals_call_no_python_wrapper(monkeypatch):
+    # a fresh process's first z builds its level tables: g on every node
+    # of a batch runs inside the op too
+    _level_table.cache_clear()
+    refuse_wrappers(monkeypatch)
+    F_eval(Z)
+    u_eval(Z)
+    borel_inversion(Z)
 

@@ -56,10 +56,10 @@ def digest():
     build = contours._level_table
 
     def recorded(*key):
-        rows, heads, weights, cuts = table = build(*key)
+        stack, weights, cuts = table = build(*key)
         for index, scale in cuts:
             sha = hashlib.sha256(repr(scale).encode())
-            for a in (rows, heads, weights):
+            for a in (stack[0], stack[1], weights):
                 sha.update(a[..., index].tobytes())
             levels.add(sha.hexdigest())
         return table
