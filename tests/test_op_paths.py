@@ -58,4 +58,3 @@ def test_cold_named_integrals_call_no_python_wrapper(monkeypatch):
     F_eval(Z)
     u_eval(Z)
     borel_inversion(Z)
-
