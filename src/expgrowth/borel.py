@@ -175,7 +175,7 @@ class BorelEvaluator:
         acc_r = np.zeros(s.shape)
         acc_i = np.zeros(s.shape)
         out = np.empty(s.shape, dtype=complex)
-        active = np.ones(s.shape, dtype=bool)
+        active = finite  # all true, as checked above
         for k, (m, c) in enumerate(_COEFFS):
             if m >= self.min_index:
                 acc_r += c * wr

@@ -27,12 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .borel import (
-    BorelDomainError,
-    BorelEvaluator,
-    CoefficientStream,
-    write_coeffs_csv,
-)
+from .borel import BorelEvaluator, CoefficientStream, write_coeffs_csv
 from .contours import (
     _INVERSION_RADII,
     CancellationCapError,
@@ -697,13 +692,10 @@ def main(argv=None) -> int:
     try:
         cfg = resolve_config(args)
         return _COMMANDS[args.command](cfg, args)
-    except (UsageError, InsufficientSamplesError, BorelDomainError) as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return EXIT_USAGE
     except (ArithmeticError, CancellationCapError) as exc:
         print("numeric failure: %s" % exc, file=sys.stderr)
         return EXIT_NUMERIC
-    except OSError as exc:
+    except (ValueError, OSError) as exc:  # UsageError and every refusal
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_USAGE
 

@@ -16,7 +16,7 @@ once per process.  Levels 0 and 1, which every z needs, share one; a
 circle's levels nest, so its shared table holds level 1's nodes and reads
 level 0 as every other one, at twice the weight.  From |z| = 4 on, where
 the arc needs level 2 as a rule, its first pass forms levels 0 to 2 at
-once over the join of their cached tables, with no new g work.  Per z,
+once over a table of their own, its levels' nodes end to end.  Per z,
 one multiply by the stack forms every partial product of the exponent,
 one more the terms e^{zs} W over a table, and one math.fsum, exactly
 rounded, sums each level's.  The rule is fixed and a QuadratureSpec is
@@ -244,15 +244,18 @@ def _gauss_panels(panels: int) -> tuple:
     """Nodes t and weights of that many Gauss panels on [0, 1]."""
     half = 0.5 / panels
     t = (np.arange(panels) + 0.5)[:, None] / panels + half * _GAUSS_X
-    return t.ravel(), np.tile(_GAUSS_W * half, panels)
+    w = np.empty(t.shape)
+    w[...] = _GAUSS_W * half
+    return t.ravel(), w.ravel()
 
 
 #: keys (g, segment, levels) in use: 8 in a contour_solve round of the
 #: benchmark (circles of radius 3, 4, 5 and the segment at levels (0, 1), the
-#: arc at (0, 1), 2, 3 and the wide pass's join (0, 1, 2)), 9 in a round
-#: where an inversion needs circle level 2, 5 in reproduce (radius 4,
-#: segment, arc to 2 and the join); at 160 bytes a node of stack, the
-#: round's 3248 nodes hold 520 kB, and the finest level's 131,072 nodes 21 MB
+#: arc at (0, 1), 2, 3 and the wide pass's (0, 1, 2)), one fewer where no
+#: z below |z| = 4 needs the arc's level 2, one more where an inversion
+#: needs circle level 2, 5 in reproduce (radius 4, segment, arc at (0, 1),
+#: 2 and (0, 1, 2)); at 160 bytes a node of stack, the round's 3248 nodes
+#: hold 520 kB, and the finest level's 131,072 nodes 21 MB
 _TABLE_SIZE = 32
 
 
@@ -266,21 +269,11 @@ def _level_table(g_eval, seg, levels: tuple) -> tuple:
     with w the rule's weight, and per level its (index into the nodes,
     scale).  The complex s itself is not kept.
 
-    Open paths join each level's Gauss nodes, at scale 1; the wide pass
-    (0, 1, 2) of _integrate joins the cached tables of (0, 1) and (2,), so
-    it evaluates g at no new node.  The levels of a closed path, a circle,
-    nest (t = j/n lies on every finer level), so its table holds the
-    finest level's n nodes alone, weighted 1/n, and reads a coarser level
-    as every 2^d-th node at scale 2^d, which is exact."""
-    if len(levels) > 2 and not seg.closed:
-        parts = [_level_table(g_eval, seg, levels[:2])] + [
-            _level_table(g_eval, seg, (level,)) for level in levels[2:]]
-        starts = np.cumsum([0] + [part[1].size for part in parts]).tolist()
-        cuts = [(slice(index.start + start, index.stop + start), scale)
-                for part, start in zip(parts, starts)
-                for index, scale in part[2]]
-        return _frozen(*(np.concatenate(a, axis=-1)
-                         for a in list(zip(*parts))[:2]), cuts)
+    An open path lays each level's Gauss nodes end to end, at scale 1, so
+    a level's bits do not depend on the levels beside it.  The levels of a
+    closed path, a circle, nest (t = j/n lies on every finer level), so its
+    table holds the finest level's n nodes alone, weighted 1/n, and reads a
+    coarser level as every 2^d-th node at scale 2^d, which is exact."""
     if seg.closed:
         top = max(levels)
         n = seg.first * _POINTS_PER_PANEL << top
@@ -289,20 +282,21 @@ def _level_table(g_eval, seg, levels: tuple) -> tuple:
         steps = [1 << top - level for level in levels]
         cuts = [(slice(None, None, step), float(step)) for step in steps]
     else:
-        t, w = zip(*(_gauss_panels(seg.first << level) for level in levels))
-        stops = np.cumsum([a.size for a in t]).tolist()
-        cuts = [(slice(stop - a.size, stop), 1.0) for a, stop in zip(t, stops)]
-        t, w = np.concatenate(t), np.concatenate(w)
+        panels = [seg.first << level for level in levels]
+        t = np.empty(sum(panels) * _POINTS_PER_PANEL)
+        w = np.empty(t.size)
+        cuts = []
+        stop = 0
+        for count in panels:
+            cut = slice(stop, stop + count * _POINTS_PER_PANEL)
+            t[cut], w[cut] = _gauss_panels(count)
+            cuts.append((cut, 1.0))
+            stop = cut.stop
     s, ds = seg.at(t)
     weights = g_eval(s) * ds * w
     rows = np.array([[s.imag, s.real], [s.real, -s.imag]])
     heads, tails = _split(rows)
-    return _frozen(np.array((rows, heads, tails, heads, tails)), weights,
-                   cuts)
-
-
-def _frozen(stack, weights, cuts) -> tuple:
-    """A level table, its arrays made read-only."""
+    stack = np.array((rows, heads, tails, heads, tails))
     stack.flags.writeable = weights.flags.writeable = False
     return stack, weights, tuple(cuts)
 
@@ -336,8 +330,8 @@ def _integrate(g_eval, seg, z: complex,
     as its values on a segment and level serve every z for the process.
     Levels 0 and 1, which every z needs, share one pass; each later level
     has its own, except that from |z| = seg.wide on, where z needs level 2
-    as a rule, the first pass forms levels 0, 1 and 2 over the join of
-    their tables.  The stops are tested level by level either way, so a
+    as a rule, the first pass forms levels 0, 1 and 2 over one table of
+    their nodes.  The stops are tested level by level either way, so a
     pass changes no bit of the result.  The value of level L is returned once
     d_L = |v_L - v_{L-1}| meets the tolerance tol * |v_L| or the roundoff
     floor 4 * eps * mass_L, or, from level 2, once d_L >= d_{L-1} and

@@ -167,7 +167,8 @@ def verify_counting_bounds(lattice: ZeroLattice) -> CountingReport:
     """Check that n(r)/r stays <= 2 and reciprocal sums stay bounded.
 
     n(2^k)/2^k is evaluated as an exact rational; the reciprocal sums are
-    scanned over every dyadic radius and every dyadic midpoint 1.5*2^k.
+    scanned over every dyadic radius 2^k, where the step function
+    r -> sum_{|a| <= r} 1/a takes each of its values.
     A small k_max (below ~4) gives a report too coarse to mean much, but the
     arithmetic is still exact, so no minimum is enforced.
     """
@@ -179,9 +180,7 @@ def verify_counting_bounds(lattice: ZeroLattice) -> CountingReport:
             sup, sup_k = val, k
     worst = 0.0
     worst_r = 2.0
-    radii = [2.0 ** k for k in range(1, lattice.k_max + 1)]
-    radii += [1.5 * 2.0 ** k for k in range(1, lattice.k_max)]
-    for r in sorted(radii):
+    for r in (2.0 ** k for k in range(1, lattice.k_max + 1)):
         mag = abs(lattice.reciprocal_sum(r))
         if mag > worst:
             worst, worst_r = mag, r

@@ -335,9 +335,19 @@ class TestExitCodes:
         # would ask numpy for 48 TiB)
         (("profile", "--samples-per-window", "1099511627776"), EXIT_USAGE),
         (("borel", "coeffs", "--max-index", "100000000000"), EXIT_USAGE),
+        # grids the profile plot cannot draw: empty, one zero sample, one
+        # sample, two zeros
+        (("--svg", "profile", "--r-min", "256.1", "--r-max", "256.2"),
+         EXIT_USAGE),
+        (("--svg", "profile", "--theta", "0", "--r-min", "256",
+          "--r-max", "256.5"), EXIT_USAGE),
+        (("--svg", "profile", "--r-min", "1", "--r-max", "1.001"),
+         EXIT_USAGE),
+        (("--svg", "profile", "--theta", "0", "--samples-per-window", "1",
+          "--r-min", "256", "--r-max", "512"), EXIT_USAGE),
     ])
-    def test_contract_probes(self, argv, want):
-        code, out, err = run(*argv)
+    def test_contract_probes(self, argv, want, tmp_path):
+        code, out, err = run("--out-dir", str(tmp_path), *argv)
         assert code == want
         assert "Traceback" not in err and "nan" not in out
         # one error line; a numpy warning would add its own

@@ -590,36 +590,31 @@ class TestWidePass:
         assert (np.array(joint, dtype=complex).tobytes()
                 == np.array(single, dtype=complex).tobytes())
 
-    def test_g_runs_at_no_new_node(self):
-        # a counting g, hashable as the table cache needs: the wide pass
-        # joins the tables of (0, 1), cached by the narrow z, and (2,), so
-        # g sees their 384 and 512 nodes and, for a z that goes on, each
-        # later level's own
-        nodes = []
-
-        def counted(s):
-            nodes.append(s.copy())
-            return _SHARED_TAIL.at(s)
-
-        assert _integrate(counted, _ARC, 1.0).refinements == 1
-        out = _integrate(counted, _ARC, 6.0)
-        assert out.refinements == 3
-        assert [s.size for s in nodes] == [384, 512, 1024]
-        rows = _level_table(counted, _ARC, (0, 1, 2))[0][0]
-        s = np.concatenate(nodes[:2])
-        assert rows[0, 1].tobytes() == s.real.tobytes()
-        assert rows[0, 0].tobytes() == s.imag.tobytes()
-        assert len(nodes) == 3
+    def test_wide_table_is_its_levels_end_to_end(self):
+        # built from its own key, from cold, the wide pass's table holds the
+        # bits of the (0, 1) and (2,) tables laid end to end: its stack, its
+        # weights and its cuts
+        _level_table.cache_clear()
+        wide = _level_table(_SHARED_TAIL.at, _ARC, (0, 1, 2))
+        parts = [_level_table(_SHARED_TAIL.at, _ARC, levels)
+                 for levels in ((0, 1), (2,))]
+        for k in (0, 1):
+            joined = np.concatenate([part[k] for part in parts], axis=-1)
+            assert wide[k].shape == joined.shape
+            assert wide[k].tobytes() == joined.tobytes()
+        assert wide[2] == ((slice(0, 128), 1.0), (slice(128, 384), 1.0),
+                           (slice(384, 896), 1.0))
 
     def test_a_round_evicts_no_table(self):
         # a seeded contour_solve-like round (the five |z| = 8 identities,
         # 50 inversions at radius 3, 4 or 5 and 50 identities) and the 22
-        # contour points of reproduce, from a cold cache: the tables built,
-        # joined one included, fit in the cache, so none is evicted
+        # contour points of reproduce, from a cold cache: its 8 tables, the
+        # wide pass's (0, 1, 2) among them, fit in the cache, so none is
+        # evicted
         _level_table.cache_clear()
         _seeded_round()
         info = _level_table.cache_info()
-        assert 8 <= info.misses == info.currsize <= _TABLE_SIZE
+        assert info.misses == info.currsize == 8 < _TABLE_SIZE
 
 
 class TestBatch:
@@ -754,7 +749,7 @@ class TestLevelTable:
     @pytest.mark.parametrize("seg", [_circle(3.0), _ARC, _SEGMENT],
                              ids=["circle", "arc", "segment"])
     def test_arrays_are_read_only(self, seg):
-        # the wide pass's table too, joined from an open path's tables
+        # the wide pass's table of an open path too
         for levels in [(0, 1)] + [(0, 1, 2)] * (not seg.closed):
             stack, weights, cuts = _level_table(_SHARED_TAIL.at, seg, levels)
             assert len(cuts) == len(levels) and all(
@@ -860,8 +855,8 @@ def _kernel_outcome(kernel, z, *arrays):
 class TestExponent:
     def test_stacked_kernel_keeps_the_bits_of_rows_and_heads(
             self, monkeypatch):
-        # every table of a seeded round from cold (the wide pass's join
-        # among them) and circles 2.5 and 8: one multiply over the stack
+        # every table of a seeded round from cold (the wide pass's among
+        # them) and circles 2.5 and 8: one multiply over the stack
         # forms the same partial products, added in the same order
         tables = {}
         build = contours._level_table
@@ -877,7 +872,7 @@ class TestExponent:
             for levels in ((0, 1), (2,)):
                 recorded(_SHARED_TAIL.at, _circle(radius), levels)
         assert (_SHARED_TAIL.at, _ARC, (0, 1, 2)) in tables
-        assert len(tables) >= 12
+        assert len(tables) == 12
         for stack, _, _ in tables.values():
             rows, heads = stack[0], stack[1]
             tails = rows - heads

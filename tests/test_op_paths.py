@@ -11,7 +11,8 @@ from expgrowth.product import ProductEvaluator, dyadic_radii
 #: numpy functions implemented in Python (or behind a Python dispatcher)
 #: that the paths below once called
 WRAPPERS = ("linspace", "diff", "all", "any", "flatnonzero", "searchsorted",
-            "partition", "ndim", "angle", "where", "copyto")
+            "partition", "ndim", "angle", "where", "copyto", "tile", "cumsum",
+            "concatenate", "ones")
 
 Z = 1.3 - 0.6j
 

@@ -19,8 +19,10 @@ imports expgrowth from CHECKOUT/src and hashes, in a fixed order:
     weights and scale, so neither the order of building, the table cache's
     evictions nor the passes that group levels into tables count.
 A value is hashed as its complex bytes; a call that raises, as the name of
-the exception type.  One line per checkout, "<sha256>  <checkout>", so two
-checkouts hold the same contour-path bits exactly when their digests agree.
+the exception type.  A level table this tool cannot read (another layout)
+stops it with a message and a non-zero exit, not a digest.  One line per
+checkout, "<sha256>  <checkout>", so two checkouts hold the same
+contour-path bits exactly when their digests agree.
 """
 from __future__ import annotations
 
@@ -56,12 +58,19 @@ def digest():
     build = contours._level_table
 
     def recorded(*key):
-        stack, weights, cuts = table = build(*key)
-        for index, scale in cuts:
-            sha = hashlib.sha256(repr(scale).encode())
-            for a in (stack[0], stack[1], weights):
-                sha.update(a[..., index].tobytes())
-            levels.add(sha.hexdigest())
+        table = build(*key)
+        try:
+            stack, weights, cuts = table
+            for index, scale in cuts:
+                sha = hashlib.sha256(repr(scale).encode())
+                for a in (stack[0], stack[1], weights):
+                    sha.update(a[..., index].tobytes())
+                levels.add(sha.hexdigest())
+        except Exception as exc:  # noqa: BLE001 - any layout but this one
+            # SystemExit, which value() does not catch: a digest of the
+            # error would only look like a result
+            raise SystemExit("cannot read the level table of %r at levels "
+                             "%r: %r" % (key[1], key[2], exc)) from None
         return table
 
     sha = hashlib.sha256()
