@@ -153,8 +153,9 @@ def _validate(cfg: RunConfig) -> None:
     if not 0.0 < cfg.q < 0.5:
         raise UsageError("q must lie in (0, 0.5)")
     # written so that a nan fails every check
-    if not (cfg.gap_tol > 0.0 and cfg.drift_tol > 0.0 and cfg.tol > 0.0):
-        raise UsageError("tolerances must be positive")
+    if not all(0.0 < t < math.inf
+               for t in (cfg.gap_tol, cfg.drift_tol, cfg.tol)):
+        raise UsageError("tolerances must be positive and finite")
     if not cfg.tol >= 1e-13:
         raise UsageError("tol below 1e-13 is not achievable in double precision")
     if not math.isfinite(cfg.theta):

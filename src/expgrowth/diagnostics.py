@@ -187,8 +187,8 @@ def classify(
     2 * gap_tol; the reported gap is the smallest of those widths.  Anything
     in between is inconclusive rather than guessed.
     """
-    if not (gap_tol > 0.0 and drift_tol > 0.0):  # nan fails too
-        raise ValueError("tolerances must be positive")
+    if not (0.0 < gap_tol < math.inf and 0.0 < drift_tol < math.inf):
+        raise ValueError("tolerances must be positive and finite")
     stats = window_stats(profile, q)
     tail = stats[-TRAILING_WINDOWS:]
     widths = [s.width for s in tail]

@@ -10,6 +10,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from expgrowth import contours
 from expgrowth.borel import BorelDomainError, BorelEvaluator
@@ -31,11 +33,13 @@ from expgrowth.contours import (
     _Path,
     _asymptotic_tail,
     _exp_zs,
+    _extracted_values,
     _F_channel,
     _integrate,
     _level_table,
     _refinement_values,
     _split,
+    _value_and_mass,
     borel_inversion,
     splitting_profile,
     u_decay_bound,
@@ -122,8 +126,9 @@ class TestQuadratureSpec:
             "target_rel_tol"]
         with pytest.raises(ValueError):
             QuadratureSpec(target_rel_tol=1e-14)
-        with pytest.raises(ValueError):
-            QuadratureSpec(target_rel_tol=math.nan)
+        for tol in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="finite"):
+                QuadratureSpec(target_rel_tol=tol)
 
 
 class TestResidues:
@@ -615,6 +620,174 @@ class TestWidePass:
         _seeded_round()
         info = _level_table.cache_info()
         assert info.misses == info.currsize == 8 < _TABLE_SIZE
+
+
+def _component(kind, n, rng):
+    """n reals whose sums over the cuts of _cuts stress a rounding
+    certificate.  Every kind but the first three is built on pairs x_i,
+    x_{i+n/2} = -x_i, which cancel exactly in any level holding both: the
+    whole array and every stride dividing n/2."""
+    scale = 2.0 ** int(rng.integers(-700, 700))
+    if kind == "normal":
+        return rng.standard_normal(n) * scale
+    if kind == "positive":  # one sign: the sums reach n times the largest
+        return rng.uniform(0.5, 1.0, n) * scale
+    if kind == "wide":  # exponents over 2^-60 .. 2^60 of the scale
+        return rng.standard_normal(n) * scale * 2.0 ** rng.integers(-60, 60, n)
+    if kind == "subnormal":  # pairs near the extraction's floor 2^-800
+        scale = 2.0 ** int(rng.integers(-900, -700))
+    half = rng.standard_normal(n // 2) * scale
+    x = np.concatenate([half, -half])
+    if kind == "cancel":  # noise 2^-20 to 2^-60 of the pairs: little survives
+        x += rng.standard_normal(n) * scale * 2.0 ** -int(rng.integers(20, 60))
+    elif kind == "tie":  # the pair at 0 leaves b + ulp(b) / 2, halfway
+        b = (1.0 + int(rng.integers(0, 2**52)) * 2.0**-52) * scale
+        x[0], x[n // 2] = b, math.ulp(b) / 2 * float(rng.choice((-1, 1)))
+    elif kind == "subnormal":  # some pairs give way to subnormals
+        tiny = rng.random(n) < 0.2
+        x[tiny] = rng.integers(-2**20, 2**20, int(tiny.sum())) * 2.0**-1074
+    elif kind == "zero":  # some pairs are signed zeros; the sum is 0
+        zero = rng.random(n // 2) < 0.2
+        x[:n // 2][zero] = x[n // 2:][zero] = -0.0
+    return x
+
+
+def _cuts(n, strided, rng):
+    """A circle's nested levels (steps 4, 2, 1), or an open path's levels
+    end to end, plus the whole array (cuts may overlap)."""
+    if strided:
+        return tuple((slice(None, None, step), float(step)) for step in (4, 2, 1))
+    stops = sorted(set(rng.integers(1, n, int(rng.integers(0, 3))).tolist()))
+    bounds = [0] + stops + [n]
+    return (tuple((slice(a, b), 1.0) for a, b in zip(bounds, bounds[1:]))
+            + ((slice(0, n), 1.0),))
+
+
+def _bits(values):
+    """A list of (value, mass) pairs as bytes: sign of zero included."""
+    return np.array([(v.real, v.imag, m) for v, m in values]).tobytes()
+
+
+def _fsum_values(terms, cuts):
+    return [_value_and_mass(terms[index], scale) for index, scale in cuts]
+
+
+class TestExtractedSums:
+    KINDS = ("normal", "positive", "wide", "cancel", "tie", "subnormal",
+             "zero")
+
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(st.sampled_from(KINDS), st.sampled_from(KINDS),
+           st.integers(512 // 8, 2048 // 8), st.booleans(),
+           st.integers(0, 2**32 - 1))
+    def test_matches_fsum_bit_for_bit(self, re_kind, im_kind, eighths,
+                                      strided, seed):
+        # on 512 to 2048 terms, strided cuts or contiguous ones, every value
+        # and mass has math.fsum's bits, the sign of a zero sum included
+        rng = np.random.default_rng(seed)
+        n = 8 * eighths
+        terms = np.empty(n, complex)
+        terms.real = _component(re_kind, n, rng)
+        terms.imag = _component(im_kind, n, rng)
+        cuts = _cuts(n, strided, rng)
+        assert (_bits(_extracted_values(terms, cuts))
+                == _bits(_fsum_values(terms, cuts)))
+
+    @staticmethod
+    def _tiers(monkeypatch, terms):
+        """The certificate's verdicts on the whole array, (parts, certified)
+        per component, after checking its bits against math.fsum's."""
+        seen = []
+        rounded = contours._rounded
+
+        def spy(parts, bound):
+            s = rounded(parts, bound)
+            seen.append((len(parts), s is not None))
+            return s
+
+        monkeypatch.setattr(contours, "_rounded", spy)
+        cuts = ((slice(None), 1.0),)
+        assert (_bits(_extracted_values(terms, cuts))
+                == _bits(_fsum_values(terms, cuts)))
+        return seen
+
+    @staticmethod
+    def _pairs(n=512):
+        half = np.random.default_rng(5).standard_normal(n // 2)
+        terms = np.empty(n, complex)
+        terms.real = np.concatenate([half, -half])
+        terms.imag = np.random.default_rng(6).standard_normal(n)
+        return terms
+
+    def test_one_extraction(self, monkeypatch):
+        terms = [1, 1j] @ np.random.default_rng(4).standard_normal((2, 512))
+        assert self._tiers(monkeypatch, terms) == [(2, True), (2, True)]
+
+    def test_two_extractions_under_cancellation(self, monkeypatch):
+        # the pairs cancel and leave 11 * 2^-41, far below the first
+        # extraction's margin of about 2^-75 against a half-ulp of 2^-92
+        terms = self._pairs()
+        terms.real[1], terms.real[257] = 3 * 2.0**-40, 5 * 2.0**-41
+        assert self._tiers(monkeypatch, terms) == [
+            (2, False), (3, True), (2, True)]
+
+    @pytest.mark.parametrize("tail", [2.0**-53, 0.0],
+                             ids=["halfway", "exact-zero"])
+    def test_fsum_when_no_certificate_holds(self, monkeypatch, tail):
+        # a sum halfway between two binary64 numbers, which no margin
+        # settles, and an exact zero, whose sign is math.fsum's to give
+        terms = self._pairs()
+        b = (1.0 + 2.0**-52) if tail else 0.0
+        terms.real[0], terms.real[256] = b, tail
+        assert self._tiers(monkeypatch, terms) == [
+            (2, False), (3, False), (2, True)]
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_margin_must_clear_the_midpoints(self, sign):
+        # 1.5 + d rounds to 1.5 for |d| < 2^-53, the midpoint, on either
+        # side; a sum within 2^-70 of one that reaches past it is refused
+        d = sign * (2.0**-53 - 2.0**-80)
+        assert contours._rounded((1.5, d), 0.0) == 1.5
+        assert contours._rounded((1.5, d), 2.0**-70) is None
+        assert contours._rounded((1.5, d / 2), 2.0**-70) == 1.5
+        assert contours._rounded((1.5, -1.5), 2.0**-70) is None
+
+    def test_smaller_passes_keep_fsum(self, monkeypatch):
+        # circles' first pass (128 nodes), the segment's (48) and the arc's
+        # (0, 1) pass (384) never reach the extraction; the arc's level 2
+        # (512 nodes) does
+        calls = []
+        extracted = contours._extracted_values
+        monkeypatch.setattr(contours, "_extracted_values",
+                            lambda *a: calls.append(a[0].size) or extracted(*a))
+        for seg in (_circle(4.0), _SEGMENT, _ARC):
+            _refinement_values(_SHARED_TAIL.at, seg, 1.0 + 2.0j, (0, 1))
+        assert calls == []
+        _refinement_values(_SHARED_TAIL.at, _ARC, 1.0 + 2.0j, (2,))
+        assert calls == [512]
+
+    def test_contour_passes_match_fsum(self, monkeypatch):
+        # 48 directions at |z| = 3.5, 4.5, ..., 11.5 on the arc's passes of
+        # 512 nodes and more up to level 4, and on circles of radius 2.5 to
+        # 8 at 512 and 1024 nodes, |z| half and all of each one's stated
+        # domain: every value and mass is the all-fsum reference's
+        around = cis(math.tau * np.arange(48) / 48)
+        runs = [(_ARC, levels, (np.arange(3.5, 12.0)[:, None] * around))
+                for levels in ((0, 1, 2), (2,), (3,), (4,))]
+        runs += [(_circle(r), (level,), np.array([[top / 2], [top]]) * around)
+                 for r, top in ((2.5, 12), (3, 10.5), (4, 6), (5, 5), (8, 2))
+                 for level in (3, 4)]
+
+        def run():
+            with np.errstate(over="raise", invalid="raise"):
+                return _bits([value for seg, levels, zs in runs
+                              for z in zs.ravel().tolist()
+                              for value in _refinement_values(
+                                  _SHARED_TAIL.at, seg, z, levels)])
+
+        extracted = run()
+        monkeypatch.setattr(contours, "_EXACT_NODES", math.inf)
+        assert run() == extracted
 
 
 class TestBatch:

@@ -294,7 +294,8 @@ class TestClassify:
             classify(f_profile, gap_tol=0.0)
         with pytest.raises(ValueError):
             classify(f_profile, drift_tol=-1.0)
-        for tol in ({"gap_tol": math.nan}, {"drift_tol": math.nan}):
+        for tol in ({"gap_tol": math.nan}, {"drift_tol": math.nan},
+                    {"gap_tol": math.inf}, {"drift_tol": math.inf}):
             with pytest.raises(ValueError):
                 classify(f_profile, **tol)
 

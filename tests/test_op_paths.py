@@ -12,14 +12,19 @@ from expgrowth.product import ProductEvaluator, dyadic_radii
 #: that the paths below once called
 WRAPPERS = ("linspace", "diff", "all", "any", "flatnonzero", "searchsorted",
             "partition", "ndim", "angle", "where", "copyto", "tile", "cumsum",
-            "concatenate", "ones")
+            "concatenate", "ones", "stack", "repeat")
 
 Z = 1.3 - 0.6j
+
+#: from |z| = 4 the arc's first pass forms levels 0 to 2 over 896 nodes,
+#: summed by extraction rather than math.fsum
+WIDE = 4.6 + 2.1j
 
 
 def run_ops(ev):
     """A growth_scan ray op on two rays, max_modulus, the scalar product
-    and its oracle, and the named integrals at a scalar z."""
+    and its oracle, and the named integrals at a scalar z, one of them on
+    the arc's wide pass."""
     radii = dyadic_radii(8, 14, 256)
     for theta in (0.0, 0.7):
         profile = ev.profile_on(theta, radii)
@@ -28,9 +33,10 @@ def run_ops(ev):
     ev.max_modulus(2.0**17, 64)
     ev.eval_log_f(Z)
     ev.eval_log_f_direct(Z, ev.cutoff(Z))
-    F_eval(Z)
-    u_eval(Z)
-    borel_inversion(Z)
+    for z in (Z, WIDE):
+        F_eval(z)
+        u_eval(z)
+        borel_inversion(z)
 
 
 def refuse_wrappers(monkeypatch):
@@ -56,6 +62,7 @@ def test_cold_named_integrals_call_no_python_wrapper(monkeypatch):
     # of a batch runs inside the op too
     _level_table.cache_clear()
     refuse_wrappers(monkeypatch)
-    F_eval(Z)
-    u_eval(Z)
-    borel_inversion(Z)
+    for z in (Z, WIDE):
+        F_eval(z)
+        u_eval(z)
+        borel_inversion(z)
