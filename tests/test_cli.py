@@ -323,10 +323,6 @@ class TestExitCodes:
         (("diagnose", "--theta", "inf"), EXIT_USAGE),
         # refused before any quadrature runs
         (("--tol", "nan", "borel", "invert", "--z", "1"), EXIT_USAGE),
-        # an infinite tolerance is refused like a nan one, not run
-        (("--tol", "inf", "borel", "invert", "--z", "3"), EXIT_USAGE),
-        (("diagnose", "--gap-tol", "inf"), EXIT_USAGE),
-        (("diagnose", "--drift-tol", "inf"), EXIT_USAGE),
         (("profile", "--r-max", "inf"), EXIT_USAGE),
         (("profile", "--r-min", "nan"), EXIT_USAGE),
         (("borel", "coeffs", "--max-index", "-5"), EXIT_USAGE),
@@ -349,6 +345,10 @@ class TestExitCodes:
          EXIT_USAGE),
         (("--svg", "profile", "--theta", "0", "--samples-per-window", "1",
           "--r-min", "256", "--r-max", "512"), EXIT_USAGE),
+        # an infinite tolerance is refused like a nan one, not run
+        (("--tol", "inf", "borel", "invert", "--z", "3"), EXIT_USAGE),
+        (("diagnose", "--gap-tol", "inf"), EXIT_USAGE),
+        (("diagnose", "--drift-tol", "inf"), EXIT_USAGE),
     ])
     def test_contract_probes(self, argv, want, tmp_path):
         code, out, err = run("--out-dir", str(tmp_path), *argv)
